@@ -4,8 +4,10 @@ Given distance bounds 0 < lambda <= D <= Lambda, the optimal strategy turns
 at distances a_0 lambda, ..., a_{n-1} lambda and then at Lambda, where the
 number of growing turns n is picked in O(1) from rho = Lambda/lambda, a_0
 solves p_n(x) = rho on [alpha_{n+1}, alpha_{n+2}), the later ratios follow
-the recurrence a_i = a_0 (a_{i-1} - a_{i-2}), and the achieved competitive
-ratio is exactly 2 a_0 + 1.
+the recurrence a_i = a_0 (a_{i-1} - a_{i-2}), so a_i = p_i(a_0), and the
+achieved competitive ratio is exactly 2 a_0 + 1.  Beyond the closed forms
+(n <= 3) the solve returns theta with a_0 = 4 cos^2 theta, and each a_i is
+taken from the closed form p_i(theta) rather than the recurrence.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import solve as _solve
-from .polynomials import log2_p_at_alpha_next, log2_p_at_alpha_next2
+from .polynomials import log2_p_at_alpha_next, log2_p_at_alpha_next2, p_theta_terms
 from .solve import (
+    MODE_EXACT,
     MODE_LIMIT,
     SolveResult,
     cr_error_bound_limit,
@@ -177,18 +180,26 @@ def eq7_certificate(n: int, log2_rho: float) -> tuple[float, float]:
     return log2_p_at_alpha_next(n), log2_p_at_alpha_next2(n)
 
 
-def expand_sequence(a0: float, n: int, scale: float = 1.0) -> list[float]:
+def expand_sequence(
+    a0: float, n: int, scale: float = 1.0, theta: float | None = None
+) -> list[float]:
     """The turn ratios a_0 .. a_{n-1} grown by a_i = a_0 (a_{i-1} - a_{i-2}).
 
     Equal to p_i(a0) for each i; empty for n = 0.  With a scale the same
     recurrence runs directly in absolute distance units (seeded by scale
     and a0*scale), which stays finite even when the dimensionless ratios
-    alone would overflow.
+    alone would overflow.  Given theta with a0 = 4 cos^2 theta, each turn
+    is instead scale * p_i(theta) from the closed form, in O(1) and to a few
+    ulps however large n is.  The recurrence only sees a0 rounded to a
+    double, and one ulp of a0 moves p_i by about i^3 ulp(a0) / 100,
+    relative (4e-9 at i = 999).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return []
+    if theta is not None:
+        return p_theta_terms(n, theta, scale)
     seq = [a0 * scale]
     prev2, prev1 = scale, a0 * scale  # a_{-1} = 1 seeds a_1 = a_0 (a_0 - 1)
     for _ in range(1, n):
@@ -211,7 +222,9 @@ def optimize(problem: SearchProblem) -> StrategyReport:
     Dispatch: closed forms for n <= 3; the alpha_{n+2} limit approximation
     once n >= 7 eps^{-1/3} - 4 (ratio error below eps by construction);
     bracketed numeric solving with tolerance eps/2 in a0 otherwise, which
-    bounds the ratio error by eps since CR = 2 a0 + 1.
+    bounds the ratio error by eps since CR = 2 a0 + 1.  Outside the closed
+    forms the turns are expanded from the solved theta, so nothing but the
+    n-turn expansion costs O(n).
     """
     rho = problem.rho  # may overflow to inf when Lambda/lambda_ exceeds doubles
     eps = problem.epsilon
@@ -228,7 +241,8 @@ def optimize(problem: SearchProblem) -> StrategyReport:
     else:
         sol = _solve.solve_numeric(n, log2_rho=problem.log2_rho, tol_a0=eps / 2.0)
         bound = eps
-    turns = expand_sequence(sol.a0, n, scale=problem.lambda_)
+    theta = None if sol.mode == MODE_EXACT else sol.theta
+    turns = expand_sequence(sol.a0, n, scale=problem.lambda_, theta=theta)
     if sol.mode == MODE_LIMIT:
         # The limit point can overshoot rho in its top turns; capping at
         # Lambda keeps the strategy monotone and inside [lambda, Lambda]

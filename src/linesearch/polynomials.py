@@ -9,6 +9,16 @@ and on the solving bracket [alpha_{n+1}, alpha_{n+2}) every p_n is positive and
 strictly increasing.  Values grow like 2^n near x = 4, so evaluation carries an
 explicit base-2 exponent (:class:`PolyEval`) instead of a bare float; that keeps
 p_n finite for n well past 10**6.
+
+With x = 4 cos^2(theta) the recurrence has the closed form (Chebyshev U)
+
+    p_n(x) = (2 cos theta)^{n+1} sin((n+2) theta) / sin theta,
+
+and with x = 4 cosh^2(t) above 4 the same form in cosh and sinh.  The
+``*_theta`` and ``*_cosh`` functions evaluate it in O(1), in log2 and
+relative to 2^{n+1}, so the value keeps full relative precision where
+log2 p_n itself (of size n) would round to ulp(n).  The solving bracket is
+theta in [pi/(n+4), pi/(n+3)], where log2 p_n decreases in theta.
 """
 
 from __future__ import annotations
@@ -236,6 +246,173 @@ def p_at_alpha(n: PolyIndex) -> PolyEval:
 def p_at_alpha2(n: PolyIndex) -> PolyEval:
     """p_n evaluated at alpha_{n+2}, in closed form rather than recurrence."""
     return PolyEval.from_log2(log2_p_at_alpha_next2(n))
+
+
+_LN2 = math.log(2.0)
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def x_of_theta(theta: float) -> float:
+    """4 cos^2(theta), computed as 4 - (2 sin theta)^2 to keep it exact near 4."""
+    s2 = 2.0 * math.sin(theta)
+    return 4.0 - s2 * s2
+
+
+def theta_of_x(x: float) -> float:
+    """The theta in [0, pi/2] with 4 cos^2(theta) = x, for 0 <= x <= 4."""
+    if not 0.0 <= x <= 4.0:
+        raise ValueError(f"x must lie in [0, 4], got {x!r}")
+    return math.asin(0.5 * math.sqrt(4.0 - x))  # 4 - x is exact for x >= 2
+
+
+def _split(theta: float) -> tuple[float, float]:
+    """theta = hi + lo with hi on 26 bits, so k * hi is exact for k < 2^26."""
+    c = _SPLIT * theta
+    hi = c - (c - theta)
+    return hi, theta - hi
+
+
+def _sin_multiple(k: int, theta: float) -> float:
+    """sin(k theta), to full relative precision for 0 < k theta < pi.
+
+    Past pi/2 the sine is taken of pi - k theta, formed in double-double so
+    that its small value near pi is not lost to the rounding of k theta
+    (exactly so up to k theta = 2 pi, for k < 2^26).
+    """
+    u = k * theta
+    if u <= 0.5 * math.pi:
+        return math.sin(u)
+    hi, lo = _split(theta)
+    return math.sin((math.pi - k * hi) - k * lo + _PI_LO)
+
+
+def _check_theta(n: int, theta: float) -> None:
+    _check_index(n)
+    if not 0.0 < theta < math.pi / (n + 2):
+        raise ValueError(f"theta must lie in (0, pi/{n + 2}), got {theta!r}")
+
+
+def log2_p_theta_excess(n: PolyIndex, theta: float) -> float:
+    """log2(p_n(4 cos^2 theta) / 2^{n+1}) for 0 < theta < pi/(n+2).
+
+    Of size O(log n), with an absolute error of a few ulps of that size.
+    """
+    _check_theta(n, theta)
+    s = math.sin(theta)
+    log2_cos = 0.5 * math.log1p(-s * s) / _LN2  # not log2(cos theta): cos rounds near 1
+    return (n + 1) * log2_cos + math.log2(_sin_multiple(n + 2, theta) / s)
+
+
+def log2_p_theta(n: PolyIndex, theta: float) -> float:
+    """log2 p_n(4 cos^2 theta) in O(1), for 0 < theta < pi/(n+2)."""
+    return (n + 1) + log2_p_theta_excess(n, theta)
+
+
+def dlog2_p_dtheta(n: PolyIndex, theta: float) -> float:
+    """d/dtheta of log2 p_n(4 cos^2 theta); negative on (0, pi/(n+2)).
+
+    ( -(n+1) tan theta + (n+2) cot((n+2) theta) - cot theta ) / ln 2.
+    """
+    _check_theta(n, theta)
+    k = n + 2
+    cot_k = math.cos(k * theta) / _sin_multiple(k, theta)
+    return (k * cot_k - (n + 1) * math.tan(theta) - 1.0 / math.tan(theta)) / _LN2
+
+
+def eval_p_closed(n: PolyIndex, x: float) -> PolyEval:
+    """p_n(x) in O(1) for any x >= 0, from the theta form up to 4, cosh above.
+
+    Relative precision is a few ulps where p_n is far from its roots, which
+    covers [alpha_n, inf); near a smaller root the error is a few ulps of
+    the scale 2^{n+1}, as for the recurrence.
+    """
+    _check_index(n)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and non-negative, got {x!r}")
+    if x > 4.0:
+        excess, negative = log2_p_cosh_excess(n, math.asinh(0.5 * math.sqrt(x - 4.0))), False
+    elif x == 4.0:
+        excess, negative = math.log2(n + 2), False  # p_n(4) = (n+2) 2^{n+1}
+    elif x == 0.0:
+        return PolyEval(0.0, 0)  # every p_n has the factor x
+    else:
+        theta = theta_of_x(x)
+        sin_k = _sin_multiple(n + 2, theta)
+        if sin_k == 0.0:
+            return PolyEval(0.0, 0)
+        # log2 cos theta = log2(x/4) / 2, taken from x itself (theta loses a
+        # small x); log1p keeps it exact near 4, where x - 4 is exact.
+        if x < 2.0:
+            log2_cos = 0.5 * (math.log2(x) - 2.0)
+        else:
+            log2_cos = 0.5 * math.log1p(0.25 * (x - 4.0)) / _LN2
+        excess = (n + 1) * log2_cos + math.log2(abs(sin_k) / math.sin(theta))
+        negative = sin_k < 0.0
+    v = PolyEval.from_log2(excess, negative)
+    return PolyEval(v.mantissa, v.exp2 + n + 1)
+
+
+def p_theta_terms(n: PolyIndex, theta: float, scale: float = 1.0) -> list[float]:
+    """scale * p_i(4 cos^2 theta) for i = 0 .. n-1, each from the closed form.
+
+    Needs 0 < theta < pi/(n+1), so that every term is positive.  Each term
+    costs O(1) and carries a few ulps of relative error, however large n is;
+    the powers of 2 cos theta are taken as 2^{i+1} exp((i+1) ln cos theta) so
+    that the rounding of cos theta is not raised to the power i+1.
+    """
+    _check_index(n)
+    if n == 0:
+        return []
+    if not 0.0 < theta < math.pi / (n + 1):
+        raise ValueError(f"theta must lie in (0, pi/{n + 1}), got {theta!r}")
+    s = math.sin(theta)
+    ln_cos = 0.5 * math.log1p(-s * s)
+    m, e = math.frexp(scale)  # keeps tiny or huge scales off the subnormal range
+    m /= s
+    exp, sin, ldexp = math.exp, math.sin, math.ldexp
+    # Terms with (i+2) theta <= pi/2 take the sine directly, later ones of
+    # pi - (i+2) theta, as in _sin_multiple.
+    k_mid = min(n + 1, int(0.5 * math.pi / theta))
+    out = [ldexp(m * exp(k * ln_cos) * sin((k + 1) * theta), k + e) for k in range(1, k_mid)]
+    hi, lo, pi = *_split(theta), math.pi
+    out += [
+        ldexp(m * exp(k * ln_cos) * sin((pi - (k + 1) * hi) - (k + 1) * lo + _PI_LO), k + e)
+        for k in range(max(k_mid, 1), n + 1)
+    ]
+    return out
+
+
+def log2_p_cosh_excess(n: PolyIndex, t: float) -> float:
+    """log2(p_n(4 cosh^2 t) / 2^{n+1}) for t > 0, where p_n(x) above 4 is
+
+    (2 cosh t)^{n+1} sinh((n+2) t) / sinh t.
+    """
+    _check_index(n)
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    return ((n + 1) * _ln_cosh(t) + _ln_sinh((n + 2) * t) - _ln_sinh(t)) / _LN2
+
+
+def dlog2_p_dt(n: PolyIndex, t: float) -> float:
+    """d/dt of log2 p_n(4 cosh^2 t); positive for t > 0."""
+    _check_index(n)
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    return ((n + 1) * math.tanh(t) + (n + 2) / math.tanh((n + 2) * t) - 1.0 / math.tanh(t)) / _LN2
+
+
+def _ln_cosh(t: float) -> float:
+    if t < 20.0:
+        sh = math.sinh(t)
+        return 0.5 * math.log1p(sh * sh)
+    return t - _LN2 + math.log1p(math.exp(-2.0 * t))
+
+
+def _ln_sinh(u: float) -> float:
+    if u < 20.0:
+        return math.log(math.sinh(u))
+    return u - _LN2 + math.log1p(-math.exp(-2.0 * u))
 
 
 def roots_of_p(n: PolyIndex) -> list[float]:

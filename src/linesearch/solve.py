@@ -5,11 +5,15 @@ Three routes, matching how hard the equation is:
 * ``solve_exact``   -- n <= 3, closed forms by radicals (square and cube
   roots only; the quartic goes through its resolvent cubic in real
   trigonometric form).
-* ``solve_numeric`` -- bisection safeguarded Newton on the bracket
-  [alpha_{n+1}, alpha_{n+2}], where p_n is strictly increasing and the
-  bracket width is at most 7^3 (n+4)^-3 / 2.
-* ``solve_limit``   -- a0 = alpha_{n+2}, valid once n >= 7 eps^{-1/3} - 4;
-  the induced competitive-ratio error is at most 7^3 (n+4)^-3.
+* ``solve_numeric`` -- safeguarded Newton in theta, where a0 = 4 cos^2 theta,
+  on [pi/(n+4), pi/(n+3)] (the a0 bracket [alpha_{n+1}, alpha_{n+2}]).
+  log2 p_n has an O(1) closed form in theta there and decreases, so the
+  solve costs a handful of O(1) evaluations whatever n is.  Theta, not a0,
+  is the solved quantity: a double theta resolves the root about n^2 times
+  finer than a double a0, which is what the turns expanded from it need.
+* ``solve_limit``   -- theta = pi/(n+4), a0 = alpha_{n+2}, valid once
+  n >= 7 eps^{-1/3} - 4; the induced competitive-ratio error is at most
+  7^3 (n+4)^-3.
 """
 
 from __future__ import annotations
@@ -21,10 +25,17 @@ from dataclasses import dataclass
 from .polynomials import (
     PolyEval,
     alpha,
+    dlog2_p_dt,
+    dlog2_p_dtheta,
     eval_p,
     eval_p_and_derivative,
+    eval_p_closed,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
+    log2_p_cosh_excess,
+    log2_p_theta_excess,
+    theta_of_x,
+    x_of_theta,
 )
 
 logger = logging.getLogger("linesearch.solve")
@@ -32,9 +43,6 @@ logger = logging.getLogger("linesearch.solve")
 MODE_EXACT = "exact"
 MODE_NUMERIC = "numeric"
 MODE_LIMIT = "limit_approx"
-
-# Solving below ~4 ulps of the bracket scale is meaningless in doubles.
-_TOL_FLOOR = 4.0 * math.ulp(4.0)
 
 
 @dataclass(frozen=True)
@@ -45,19 +53,78 @@ class SolveResult:
     mode: str
     residual: float  # |p_n(a0) - rho|; NaN when rho was not supplied
     bracket_width: float
+    theta: float  # a0 = 4 cos^2(theta); NaN when a0 > 4
 
 
 class BracketError(ValueError):
     """rho is outside [p_n(alpha_{n+1}), p_n(alpha_{n+2})) for this n."""
 
 
-def _residual(n: int, a0: float, rho: float | None) -> float:
-    if rho is None:
-        return math.nan
+def _theta_or_nan(a0: float) -> float:
+    return theta_of_x(a0) if 0.0 <= a0 <= 4.0 else math.nan
+
+
+def _residual_exact(n: int, a0: float, rho: float) -> float:
     val = eval_p(n, a0).to_float()
     if math.isinf(val):
         return math.inf
     return abs(val - rho)
+
+
+def _residual(n: int, a0: float, rho: float | None) -> float:
+    """|p_n(a0) - rho| in O(1), from the closed form at theta(a0) (t(a0) above 4)."""
+    if rho is None:
+        return math.nan
+    if not math.isfinite(rho):
+        return math.inf
+    val = eval_p_closed(n, a0).to_float()
+    if math.isinf(val):
+        return math.inf
+    return abs(val - rho)
+
+
+def _log2_excess(n: int, rho: float) -> float:
+    """log2(rho / 2^{n+1}), exact up to the rounding of log2 of the mantissa."""
+    m, e = math.frexp(rho)
+    return (e - n - 1) + math.log2(m)
+
+
+def _theta_objective(n: int, target: float):
+    """theta -> (target - log2(p_n / 2^{n+1}), slope): increasing in theta."""
+    return lambda th: (target - log2_p_theta_excess(n, th), -dlog2_p_dtheta(n, th))
+
+
+_MAX_STEPS = 200
+
+
+def _newton_root(f, lo: float, hi: float, x: float) -> tuple[float, float]:
+    """Bracket the root of the increasing f on (lo, hi) to adjacent doubles.
+
+    f(x) returns (value, slope) and is never evaluated at lo or hi.  Each
+    step is Newton's from the last point, or a bisection when Newton would
+    leave the bracket.  Once a Newton step no longer moves x, the neighbour
+    double on the root's side is probed, which closes the bracket.  Returns
+    the final bracket: f <= 0 at its low end and f >= 0 at its high end.
+    """
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(_MAX_STEPS):
+        v, d = f(x)
+        if v == 0.0:
+            return x, x
+        if v < 0.0:
+            lo = x
+        else:
+            hi = x
+        nx = x - v / d if d > 0.0 else math.nan
+        if nx == x:
+            nx = math.nextafter(x, hi if v < 0.0 else lo)
+        elif not lo < nx < hi:  # also catches a NaN step
+            nx = 0.5 * (lo + hi)
+        if not lo < nx < hi:
+            break  # lo and hi are adjacent doubles
+        x = nx
+    return lo, hi
 
 
 def _cbrt(v: float) -> float:
@@ -159,54 +226,13 @@ def solve_exact(n: int, rho: float) -> SolveResult:
         a0 = _largest_root_quartic_n3(rho)
     if n >= 2:
         a0 = _polish(n, a0, rho, alpha(n) * (1.0 + 1e-12), 8.0 + rho)
-    return SolveResult(a0=a0, mode=MODE_EXACT, residual=_residual(n, a0, rho), bracket_width=0.0)
-
-
-def _newton_step(x: float, pe: PolyEval, dpe: PolyEval, rho_pe: PolyEval) -> float | None:
-    """x - (p(x) - rho)/p'(x) in exponent-tracked arithmetic, or None."""
-    if dpe.is_zero():
-        return None
-    shift = pe.exp2 - rho_pe.exp2
-    if abs(shift) >= 512:
-        return None
-    num = math.ldexp(pe.mantissa, shift) - rho_pe.mantissa
-    delta = math.ldexp(num / dpe.mantissa, rho_pe.exp2 - dpe.exp2)
-    cand = x - delta
-    return cand if math.isfinite(cand) else None
-
-
-def _bracket_bisect_newton(
-    n: int, rho_pe: PolyEval, lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Root of p_n = rho on [lo, hi] with p_n increasing; returns (a0, width).
-
-    The probe point is the Newton estimate clamped to the middle half of
-    the bracket, so every evaluation shrinks the bracket by at least 25%;
-    convergence is guaranteed and near the root Newton does the cutting.
-    """
-    probe = 0.5 * (lo + hi)
-    for _ in range(300):
-        if hi - lo <= 2.0 * tol:
-            break
-        pe, dpe = eval_p_and_derivative(n, probe)
-        cmp = pe.compare(rho_pe)
-        if cmp == 0:
-            return probe, hi - lo
-        if cmp < 0:
-            lo = probe
-        else:
-            hi = probe
-        width = hi - lo
-        if width <= 2.0 * tol:
-            break
-        cand = _newton_step(probe, pe, dpe, rho_pe)
-        if cand is None:
-            probe = lo + 0.5 * width
-        else:
-            probe = min(max(cand, lo + 0.25 * width), hi - 0.25 * width)
-        if not (lo < probe < hi):
-            probe = lo + 0.5 * width
-    return 0.5 * (lo + hi), hi - lo
+    return SolveResult(
+        a0=a0,
+        mode=MODE_EXACT,
+        residual=_residual_exact(n, a0, rho),
+        bracket_width=0.0,
+        theta=_theta_or_nan(a0),
+    )
 
 
 def solve_numeric(
@@ -219,7 +245,10 @@ def solve_numeric(
 
     rho may be given directly or as log2_rho for magnitudes beyond float
     range.  rho must satisfy p_n(alpha_{n+1}) <= rho < p_n(alpha_{n+2});
-    anything else raises :class:`BracketError`.
+    anything else raises :class:`BracketError`.  The solve runs in theta
+    (a0 = 4 cos^2 theta) to the ulp floor of theta, whatever tol_a0 asks:
+    it costs only a Newton step or two more, and the strategy's terminal
+    interval needs that precision at large n.
     """
     if tol_a0 <= 0.0:
         raise ValueError(f"tol_a0 must be positive, got {tol_a0}")
@@ -228,13 +257,13 @@ def solve_numeric(
     if log2_rho is None:
         if rho < 1.0:
             raise ValueError(f"rho must be at least 1, got {rho}")
-        rho_pe = PolyEval.from_float(rho)
         l2rho = math.log2(rho)
+        target = _log2_excess(n, rho)
     else:
-        rho_pe = PolyEval.from_log2(log2_rho)
+        rho = PolyEval.from_log2(log2_rho).to_float()
         l2rho = log2_rho
+        target = log2_rho - (n + 1)
 
-    lo, hi = alpha(n + 1), alpha(n + 2)
     l2_lo, l2_hi = log2_p_at_alpha_next(n), log2_p_at_alpha_next2(n)
     fuzz = 1e-12 * max(1.0, abs(l2rho))
     if l2rho < l2_lo - fuzz or l2rho >= l2_hi + fuzz:
@@ -242,35 +271,44 @@ def solve_numeric(
             f"rho (log2 {l2rho:.6g}) outside [p_{n}(alpha_{n + 1}), p_{n}(alpha_{n + 2})) "
             f"= [2^{l2_lo:.6g}, 2^{l2_hi:.6g})"
         )
-    # Boundary grace: land exactly on an endpoint when rho sits on it.
-    if l2rho <= l2_lo + fuzz and eval_p(n, lo).compare(rho_pe) >= 0:
-        a0, width = lo, 0.0
-    elif l2rho >= l2_hi - fuzz and eval_p(n, hi).compare(rho_pe) <= 0:
-        a0, width = hi, 0.0
+    # theta_lo gives a0 = alpha_{n+2}, theta_hi gives a0 = alpha_{n+1}; f
+    # increases in theta and is <= 0 at theta_lo, >= 0 at theta_hi unless rho
+    # sits (within the fuzz) on an edge, where the edge itself is the answer.
+    th_lo, th_hi = math.pi / (n + 4), math.pi / (n + 3)
+    f_lo = target - log2_p_theta_excess(n, th_lo)
+    f_hi = target - log2_p_theta_excess(n, th_hi)
+    if f_hi <= 0.0:
+        theta = lo = hi = th_hi
+    elif f_lo >= 0.0:
+        theta = lo = hi = th_lo
     else:
-        # Refine to the ulp floor regardless of the asked tolerance: the
-        # contract is still honoured, it costs only a few Newton cuts, and
-        # p_n steepens like (n+4)^3 on the bracket, so x-space slack gets
-        # amplified badly in residual terms at large n.
-        a0, width = _bracket_bisect_newton(n, rho_pe, lo, hi, _TOL_FLOOR)
-    rho_f = rho if rho is not None else rho_pe.to_float()
-    res = _residual(n, a0, rho_f) if math.isfinite(rho_f) else math.inf
-    logger.debug("solve_numeric n=%d log2rho=%.6f a0=%.17g width=%.3g", n, l2rho, a0, width)
-    return SolveResult(a0=a0, mode=MODE_NUMERIC, residual=res, bracket_width=width)
+        start = th_lo + (th_hi - th_lo) * (f_lo / (f_lo - f_hi))
+        lo, hi = _newton_root(_theta_objective(n, target), th_lo, th_hi, start)
+        # The low end has p_n(a0) >= rho, so the strategy's terminal interval
+        # prices at or below 2 a0 + 1 and the printed ratio bounds the
+        # strategy's supremum up to the rounding of the turns.
+        theta = lo
+    a0 = x_of_theta(theta)
+    width = x_of_theta(lo) - x_of_theta(hi)
+    res = _residual(n, a0, rho)
+    logger.debug("solve_numeric n=%d log2rho=%.6f theta=%.17g a0=%.17g", n, l2rho, theta, a0)
+    return SolveResult(a0=a0, mode=MODE_NUMERIC, residual=res, bracket_width=width, theta=theta)
 
 
 def solve_limit(n: int, rho: float | None = None) -> SolveResult:
-    """Approximation a0 = alpha_{n+2}; apt once n >= 7 eps^{-1/3} - 4.
+    """Approximation theta = pi/(n+4), a0 = alpha_{n+2}; apt once n >= 7 eps^{-1/3} - 4.
 
     The resulting strategy's competitive ratio is within 7^3 (n+4)^-3 of
     the optimum (see :func:`cr_error_bound_limit`).
     """
-    a0 = alpha(n + 2)
+    theta = math.pi / (n + 4)
+    a0 = x_of_theta(theta)
     return SolveResult(
         a0=a0,
         mode=MODE_LIMIT,
         residual=_residual(n, a0, rho),
         bracket_width=alpha(n + 2) - alpha(n + 1),
+        theta=theta,
     )
 
 
@@ -284,26 +322,34 @@ def limit_mode_threshold(epsilon: float) -> float:
     return 7.0 * epsilon ** (-1.0 / 3.0) - 4.0
 
 
-def solve_beyond_alpha(n: int, rho: float, tol_a0: float = 1e-13) -> SolveResult:
+def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     """Unique root of p_n(x) = rho with x > alpha_n, for any n >= 0.
 
     Unlike :func:`solve_numeric` this does not require (n, rho) to satisfy
     the optimality bracket; it is the workhorse for comparing competing
-    iteration counts on equal footing.
+    iteration counts on equal footing.  Roots below 4 are solved in theta
+    on (0, pi/(n+2)); roots above 4 in t, x = 4 cosh^2 t, on (0, t_max],
+    where t_max solves (2 cosh t)^{n+1} = rho, a lower bound of p_n.
     """
     if rho < 1.0:
         raise ValueError(f"rho must be at least 1, got {rho}")
     if n == 0:
-        return SolveResult(a0=rho, mode=MODE_NUMERIC, residual=0.0, bracket_width=0.0)
-    rho_pe = PolyEval.from_float(rho)
-    lo = alpha(n) + 1e-9
-    while eval_p(n, lo).compare(rho_pe) > 0:  # squeeze toward alpha_n if needed
-        lo = alpha(n) + (lo - alpha(n)) / 16.0
-    hi = max(alpha(n + 2), 4.5)
-    while eval_p(n, hi).compare(rho_pe) < 0:
-        hi *= 1.5
-        if hi > 1e160:
-            raise ArithmeticError("failed to bracket root")
-    tol_eff = max(min(tol_a0, 1e-13), _TOL_FLOOR * max(1.0, hi / 4.0))
-    a0, width = _bracket_bisect_newton(n, rho_pe, lo, hi, tol_eff)
-    return SolveResult(a0=a0, mode=MODE_NUMERIC, residual=_residual(n, a0, rho), bracket_width=width)
+        return SolveResult(a0=rho, mode=MODE_NUMERIC, residual=0.0, bracket_width=0.0,
+                           theta=_theta_or_nan(rho))
+    target = _log2_excess(n, rho)
+    if target < math.log2(n + 2):  # below p_n(4) = (n+2) 2^{n+1}
+        top = math.pi / (n + 2)
+        lo, hi = _newton_root(_theta_objective(n, target), 0.0, top, 0.5 * top)
+        theta = lo
+        a0, width = x_of_theta(theta), x_of_theta(lo) - x_of_theta(hi)
+    else:
+        t_max = math.acosh(2.0 ** (target / (n + 1)))
+        lo, hi = _newton_root(
+            lambda t: (log2_p_cosh_excess(n, t) - target, dlog2_p_dt(n, t)),
+            0.0, math.nextafter(t_max, math.inf), 0.5 * t_max,
+        )
+        a0 = 4.0 + (2.0 * math.sinh(lo)) ** 2
+        width = (2.0 * math.sinh(hi)) ** 2 - (2.0 * math.sinh(lo)) ** 2
+        theta = math.nan
+    return SolveResult(a0=a0, mode=MODE_NUMERIC, residual=_residual(n, a0, rho),
+                       bracket_width=width, theta=theta)

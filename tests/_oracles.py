@@ -1,11 +1,63 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: exact integer coefficient algebra,
-plain bisection, and step-by-step walk simulation.  None of it shares code
-with the package.
+plain bisection, step-by-step walk simulation, the paper's three-term
+recurrence in 50-digit arithmetic and exact rational pricing.  None of it
+shares code with the package.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from mpmath import mp, mpf
+
+MP_DPS = 50
+
+
+def p_sequence_mp(count: int, x) -> list[mpf]:
+    """p_0(x) .. p_{count-1}(x) by p_0 = x, p_1 = x(x-1), p_i = x(p_{i-1} - p_{i-2}),
+    at MP_DPS digits."""
+    with mp.workdps(MP_DPS):
+        x = mpf(x)
+        seq = [x, x * (x - 1)]
+        while len(seq) < count:
+            seq.append(x * (seq[-1] - seq[-2]))
+        return seq[:count]
+
+
+def p_recurrence_mp(n: int, x) -> mpf:
+    """p_n(x) by the three-term recurrence at MP_DPS digits."""
+    return p_sequence_mp(n + 1, x)[-1]
+
+
+def p_at_theta_mp(n: int, theta: float) -> mpf:
+    """p_n(4 cos^2 theta) by the recurrence, with theta taken as the exact double."""
+    with mp.workdps(MP_DPS):
+        return p_recurrence_mp(n, 4 * mp.cos(mpf(theta)) ** 2)
+
+
+def exact_sup_ratio(turns, terminal: float, lam: float) -> Fraction:
+    """Exact supremum over D in [lam, terminal] of the worse side's cost / D.
+
+    Every distance is the rational its double stands for.  Iteration i walks
+    out to reach[i] (the turns, then terminal for ever) on side i mod 2 and
+    back.  With nondecreasing reaches, a target with reach[j-1] < D <=
+    reach[j] is found at iteration j on one side and j+1 on the other, so
+    the worse cost is 2 (reach[0] + ... + reach[j]) + D.  That ratio falls
+    as D grows, so each j contributes its value at the left end of its
+    D range.
+    """
+    reach = [Fraction(t) for t in turns] + [Fraction(terminal)]
+    assert all(a <= b for a, b in zip(reach, reach[1:])), "oracle needs nondecreasing turns"
+    lam = Fraction(lam)
+    best, travelled, prev = Fraction(0), Fraction(0), Fraction(0)
+    for r in reach:
+        travelled += r
+        if r >= lam and r > prev:
+            best = max(best, 2 * travelled / max(lam, prev) + 1)
+        prev = r
+    return best
 
 
 

@@ -187,6 +187,34 @@ def test_verify_sweep(capsys):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_verify_log2_rho_1000(capsys):
+    # n = 999: a double a0 cannot carry the terminal interval there; theta can.
+    code, out, _ = run_cli(capsys, "verify", "--log2-rho", "1000")
+    rec = parse_record(out)
+    assert code == 0
+    assert rec["results"]["n"] == 999
+    assert rec["results"]["checks"]["equalization"] is True
+    assert rec["results"]["checks"]["cr_consistency"] is True
+
+
+def test_verify_sweep_to_double_range(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--sweep", "--rho-min", "2", "--rho-max", "1e300", "--points", "50",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 51
+    assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_verify_tight_eps_at_large_rho(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--Lambda", "1e200", "--eps", "1e-12")
+    rec = parse_record(out)
+    assert code == 0
+    assert rec["diagnostics"]["mode"] == "numeric"
+    assert rec["results"]["worst_case_ratio"] - rec["results"]["cr"] <= 1e-12
+
+
 # --- mray -----------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from linesearch.optimal import (
 from linesearch.polynomials import eval_p
 from linesearch.solve import solve_beyond_alpha, solve_exact
 
-from _oracles import bisect_root, poly_coeffs, poly_eval
+from _oracles import bisect_root, exact_sup_ratio, poly_coeffs, poly_eval
 
 
 RNG_SWEEP = np.random.default_rng(20240817)
@@ -314,6 +315,23 @@ def test_optimize_properties(lam, log2rho):
     assert 3.0 - 1e-12 <= rep.cr < 9.0
     assert rep.strategy.terminal == rho * lam
     assert eq7_holds(rep.n, rep.strategy.terminal / lam)
+
+
+def test_printed_bound_holds_for_printed_turns():
+    # What optimize prints must be true of the turns it prints: priced as
+    # exact rationals, the supremum is at most cr + cr_error_bound, up to the
+    # rounding of cr itself (exact mode reports a bound of 0).
+    rng = np.random.default_rng(20261018)
+    draws = zip(rng.uniform(0.0, 1000.0, 240), rng.choice([1e-12, 1e-9, 1e-6], 240))
+    modes = set()
+    for log2_rho, eps in [(0.0, 1e-9), (1000.0, 1e-12), (1000.0, 1e-6), *draws]:
+        rep = optimize(SearchProblem.from_log2_rho(float(log2_rho), epsilon=float(eps)))
+        s = rep.strategy
+        sup = exact_sup_ratio(s.turns, s.terminal, s.lambda_)
+        allowed = Fraction(rep.cr) + Fraction(rep.cr_error_bound) + 8 * Fraction(math.ulp(rep.cr))
+        assert sup <= allowed, (log2_rho, eps, rep.n, rep.mode, float(sup - Fraction(rep.cr)))
+        modes.add(rep.mode)
+    assert modes == {"exact", "numeric", "limit_approx"}
 
 
 def test_optimize_wide_scale_rho_beyond_doubles():

@@ -1,22 +1,34 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpmath import mp, mpf
+
 from linesearch.polynomials import (
     PolyEval,
     alpha,
+    dlog2_p_dt,
+    dlog2_p_dtheta,
     eval_p,
     eval_p_and_derivative,
+    eval_p_closed,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
+    log2_p_cosh_excess,
+    log2_p_theta,
     p_at_alpha,
     p_at_alpha2,
+    p_theta_terms,
     roots_of_p,
+    theta_of_x,
+    x_of_theta,
 )
 
-from _oracles import poly_coeffs, poly_eval
+from _oracles import p_at_theta_mp, p_recurrence_mp, p_sequence_mp, poly_coeffs, poly_eval
 
 
 def test_polyeval_roundtrip():
@@ -217,3 +229,93 @@ def test_factorized_form_oracle(n, x):
     got = eval_p(n, x).to_float()
     scale = max(abs(prod), (abs(x) + 4.0) ** (n + 1) * 1e-6, 1.0)
     assert abs(got - prod) <= 1e-8 * scale
+
+
+# --- closed form in theta (x = 4 cos^2 theta) and t (x = 4 cosh^2 t) ----------
+
+
+def _bracket_thetas(n: int, count: int, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    return [rng.uniform(math.pi / (n + 4), math.pi / (n + 3)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [4, 10, 100, 1000, 10_000])
+def test_log2_p_theta_matches_recurrence_oracle(n):
+    for theta in _bracket_thetas(n, 5, n):
+        with mp.workdps(50):
+            ref = mp.log(p_at_theta_mp(n, theta), 2)
+        assert abs(log2_p_theta(n, theta) - ref) <= 1e-14 * abs(ref), (n, theta)
+
+
+@pytest.mark.parametrize("n", [0, 4, 37, 1000])
+def test_dlog2_p_dtheta_matches_oracle_slope(n):
+    for theta in _bracket_thetas(n, 3, n + 1):
+        with mp.workdps(50):
+            h = mpf(10) ** -20
+            up = mp.log(p_recurrence_mp(n, 4 * mp.cos(mpf(theta) + h) ** 2), 2)
+            down = mp.log(p_recurrence_mp(n, 4 * mp.cos(mpf(theta) - h) ** 2), 2)
+            ref = (up - down) / (2 * h)
+        assert ref < 0
+        assert abs(dlog2_p_dtheta(n, theta) - ref) <= 1e-12 * abs(ref), (n, theta)
+
+
+@pytest.mark.parametrize("n", [1, 5, 60, 999])
+def test_p_theta_terms_match_oracle_term_by_term(n):
+    # Every term, including those past (i+2) theta = pi/2, to a few ulps.
+    theta = _bracket_thetas(n, 1, 7 * n)[0]
+    terms = p_theta_terms(n, theta, scale=0.75)
+    assert len(terms) == n
+    with mp.workdps(50):
+        refs = p_sequence_mp(n, 4 * mp.cos(mpf(theta)) ** 2)
+        for i, (got, ref) in enumerate(zip(terms, refs)):
+            assert abs(got - mpf(0.75) * ref) <= 1e-14 * mpf(0.75) * ref, (n, i)
+
+
+def test_p_theta_terms_keep_extreme_scales():
+    theta = math.pi / 1003.5  # n = 999 bracket, terms up to ~2^1000
+    tiny = p_theta_terms(999, theta, scale=2.0**-1070)
+    huge = p_theta_terms(999, theta, scale=1.0)
+    assert tiny[0] > 0.0 and all(math.isfinite(v) for v in huge)
+    assert tiny[-1] == pytest.approx(huge[-1] * 2.0**-1070, rel=1e-15)
+    assert p_theta_terms(0, theta) == []
+    with pytest.raises(ValueError):
+        p_theta_terms(10, math.pi / 11)
+
+
+@pytest.mark.parametrize("n", [1, 3, 30, 500])
+def test_cosh_form_matches_recurrence_oracle(n):
+    for t in (1e-4, 0.3, 2.0, 40.0):
+        if (n + 1) * t > 700.0:  # p_n beyond double range: nothing uses it
+            continue
+        with mp.workdps(50):
+            x = 4 * mp.cosh(mpf(t)) ** 2
+            ref = mp.log(p_recurrence_mp(n, x), 2) - (n + 1)
+            h = mpf(10) ** -20
+            slope = (mp.log(p_recurrence_mp(n, 4 * mp.cosh(mpf(t) + h) ** 2), 2)
+                     - mp.log(p_recurrence_mp(n, 4 * mp.cosh(mpf(t) - h) ** 2), 2)) / (2 * h)
+        assert abs(log2_p_cosh_excess(n, t) - ref) <= 1e-14 * max(1.0, abs(ref)), (n, t)
+        assert abs(dlog2_p_dt(n, t) - slope) <= 1e-9 * abs(slope), (n, t)
+
+
+def test_theta_x_maps():
+    assert x_of_theta(math.pi / 3.0) == pytest.approx(1.0, rel=1e-15)
+    assert x_of_theta(0.0) == 4.0
+    for x in (0.0, 1.0, 2.5, 3.999999, 4.0):
+        assert x_of_theta(theta_of_x(x)) == pytest.approx(x, abs=4 * math.ulp(4.0))
+    with pytest.raises(ValueError):
+        theta_of_x(4.5)
+    with pytest.raises(ValueError):
+        log2_p_theta(10, math.pi / 12)  # p_10 vanishes there
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    x=st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+)
+def test_eval_p_closed_matches_integer_polynomial(n, x):
+    # Exact rational value of the integer-coefficient polynomial at the double x.
+    exact = sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(poly_coeffs(n)))
+    got = eval_p_closed(n, x)
+    scale = max(abs(exact), Fraction(2) ** (n + 1))
+    assert abs(Fraction(got.mantissa) * Fraction(2) ** got.exp2 - exact) <= Fraction(1e-13) * scale

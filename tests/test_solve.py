@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linesearch import solve as solve_module
 from linesearch.optimal import optimal_n
 from linesearch.polynomials import (
     alpha,
     eval_p,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
+    x_of_theta,
 )
 from linesearch.solve import (
     BracketError,
@@ -22,7 +24,7 @@ from linesearch.solve import (
     solve_numeric,
 )
 
-from _oracles import bisect_root, poly_coeffs, poly_eval
+from _oracles import bisect_root, p_at_theta_mp, poly_coeffs, poly_eval
 
 
 def oracle_root(n: int, rho: float, lo: float, hi: float) -> float:
@@ -176,6 +178,34 @@ def test_numeric_log2_input():
     assert res.a0 == pytest.approx(res_f.a0, abs=1e-12)
 
 
+@pytest.mark.parametrize("log2_rho", [5.6, 12.9, 151.2, 999.4, 1020.3])
+def test_numeric_theta_at_ulp_floor(log2_rho):
+    # The root in theta lies within two ulps of the reported theta, by the
+    # 50-digit recurrence; a0 is 4 cos^2 theta rounded.
+    rho = 2.0**log2_rho
+    n = optimal_n(rho)
+    res = solve_numeric(n, rho)
+    assert math.pi / (n + 4) <= res.theta <= math.pi / (n + 3)
+    assert res.a0 == x_of_theta(res.theta)
+    below, above = res.theta, res.theta
+    for _ in range(2):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+    assert p_at_theta_mp(n, below) >= rho >= p_at_theta_mp(n, above)
+
+
+def test_numeric_and_limit_do_no_recurrence_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("O(n) recurrence called")
+
+    monkeypatch.setattr(solve_module, "eval_p", forbidden)
+    monkeypatch.setattr(solve_module, "eval_p_and_derivative", forbidden)
+    res = solve_numeric(999, 2.0**1000)
+    assert res.residual < 1e-8 * 2.0**1000
+    assert solve_numeric(999, log2_rho=1000.0).a0 == res.a0
+    lim = solve_limit(999, 2.0**1000)
+    assert lim.theta == math.pi / 1003 and math.isfinite(lim.residual)
+
+
 def test_numeric_tolerance_contract():
     # Solve loosely, then tightly: the loose answer stays within its tol.
     rho = 123.456
@@ -195,6 +225,7 @@ def test_limit_values():
     assert res.mode == "limit_approx"
     assert res.bracket_width == pytest.approx(alpha(12) - alpha(11), rel=1e-12)
     assert solve_limit(6996).a0 == pytest.approx(4.0 * math.cos(math.pi / 7000.0) ** 2, rel=1e-15)
+    assert res.theta == math.pi / 14.0 and math.isnan(res.residual)
 
 
 def test_limit_error_bound_values():
@@ -228,12 +259,23 @@ def test_beyond_alpha_matches_numeric_on_optimal_n():
     assert a == pytest.approx(b, abs=1e-11)
 
 
-@pytest.mark.parametrize("n,rho", [(1, 100.0), (2, 3.0), (4, 4.1), (7, 19.0), (3, 500.0)])
+@pytest.mark.parametrize(
+    "n,rho",
+    [(1, 100.0), (2, 3.0), (4, 4.1), (7, 19.0), (3, 500.0), (1, 1e300), (50, 1e300), (20, 22.0 * 2.0**21)],
+)
 def test_beyond_alpha_solves_any_n(n, rho):
     res = solve_beyond_alpha(n, rho)
     assert res.a0 > alpha(n)
     val = eval_p(n, res.a0).to_float()
     assert val == pytest.approx(rho, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [60, 300, 1000])
+def test_beyond_alpha_root_within_ulps_of_alpha(n):
+    # p_n climbs from 0 to 1 within an ulp of alpha_n here: the root is not
+    # representable apart from alpha_n, and the solve returns next to it.
+    res = solve_beyond_alpha(n, 1.0)
+    assert abs(res.a0 - alpha(n)) <= 2 * math.ulp(alpha(n))
 
 
 @settings(max_examples=80, deadline=None)
