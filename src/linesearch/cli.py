@@ -27,8 +27,6 @@ import os
 import sys
 from typing import Any
 
-import numpy as np
-
 from . import mrays, reach, simulate
 from .optimal import SearchProblem, StrategyReport, optimize
 from .solve import MODE_LIMIT
@@ -274,17 +272,17 @@ def _sweep(args: argparse.Namespace, verify: bool) -> int:
         raise ValueError("need 1 <= rho-min <= rho-max")
     if args.points < 1:
         raise ValueError("need at least one sweep point")
-    rhos = np.geomspace(args.rho_min, args.rho_max, args.points)
+    rhos = simulate.GeometricGrid(args.rho_min, args.rho_max, args.points)
     rows = []
     all_ok = True
     for rho in rhos:
-        problem = SearchProblem(lambda_=args.lambda_, Lambda=float(rho) * args.lambda_, epsilon=args.eps)
+        problem = SearchProblem(lambda_=args.lambda_, Lambda=rho * args.lambda_, epsilon=args.eps)
         if verify:
             results, _, passed = _verify_one(problem, args.grid_points)
             all_ok &= passed
             rows.append(
                 {
-                    "rho": float(rho),
+                    "rho": rho,
                     "n": results["n"],
                     "a0": results["a0"],
                     "cr": results["cr"],
@@ -297,7 +295,7 @@ def _sweep(args: argparse.Namespace, verify: bool) -> int:
             report = optimize(problem)
             rows.append(
                 {
-                    "rho": float(rho),
+                    "rho": rho,
                     "n": report.n,
                     "a0": report.a0,
                     "cr": report.cr,

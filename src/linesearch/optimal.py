@@ -221,10 +221,10 @@ def optimize(problem: SearchProblem) -> StrategyReport:
 
     Dispatch: closed forms for n <= 3; the alpha_{n+2} limit approximation
     once n >= 7 eps^{-1/3} - 4 (ratio error below eps by construction);
-    bracketed numeric solving with tolerance eps/2 in a0 otherwise, which
-    bounds the ratio error by eps since CR = 2 a0 + 1.  Outside the closed
-    forms the turns are expanded from the solved theta, so nothing but the
-    n-turn expansion costs O(n).
+    bracketed numeric solving to the ulp floor of theta otherwise, which
+    keeps the ratio error far inside the reported eps since CR = 2 a0 + 1.
+    Outside the closed forms the turns are expanded from the solved theta,
+    so nothing but the n-turn expansion costs O(n).
     """
     rho = problem.rho  # may overflow to inf when Lambda/lambda_ exceeds doubles
     eps = problem.epsilon
@@ -236,10 +236,10 @@ def optimize(problem: SearchProblem) -> StrategyReport:
         sol = _solve.solve_limit(n, rho if math.isfinite(rho) else None)
         bound = cr_error_bound_limit(n)
     elif math.isfinite(rho):
-        sol = _solve.solve_numeric(n, rho, tol_a0=eps / 2.0)
+        sol = _solve.solve_numeric(n, rho)
         bound = eps
     else:
-        sol = _solve.solve_numeric(n, log2_rho=problem.log2_rho, tol_a0=eps / 2.0)
+        sol = _solve.solve_numeric(n, log2_rho=problem.log2_rho)
         bound = eps
     theta = None if sol.mode == MODE_EXACT else sol.theta
     turns = expand_sequence(sol.a0, n, scale=problem.lambda_, theta=theta)

@@ -3,15 +3,18 @@
 Nothing here knows how a strategy was produced.  Costs follow the turn-by-turn
 walk; the worst-case ratio is evaluated analytically at breakpoint limits, so
 it is exact rather than sampled.  A geometric grid sweep is kept alongside as
-a deliberately dumb second opinion.
+a deliberately dumb second opinion: it prices real grid points only, never a
+breakpoint limit.  It costs O(n) rather than O(points), because the grid
+points between two consecutive reaches share one prefix sum, so only the
+first of them can carry that run's largest ratio.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .optimal import Strategy
 
@@ -157,6 +160,60 @@ def worst_case_ratio(
     )
 
 
+class GeometricGrid(Sequence):
+    """d_0 = lo, d_{P-1} = hi and d_k = lo exp(k ln(hi/lo)/(P-1)) between.
+
+    Interior points are capped at hi, so the grid never decreases even where
+    rounding would carry a point past its end.  When hi/lo overflows, the
+    points are exp(ln lo + k step) instead.
+    """
+
+    def __init__(self, lo: float, hi: float, points: int) -> None:
+        self.lo, self.hi, self.points = lo, hi, points
+        self._log_lo = math.log(lo)
+        ratio = hi / lo
+        self._scaled = ratio < math.inf
+        span = math.log(ratio) if self._scaled else math.log(hi) - self._log_lo
+        self.step = span / max(points - 1, 1)
+
+    def __len__(self) -> int:
+        return self.points
+
+    def __getitem__(self, k: int) -> float:
+        if not 0 <= k < self.points:
+            raise IndexError(k)
+        if k == 0:
+            return self.lo
+        if k == self.points - 1:
+            return self.hi
+        if self._scaled:
+            d = self.lo * math.exp(k * self.step)
+        else:
+            d = math.exp(self._log_lo + k * self.step)
+        return d if d < self.hi else self.hi
+
+    def first_above(self, b: float) -> tuple[int, float]:
+        """(k, d_k) for the smallest k with d_k > b; (len, inf) if there is none.
+
+        k is guessed from ln(b/lo)/step and then corrected point by point,
+        so the answer rests on the points themselves, not on the guess.
+        """
+        if b < self.lo:
+            return 0, self.lo
+        last = self.points - 1
+        guess = (math.log(b) - self._log_lo) / self.step + 1.0 if self.step > 0.0 else last
+        k = int(guess) if guess < last else last
+        d = self[k]
+        while d <= b:
+            if k == last:
+                return self.points, math.inf
+            k += 1
+            d = self[k]
+        while k > 0 and (prev := self[k - 1]) > b:
+            k, d = k - 1, prev
+        return k, d
+
+
 def grid_sweep_ratio(
     strategy: Strategy,
     lam: float | None = None,
@@ -165,19 +222,33 @@ def grid_sweep_ratio(
 ) -> float:
     """Max of cost/D over a geometric grid of D values; a lower bound on the sup.
 
-    The grid is geometric because ratio extrema cluster at breakpoints whose
-    spacing is multiplicative.  Converges to the exact supremum as points grow.
+    The grid is :class:`GeometricGrid` from lam to Lam, geometric because
+    ratio extrema cluster at breakpoints whose spacing is multiplicative.
+    Each grid point D is served by the first reach >= D (the terminal serves
+    any point past it), so the points in (max of the earlier reaches,
+    reach[j]] all pay the prefix sum through reach[j], and the first of them
+    has the largest ratio.  Pricing that point alone gives the same maximum
+    as pricing every point, in O(n) work whatever ``points`` is.  Converges
+    to the exact supremum as points grow.
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    ds = np.geomspace(lam, Lam, points)
-    reach = np.asarray(list(strategy.turns) + [strategy.terminal])
-    pref = 2.0 * np.cumsum(reach)
-    idx = np.searchsorted(reach, ds, side="left")
-    idx = np.minimum(idx, len(reach) - 1)
-    ratios = pref[idx] / ds + 1.0
-    return float(ratios.max())
+    grid = GeometricGrid(lam, Lam, points)
+    reach = [*strategy.turns, strategy.terminal]
+    last = len(reach) - 1
+    best = below = -math.inf
+    for j, (r, pref) in enumerate(zip(reach, accumulate(reach))):
+        k, d = grid.first_above(below)
+        if k == points:
+            break
+        if d <= r or j == last:
+            ratio = 2.0 * pref / d + 1.0
+            if ratio > best:
+                best = ratio
+        if r > below:
+            below = r
+    return best
 
 
 _BASELINES = ("power_of_two", "f_infinity", "los_sqrt", "single_shot")

@@ -235,23 +235,16 @@ def solve_exact(n: int, rho: float) -> SolveResult:
     )
 
 
-def solve_numeric(
-    n: int,
-    rho: float | None = None,
-    tol_a0: float = 1e-12,
-    log2_rho: float | None = None,
-) -> SolveResult:
-    """Solve p_n(a0) = rho on [alpha_{n+1}, alpha_{n+2}] to |a0 - a0*| <= tol_a0.
+def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = None) -> SolveResult:
+    """Solve p_n(a0) = rho on [alpha_{n+1}, alpha_{n+2}] to the ulp floor of theta.
 
     rho may be given directly or as log2_rho for magnitudes beyond float
     range.  rho must satisfy p_n(alpha_{n+1}) <= rho < p_n(alpha_{n+2});
     anything else raises :class:`BracketError`.  The solve runs in theta
-    (a0 = 4 cos^2 theta) to the ulp floor of theta, whatever tol_a0 asks:
-    it costs only a Newton step or two more, and the strategy's terminal
-    interval needs that precision at large n.
+    (a0 = 4 cos^2 theta) to adjacent doubles: it costs only a Newton step
+    or two more than a looser stop, and the strategy's terminal interval
+    needs that precision at large n.
     """
-    if tol_a0 <= 0.0:
-        raise ValueError(f"tol_a0 must be positive, got {tol_a0}")
     if (rho is None) == (log2_rho is None):
         raise ValueError("provide exactly one of rho or log2_rho")
     if log2_rho is None:
@@ -329,7 +322,10 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     the optimality bracket; it is the workhorse for comparing competing
     iteration counts on equal footing.  Roots below 4 are solved in theta
     on (0, pi/(n+2)); roots above 4 in t, x = 4 cosh^2 t, on (0, t_max],
-    where t_max solves (2 cosh t)^{n+1} = rho, a lower bound of p_n.
+    where t_max solves (2 cosh t)^{n+1} = rho, a lower bound of p_n.  A
+    double t resolves x only to a relative 2 t ulp(t) (6.9e-14 at n = 1,
+    rho = 1e300), so roots above 4 are finished by Newton steps in x on the
+    recurrence, at O(n) cost.
     """
     if rho < 1.0:
         raise ValueError(f"rho must be at least 1, got {rho}")
@@ -350,6 +346,7 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
         )
         a0 = 4.0 + (2.0 * math.sinh(lo)) ** 2
         width = (2.0 * math.sinh(hi)) ** 2 - (2.0 * math.sinh(lo)) ** 2
+        a0 = _polish(n, a0, rho, 4.0, math.inf)
         theta = math.nan
     return SolveResult(a0=a0, mode=MODE_NUMERIC, residual=_residual(n, a0, rho),
                        bracket_width=width, theta=theta)

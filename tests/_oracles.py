@@ -1,13 +1,15 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: exact integer coefficient algebra,
-plain bisection, step-by-step walk simulation, the paper's three-term
-recurrence in 50-digit arithmetic and exact rational pricing.  None of it
+plain bisection, step-by-step walk simulation, point-by-point grid pricing,
+the paper's three-term recurrence in 50-digit arithmetic and exact rational
+pricing.  None of it
 shares code with the package.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -59,6 +61,34 @@ def exact_sup_ratio(turns, terminal: float, lam: float) -> Fraction:
         prev = r
     return best
 
+
+def grid_ratio_pointwise(turns, terminal: float, lam: float, big_lam: float, points: int) -> float:
+    """Max of cost/D over every point of the geometric grid from lam to big_lam.
+
+    The grid is d_0 = lam, d_{P-1} = big_lam and, between them,
+    d_k = min(lam exp(k ln(big_lam/lam)/(P-1)), big_lam).  Each point is
+    served by the first reach (the turns, then terminal) that is >= d, or by
+    the terminal when none is; its cost is twice the reaches through that one
+    plus d.  Needs big_lam/lam to be a finite double.
+    """
+    reach = list(turns) + [terminal]
+    prefix, travelled = [], 0.0
+    for r in reach:
+        travelled += r
+        prefix.append(2.0 * travelled)
+    step = math.log(big_lam / lam) / (points - 1)
+    best, j = -math.inf, 0
+    for k in range(points):
+        if k == 0:
+            d = lam
+        elif k == points - 1:
+            d = big_lam
+        else:
+            d = min(lam * math.exp(k * step), big_lam)
+        while j < len(reach) - 1 and reach[j] < d:  # d never decreases
+            j += 1
+        best = max(best, prefix[j] / d + 1.0)
+    return best
 
 
 def poly_coeffs(n: int) -> list[int]:

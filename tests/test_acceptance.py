@@ -225,7 +225,7 @@ def test_criterion_07_limit_error_bound():
     for n in (4, 8, 16, 32):
         rho = 2.0 ** log2_p_at_alpha_next2(n) * (1.0 - 1e-6)
         cr_limit = 2.0 * solve_limit(n).a0 + 1.0
-        cr_exact = 2.0 * solve_numeric(n, rho, tol_a0=1e-12).a0 + 1.0
+        cr_exact = 2.0 * solve_numeric(n, rho).a0 + 1.0
         diff = abs(cr_limit - cr_exact)
         bound = cr_error_bound_limit(n)
         margins.append(bound - diff)

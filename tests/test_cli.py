@@ -258,3 +258,30 @@ def test_module_entry_point_and_logging():
     rec = parse_record(proc.stdout)  # stdout stays clean JSON
     assert rec["results"]["n"] == 3
     assert "optimize" in proc.stderr  # diagnostics went to stderr
+
+
+def test_runtime_never_imports_numpy():
+    repo_root = Path(__file__).resolve().parent.parent
+    script = """
+import contextlib, io, sys
+from linesearch.cli import main
+for argv in (
+    ["optimal", "--Lambda", "10"],
+    ["optimal", "--sweep", "--rho-min", "1", "--rho-max", "1e300", "--points", "5"],
+    ["reach", "--ratio", "7"],
+    ["verify", "--Lambda", "1e6"],
+    ["mray", "--m", "3", "--a", "0", "--b", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "", "PYTHONPATH": str(repo_root / "src")},
+        cwd=repo_root,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from linesearch.optimal import SearchProblem, Strategy, optimize
 from linesearch.simulate import (
+    GeometricGrid,
     IncompleteStrategyError,
     TargetSpec,
     UnreachableTargetError,
@@ -17,7 +19,12 @@ from linesearch.simulate import (
     worst_case_ratio,
 )
 
-from _oracles import brute_worst_ratio, walk_cost as oracle_walk, worst_orientation_cost
+from _oracles import (
+    brute_worst_ratio,
+    grid_ratio_pointwise,
+    walk_cost as oracle_walk,
+    worst_orientation_cost,
+)
 
 
 def pot(lam=1.0, Lam=10.0):
@@ -191,6 +198,94 @@ def test_non_monotone_strategy_rejected():
 def test_grid_needs_two_points():
     with pytest.raises(ValueError):
         grid_sweep_ratio(pot(), points=1)
+
+
+# --- the grid pricer against the point-by-point oracle -------------------------
+
+GRID_POINTS = (2, 3, 1000, 100_000)
+
+
+def assert_grid_is_pointwise(s, lam, Lam, points=GRID_POINTS):
+    for p in points:
+        want = grid_ratio_pointwise(s.turns, s.terminal, lam, Lam, p)
+        assert grid_sweep_ratio(s, lam, Lam, p) == want, (p, lam, Lam, s.n)
+
+
+def test_grid_is_pointwise_on_random_strategies():
+    rng = random.Random(31)
+    for _ in range(8):
+        lam = 10.0 ** rng.uniform(-3.0, 3.0)
+        turns, t = [], lam * rng.uniform(1.0, 2.0)
+        for _ in range(rng.randint(0, 40)):
+            turns.append(t)
+            t *= rng.uniform(1.01, 3.0)
+        Lam = t
+        s = Strategy(turns=tuple(turns), terminal=Lam, lambda_=lam)
+        # Also price a sub-range that starts between two turns.
+        for lo in (lam, lam * rng.uniform(1.0, Lam / lam)):
+            assert_grid_is_pointwise(s, lo, Lam)
+
+
+@pytest.mark.parametrize(
+    "log2_rho,eps",
+    [(0.3, 1e-9), (2.5, 1e-9), (10.7, 1e-9), (57.2, 1e-9), (300.9, 1e-6), (400.4, 1e-3), (999.5, 1e-9)],
+)
+def test_grid_is_pointwise_on_optimal_strategies(log2_rho, eps):
+    rep = optimize(SearchProblem.from_log2_rho(log2_rho, 1.5, eps))
+    assert_grid_is_pointwise(rep.strategy, 1.5, rep.strategy.terminal)
+
+
+def test_grid_is_pointwise_on_edges():
+    # lambda = Lambda: every grid point is the one distance.
+    s = Strategy(turns=(2.0, 5.0), terminal=8.0, lambda_=1.0)
+    for d in (1.0, 2.0, 3.5, 8.0):
+        assert_grid_is_pointwise(s, d, d)
+    # A strategy with no turns at all.
+    assert_grid_is_pointwise(baselines("single_shot", 1.0, 7.0), 1.0, 7.0)
+    # Lambda past the terminal within the 1e-12 slack: the points beyond
+    # it are served by the terminal.
+    Lam = 8.0 * (1.0 + 5e-13)
+    assert_grid_is_pointwise(s, 1.0, Lam)
+    assert grid_sweep_ratio(s, Lam, Lam, 2) == 2.0 * 15.0 / Lam + 1.0
+    # A turn exactly on a grid point belongs to the run it closes; a turn a
+    # double below one leaves that point to the next run.  The far terminal
+    # puts the largest ratio on the first point past the turn.
+    for p in GRID_POINTS:
+        grid = GeometricGrid(1.0, 8.0, p)
+        for k in sorted({0, 1, p - 2} | set(range(p // 7, p - 2, max(1, p // 7)))):
+            for turn in (grid[k], math.nextafter(grid[k], 0.0)):
+                if turn >= 1.0:
+                    t = Strategy(turns=(turn,), terminal=1e3, lambda_=1.0)
+                    assert_grid_is_pointwise(t, 1.0, 8.0, (p,))
+
+
+def test_geometric_grid_points():
+    g = GeometricGrid(2.0, 1e300, 1000)
+    pts = list(g)
+    assert len(pts) == len(g) == 1000
+    assert pts[0] == 2.0 and pts[-1] == g[999] == 1e300
+    assert all(a < b for a, b in zip(pts, pts[1:]))
+    assert pts[500] == 2.0 * math.exp(500 * (math.log(1e300 / 2.0) / 999))
+    assert list(GeometricGrid(3.0, 9.0, 1)) == [3.0]
+    with pytest.raises(IndexError):
+        g[1000]
+    # hi / lo beyond double range: points still run from lo to hi.
+    wide = list(GeometricGrid(1e-300, 1e300, 50))
+    assert wide[0] == 1e-300 and wide[-1] == 1e300
+    assert all(a < b for a, b in zip(wide, wide[1:]))
+
+
+def test_grid_cost_does_not_grow_with_points():
+    rep = optimize(SearchProblem(1.0, 2.0**200))
+    sup = worst_case_ratio(rep.strategy).sup_ratio
+    grid = grid_sweep_ratio(rep.strategy, points=10**15)  # would never finish point by point
+    assert sup - 1e-9 <= grid <= sup + 1e-12
+
+
+def test_grid_beyond_double_ratio():
+    rep = optimize(SearchProblem(1e-300, 1e300))
+    sup = worst_case_ratio(rep.strategy).sup_ratio
+    assert sup - 1e-3 <= grid_sweep_ratio(rep.strategy) <= sup + 1e-12
 
 
 # --- baselines -----------------------------------------------------------------

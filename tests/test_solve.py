@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from linesearch import solve as solve_module
 from linesearch.optimal import optimal_n
@@ -113,7 +114,7 @@ def test_exact_rejects():
 
 
 def test_numeric_example_n3():
-    res = solve_numeric(3, 10.0, tol_a0=1e-12)
+    res = solve_numeric(3, 10.0)
     expected = oracle_root(3, 10.0, 3.0, alpha(5))
     assert res.a0 == pytest.approx(expected, abs=1e-12)
     assert res.a0 == pytest.approx(3.0296, abs=2e-4)
@@ -122,14 +123,14 @@ def test_numeric_example_n3():
 
 
 def test_numeric_example_n4():
-    res = solve_numeric(4, 20.0, tol_a0=1e-12)
+    res = solve_numeric(4, 20.0)
     expected = oracle_root(4, 20.0, alpha(5), alpha(6))
     assert res.a0 == pytest.approx(expected, abs=1e-12)
     assert res.a0 == pytest.approx(3.2566, abs=2e-4)
 
 
 def test_numeric_matches_exact():
-    got = solve_numeric(1, 4.0, tol_a0=1e-12).a0
+    got = solve_numeric(1, 4.0).a0
     assert abs(got - solve_exact(1, 4.0).a0) <= 1e-12
 
 
@@ -139,12 +140,12 @@ def test_exact_numeric_agreement_sweep(n):
     for k in range(20):
         rho = lo * (hi / lo) ** ((k + 0.5) / 20.0)
         a_exact = solve_exact(n, rho).a0
-        a_num = solve_numeric(n, rho, tol_a0=1e-12).a0
+        a_num = solve_numeric(n, rho).a0
         assert abs(a_exact - a_num) <= 1e-10, (n, rho)
 
 
 def test_numeric_sign_change_across_result():
-    res = solve_numeric(5, 50.0, tol_a0=1e-12)
+    res = solve_numeric(5, 50.0)
     delta = 1e-8
     below = eval_p(5, res.a0 - delta).to_float()
     above = eval_p(5, res.a0 + delta).to_float()
@@ -154,27 +155,25 @@ def test_numeric_sign_change_across_result():
 def test_numeric_rejects_outside_bracket():
     lo, hi = bracket_edges(3)
     with pytest.raises(BracketError):
-        solve_numeric(3, hi * 1.001, tol_a0=1e-12)
+        solve_numeric(3, hi * 1.001)
     with pytest.raises(BracketError):
-        solve_numeric(3, lo * 0.999, tol_a0=1e-12)
+        solve_numeric(3, lo * 0.999)
     with pytest.raises(ValueError):
-        solve_numeric(3, 10.0, tol_a0=0.0)
-    with pytest.raises(ValueError):
-        solve_numeric(3, 10.0, tol_a0=1e-12, log2_rho=3.2)
+        solve_numeric(3, 10.0, log2_rho=3.2)
 
 
 def test_numeric_boundary_grace():
     # rho exactly on the lower bracket edge solves to alpha_{n+1}.
     lo, _ = bracket_edges(7)
-    res = solve_numeric(7, lo, tol_a0=1e-12)
+    res = solve_numeric(7, lo)
     assert res.a0 == pytest.approx(alpha(8), abs=1e-11)
 
 
 def test_numeric_log2_input():
-    res = solve_numeric(999, log2_rho=1000.0, tol_a0=1e-12)
+    res = solve_numeric(999, log2_rho=1000.0)
     assert alpha(1000) <= res.a0 <= alpha(1001)
     # Same instance through the float path agrees.
-    res_f = solve_numeric(999, rho=2.0**1000, tol_a0=1e-12)
+    res_f = solve_numeric(999, rho=2.0**1000)
     assert res.a0 == pytest.approx(res_f.a0, abs=1e-12)
 
 
@@ -207,13 +206,14 @@ def test_numeric_and_limit_do_no_recurrence_work(monkeypatch):
 
 
 def test_numeric_tolerance_contract():
-    # Solve loosely, then tightly: the loose answer stays within its tol.
+    # There is no tolerance to ask for: every solve runs to the ulp floor,
+    # well inside the 1e-14 any eps would have asked of a0.
     rho = 123.456
     n = optimal_n(rho)
-    tight = solve_numeric(n, rho, tol_a0=1e-14).a0
-    for tol in (1e-6, 1e-9, 1e-12):
-        loose = solve_numeric(n, rho, tol_a0=tol).a0
-        assert abs(loose - tight) <= tol
+    got = solve_numeric(n, rho).a0
+    assert got == pytest.approx(oracle_root(n, rho, alpha(n + 1), alpha(n + 2)), abs=1e-14)
+    with pytest.raises(TypeError):
+        solve_numeric(n, rho, tol_a0=1e-6)
 
 
 # --- limit approximation --------------------------------------------------
@@ -239,7 +239,7 @@ def test_limit_within_cubic_decay_bound(n):
     lo, hi = bracket_edges(n)
     rho = math.sqrt(lo * hi)
     cr_limit = 2.0 * solve_limit(n).a0 + 1.0
-    cr_exact = 2.0 * solve_numeric(n, rho, tol_a0=1e-12).a0 + 1.0
+    cr_exact = 2.0 * solve_numeric(n, rho).a0 + 1.0
     assert abs(cr_limit - cr_exact) <= cr_error_bound_limit(n)
 
 
@@ -255,7 +255,7 @@ def test_beyond_alpha_matches_numeric_on_optimal_n():
     rho = 50.0
     n = optimal_n(rho)
     a = solve_beyond_alpha(n, rho).a0
-    b = solve_numeric(n, rho, tol_a0=1e-13).a0
+    b = solve_numeric(n, rho).a0
     assert a == pytest.approx(b, abs=1e-11)
 
 
@@ -268,6 +268,15 @@ def test_beyond_alpha_solves_any_n(n, rho):
     assert res.a0 > alpha(n)
     val = eval_p(n, res.a0).to_float()
     assert val == pytest.approx(rho, rel=1e-9)
+
+
+@pytest.mark.parametrize("rho", [1e10, 1e100, 1e300])
+def test_beyond_alpha_large_root_to_a_few_ulps(rho):
+    # At n = 1 the root of x (x - 1) = rho is (1 + sqrt(1 + 4 rho)) / 2.
+    with mp.workdps(50):
+        want = (1 + mp.sqrt(1 + 4 * mpf(rho))) / 2
+        got = solve_beyond_alpha(1, rho).a0
+        assert abs(mpf(got) - want) <= 4 * math.ulp(got)
 
 
 @pytest.mark.parametrize("n", [60, 300, 1000])
@@ -285,6 +294,6 @@ def test_numeric_residual_property(rho):
     if n <= 3:
         res = solve_exact(n, rho)
     else:
-        res = solve_numeric(n, rho, tol_a0=1e-10)
+        res = solve_numeric(n, rho)
         assert alpha(n + 1) - 1e-12 <= res.a0 <= alpha(n + 2) + 1e-12
     assert eval_p(n, res.a0).to_float() == pytest.approx(rho, rel=1e-8)
