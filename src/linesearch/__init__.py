@@ -6,111 +6,58 @@ the inverse (maximal reach) problem, and the m-ray generalization, with an
 independent simulator to verify every claim.
 """
 
-from .mrays import (
-    ALPHA_TABLE,
-    breakpoint_ratios,
-    InfeasibleParamsError,
-    MultiPoint,
-    RayFamilyParams,
-    f_infinity_fixed_point,
-    family_strategy,
-    feasible_b_interval,
-    limit_family_params,
-    mray_breakpoint_ratios,
-    mray_cost,
-    mray_worst_ratio,
-    multi_p,
-    verify_alpha_table,
-)
-from .optimal import (
-    SearchProblem,
-    Strategy,
-    StrategyReport,
-    eq7_certificate,
-    expand_sequence,
-    f_infinity,
-    optimal_n,
-    optimize,
-)
-from .polynomials import PolyEval, alpha, eval_p, p_at_alpha, p_at_alpha2, roots_of_p
-from .reach import (
-    InfeasibleRatioError,
-    ReachQuery,
-    ReachResult,
-    UnboundedReachError,
-    maximal_reach,
-)
-from .simulate import (
-    IncompleteStrategyError,
-    RatioReport,
-    TargetSpec,
-    UnreachableTargetError,
-    baselines,
-    cost,
-    grid_sweep_ratio,
-    walk_cost,
-    worst_case_ratio,
-)
-from .solve import (
-    BracketError,
-    SolveResult,
-    cr_error_bound_limit,
-    solve_beyond_alpha,
-    solve_exact,
-    solve_limit,
-    solve_numeric,
-)
+from importlib import import_module
+
+# Each public name and the submodule that defines it.  Names are imported on
+# first access (PEP 562), so a CLI launch loads only what its command uses.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "mrays": (
+            "ALPHA_TABLE", "InfeasibleParamsError", "MultiPoint", "RayFamilyParams",
+            "breakpoint_ratios", "f_infinity_fixed_point", "family_strategy",
+            "feasible_b_interval", "limit_family_params", "mray_breakpoint_ratios",
+            "mray_cost", "mray_worst_ratio", "multi_p", "verify_alpha_table",
+        ),
+        "optimal": (
+            "SearchProblem", "Strategy", "StrategyReport", "eq7_certificate",
+            "expand_sequence", "f_infinity", "optimal_n", "optimize",
+        ),
+        "polynomials": ("PolyEval", "alpha", "eval_p", "p_at_alpha", "p_at_alpha2", "roots_of_p"),
+        "reach": (
+            "InfeasibleRatioError", "ReachQuery", "ReachResult", "UnboundedReachError",
+            "maximal_reach",
+        ),
+        "simulate": (
+            "IncompleteStrategyError", "RatioReport", "TargetSpec", "UnreachableTargetError",
+            "baselines", "cost", "grid_sweep_ratio", "walk_cost", "worst_case_ratio",
+        ),
+        "solve": (
+            "BracketError", "SolveResult", "cr_error_bound_limit", "solve_beyond_alpha",
+            "solve_exact", "solve_limit", "solve_numeric",
+        ),
+    }.items()
+    for name in names
+}
+_SUBMODULES = {"cli", *_EXPORTS.values()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA_TABLE",
-    "BracketError",
-    "IncompleteStrategyError",
-    "InfeasibleParamsError",
-    "InfeasibleRatioError",
-    "MultiPoint",
-    "PolyEval",
-    "RatioReport",
-    "RayFamilyParams",
-    "ReachQuery",
-    "ReachResult",
-    "SearchProblem",
-    "SolveResult",
-    "Strategy",
-    "StrategyReport",
-    "TargetSpec",
-    "UnboundedReachError",
-    "UnreachableTargetError",
-    "alpha",
-    "baselines",
-    "breakpoint_ratios",
-    "cost",
-    "cr_error_bound_limit",
-    "eq7_certificate",
-    "eval_p",
-    "expand_sequence",
-    "f_infinity",
-    "f_infinity_fixed_point",
-    "family_strategy",
-    "feasible_b_interval",
-    "grid_sweep_ratio",
-    "limit_family_params",
-    "maximal_reach",
-    "mray_breakpoint_ratios",
-    "mray_cost",
-    "mray_worst_ratio",
-    "multi_p",
-    "optimal_n",
-    "optimize",
-    "p_at_alpha",
-    "p_at_alpha2",
-    "roots_of_p",
-    "solve_beyond_alpha",
-    "solve_exact",
-    "solve_limit",
-    "solve_numeric",
-    "verify_alpha_table",
-    "walk_cost",
-    "worst_case_ratio",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # A public name is fetched from its submodule and cached; a submodule
+    # name imports that submodule; any other name raises AttributeError.
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

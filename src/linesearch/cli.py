@@ -15,38 +15,26 @@ with 17 significant digits so parsed values reproduce the computed doubles
 bit for bit.  Diagnostics go to stderr; the level is taken from the
 LINESEARCH_LOG environment variable (error, info or debug).  The exit code
 is 0 only if every requested computation and self-check succeeded.
+
+A launch imports only what its subcommand uses: ``reach``, ``mrays`` and
+``simulate`` are imported inside the functions that call them, and the
+package modules are always called through the module so that wrappers put
+on module attributes see the calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import logging
 import math
-import os
 import sys
-from typing import Any
 
-from . import mrays, reach, simulate
+from ._base import configure_from_env
 from .optimal import SearchProblem, StrategyReport, optimize
 from .solve import MODE_LIMIT
 
 SCHEMA_VERSION = "1"
-
-logger = logging.getLogger("linesearch.cli")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("LINESEARCH_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        level_name, logging.ERROR
-    )
-    root = logging.getLogger("linesearch")
-    if not root.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        root.addHandler(handler)
-    root.setLevel(level)
 
 
 def _fmt_float(x: float) -> str:
@@ -57,7 +45,7 @@ def _fmt_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def dumps_record(obj: Any, indent: int = 0) -> str:
+def dumps_record(obj: object, indent: int = 0) -> str:
     """JSON text with floats at full precision (17 significant digits)."""
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -91,7 +79,7 @@ def parse_record(text: str) -> dict:
     return json.loads(text)
 
 
-def _flatten(obj: Any, prefix: str = "") -> dict[str, str]:
+def _flatten(obj: object, prefix: str = "") -> dict[str, str]:
     out: dict[str, str] = {}
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -153,7 +141,7 @@ def _report_payload(report: StrategyReport) -> tuple[dict, dict]:
     return results, diagnostics
 
 
-def _record(command: str, inputs: dict, results: Any, diagnostics: dict) -> dict:
+def _record(command: str, inputs: dict, results: object, diagnostics: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -185,6 +173,8 @@ def _problem_from(args: argparse.Namespace) -> SearchProblem:
 
 
 def _cmd_reach(args: argparse.Namespace) -> int:
+    from . import reach
+
     result = reach.maximal_reach(reach.ReachQuery(ratio=args.ratio, lambda_=args.lambda_))
     strategy = result.strategy
     results = {
@@ -206,6 +196,8 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     In limit-approximation mode the intervals are not promised to equalize,
     so that check degrades to |simulated - reported| <= the mode's bound.
     """
+    from . import simulate
+
     report = optimize(problem)
     strategy = report.strategy
     wcr = simulate.worst_case_ratio(strategy, problem.lambda_, problem.Lambda)
@@ -272,6 +264,8 @@ def _sweep(args: argparse.Namespace, verify: bool) -> int:
         raise ValueError("need 1 <= rho-min <= rho-max")
     if args.points < 1:
         raise ValueError("need at least one sweep point")
+    from . import simulate
+
     rhos = simulate.GeometricGrid(args.rho_min, args.rho_max, args.points)
     rows = []
     all_ok = True
@@ -309,6 +303,8 @@ def _sweep(args: argparse.Namespace, verify: bool) -> int:
 
 
 def _cmd_mray(args: argparse.Namespace) -> int:
+    from . import mrays
+
     inputs = {"m": args.m, "a": args.a, "b": args.b, "lambda": args.lambda_, "horizon": args.horizon}
     lo, hi = mrays.feasible_b_interval(args.m, args.a)
     bound_upper = 1.0 + 2.0 * mrays.optimal_cost_coefficient(args.m)
@@ -393,10 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    # Built once per process: building costs about half an in-process verify.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    configure_from_env()
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OverflowError, ArithmeticError) as exc:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
+from ._base import Record, set_field
+from .optimal import check_lambda
 from .simulate import TargetSpec
 
 
@@ -35,14 +36,13 @@ class InfeasibleParamsError(ValueError):
         self.interval = interval
 
 
-@dataclass(frozen=True)
-class MultiPoint:
+class MultiPoint(Record):
     """A point x = (x_0, ..., x_{m-2}) in the turn-ratio coordinates."""
 
-    coords: tuple[float, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+    def __init__(self, coords: Sequence[float]) -> None:
+        set_field(self, "coords", tuple(float(c) for c in coords))
 
     @property
     def total(self) -> float:
@@ -80,31 +80,37 @@ def feasible_b_interval(m: int, a: float) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class RayFamilyParams:
+class RayFamilyParams(Record):
     """Parameters (m, a, b) of a family member, scaled by lambda_."""
 
-    m: int
-    a: float
-    b: float
-    lambda_: float = 1.0
+    __slots__ = ("m", "a", "b", "lambda_")
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"need at least 2 rays, got m={self.m}")
-        if self.lambda_ <= 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lambda_}")
-        lo, hi = feasible_b_interval(self.m, self.a)
+    def __init__(self, m: int, a: float, b: float, lambda_: float = 1.0) -> None:
+        if m < 2:
+            raise ValueError(f"need at least 2 rays, got m={m}")
+        check_lambda(lambda_)
+        lo, hi = feasible_b_interval(m, a)
         tol = 1e-12 * max(1.0, hi)
-        if not (lo - tol <= self.b <= hi + tol):
+        if not (lo - tol <= b <= hi + tol):
             raise InfeasibleParamsError(
-                f"b={self.b} infeasible for m={self.m}, a={self.a}; "
+                f"b={b} infeasible for m={m}, a={a}; "
                 f"valid interval is [{lo:.12g}, {hi:.12g}]",
                 interval=(lo, hi),
             )
+        set_field(self, "m", m)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "lambda_", lambda_)
 
     def f(self, i: int) -> float:
-        return (self.a * i + self.b) * growth_base(self.m) ** i * self.lambda_
+        base = growth_base(self.m)
+        try:
+            return (self.a * i + self.b) * base**i * self.lambda_
+        except OverflowError:
+            # base**i alone leaves double range, yet a small lambda_ can bring
+            # the turn back into it; the halves stay finite unless it cannot.
+            half = i // 2
+            return (self.a * i + self.b) * self.lambda_ * base**half * base ** (i - half)
 
 
 def family_strategy(params: RayFamilyParams, count: int) -> list[float]:
@@ -158,20 +164,32 @@ def breakpoint_ratios(
 
     Entry 0 is the D -> lam limit; entry j+1 the D -> f(j)+ limit.  Works
     for any increasing turn sequence, feasible or not, which is what makes
-    infeasibility observable as a ratio leaving the optimal band.
+    infeasibility observable as a ratio leaving the optimal band.  Raises
+    ValueError when the turns up to the horizon leave double range.
     """
     if m < 2:
         raise ValueError(f"need at least 2 rays, got m={m}")
     if horizon < m:
         raise ValueError(f"horizon must be at least m={m}, got {horizon}")
     fx = _accessor(f)
-    values = [fx(i) for i in range(horizon + m)]
+    try:
+        values = [fx(i) for i in range(horizon + m - 1)]
+    except OverflowError:
+        raise _horizon_overflow(horizon) from None
     acc = 2.0 * sum(values[: m - 1])
     ratios = [1.0 + acc / lam]
     for j in range(horizon):
         acc += 2.0 * values[j + m - 1]
         ratios.append(1.0 + acc / values[j])
+    if not math.isfinite(acc):
+        raise _horizon_overflow(horizon)
     return ratios
+
+
+def _horizon_overflow(horizon: int) -> ValueError:
+    return ValueError(
+        f"horizon {horizon} is too large: the turns up to it or their sums overflow a double"
+    )
 
 
 def mray_breakpoint_ratios(params: RayFamilyParams, horizon: int) -> list[float]:

@@ -12,11 +12,11 @@ taken from the closed form p_i(theta) rather than the recurrence.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+import sys
 
 from . import solve as _solve
+from ._base import Emitter, Record, set_field
 from .polynomials import log2_p_at_alpha_next, log2_p_at_alpha_next2, p_theta_terms
 from .solve import (
     MODE_EXACT,
@@ -26,26 +26,38 @@ from .solve import (
     limit_mode_threshold,
 )
 
-logger = logging.getLogger("linesearch.optimal")
+logger = Emitter("linesearch.optimal")
 
 
-@dataclass(frozen=True)
-class SearchProblem:
+def check_lambda(lambda_: float) -> None:
+    """Reject a lower distance bound that is not a positive, normal, finite double.
+
+    Turns are lambda * a_i; below 2^-1022 they would lose mantissa bits, and
+    the printed ratio bound would no longer hold for the printed turns.
+    """
+    if not (lambda_ > 0.0 and math.isfinite(lambda_)):
+        raise ValueError(f"lambda must be positive and finite, got {lambda_}")
+    if lambda_ < sys.float_info.min:
+        raise ValueError(
+            f"lambda {lambda_!r} is subnormal (below {sys.float_info.min!r}): "
+            "the turns lambda*a_i would lose the bits the printed bound needs"
+        )
+
+
+class SearchProblem(Record):
     """A bounded search instance: target distance lies in [lambda_, Lambda]."""
 
-    lambda_: float
-    Lambda: float
-    epsilon: float = 1e-9
+    __slots__ = ("lambda_", "Lambda", "epsilon")
 
-    def __post_init__(self) -> None:
-        if not (self.lambda_ > 0.0 and math.isfinite(self.lambda_)):
-            raise ValueError(f"lambda must be positive and finite, got {self.lambda_}")
-        if not (self.Lambda >= self.lambda_ and math.isfinite(self.Lambda)):
-            raise ValueError(
-                f"Lambda must satisfy lambda <= Lambda < inf, got {self.Lambda}"
-            )
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+    def __init__(self, lambda_: float, Lambda: float, epsilon: float = 1e-9) -> None:
+        check_lambda(lambda_)
+        if not (Lambda >= lambda_ and math.isfinite(Lambda)):
+            raise ValueError(f"Lambda must satisfy lambda <= Lambda < inf, got {Lambda}")
+        if not (epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        set_field(self, "lambda_", lambda_)
+        set_field(self, "Lambda", Lambda)
+        set_field(self, "epsilon", epsilon)
 
     @property
     def rho(self) -> float:
@@ -62,8 +74,7 @@ class SearchProblem:
         """Build an instance from log2(rho); rejects Lambda beyond float range."""
         if log2_rho < 0.0:
             raise ValueError(f"log2_rho must be non-negative, got {log2_rho}")
-        if not (lambda_ > 0.0 and math.isfinite(lambda_)):
-            raise ValueError(f"lambda must be positive and finite, got {lambda_}")
+        check_lambda(lambda_)
         if log2_rho + math.log2(lambda_) >= 1023.9:
             raise OverflowError(
                 "Lambda exceeds double range; turn distances cannot be materialized"
@@ -71,8 +82,7 @@ class SearchProblem:
         return cls(lambda_=lambda_, Lambda=lambda_ * 2.0**log2_rho, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """Turn distances of a periodic monotone strategy.
 
     ``turns`` holds f(0..n-1) in absolute distance units; every later
@@ -81,12 +91,12 @@ class Strategy:
     for i >= n.
     """
 
-    turns: tuple[float, ...]
-    terminal: float
-    lambda_: float
+    __slots__ = ("turns", "terminal", "lambda_")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "turns", tuple(self.turns))
+    def __init__(self, turns: tuple[float, ...], terminal: float, lambda_: float) -> None:
+        set_field(self, "turns", tuple(turns))
+        set_field(self, "terminal", terminal)
+        set_field(self, "lambda_", lambda_)
 
     def f(self, i: int) -> float:
         """Turn distance of iteration i, including the constant tail."""
@@ -120,19 +130,36 @@ class Strategy:
             raise ValueError("last turn exceeds the terminal distance")
 
 
-@dataclass(frozen=True)
-class StrategyReport:
+class StrategyReport(Record):
     """Everything optimize() knows about the strategy it produced."""
 
-    strategy: Strategy
-    n: int
-    a0: float
-    cr: float
-    mode: str
-    cr_error_bound: float
-    residual: float = math.nan
-    bracket_width: float = 0.0
-    solve_result: SolveResult | None = field(default=None, repr=False)
+    __slots__ = (
+        "strategy", "n", "a0", "cr", "mode", "cr_error_bound",
+        "residual", "bracket_width", "solve_result",
+    )
+    _repr_hidden = ("solve_result",)
+
+    def __init__(
+        self,
+        strategy: Strategy,
+        n: int,
+        a0: float,
+        cr: float,
+        mode: str,
+        cr_error_bound: float,
+        residual: float = math.nan,
+        bracket_width: float = 0.0,
+        solve_result: SolveResult | None = None,
+    ) -> None:
+        set_field(self, "strategy", strategy)
+        set_field(self, "n", n)
+        set_field(self, "a0", a0)
+        set_field(self, "cr", cr)
+        set_field(self, "mode", mode)
+        set_field(self, "cr_error_bound", cr_error_bound)
+        set_field(self, "residual", residual)
+        set_field(self, "bracket_width", bracket_width)
+        set_field(self, "solve_result", solve_result)
 
 
 def optimal_n(rho: float | None = None, log2_rho: float | None = None) -> int:

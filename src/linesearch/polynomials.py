@@ -24,22 +24,25 @@ theta in [pi/(n+4), pi/(n+3)], where log2 p_n decreases in theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._base import Record, set_field
 
 # Degree index of the family; must be a non-negative int.
 PolyIndex = int
 
 
-@dataclass(frozen=True)
-class PolyEval:
+class PolyEval(Record):
     """A real number stored as ``mantissa * 2**exp2``.
 
     The mantissa is normalized to [1, 2) or (-2, -1], with mantissa == 0
     (and exp2 == 0) representing zero exactly.
     """
 
-    mantissa: float
-    exp2: int
+    __slots__ = ("mantissa", "exp2")
+
+    def __init__(self, mantissa: float, exp2: int) -> None:
+        set_field(self, "mantissa", mantissa)
+        set_field(self, "exp2", exp2)
 
     @staticmethod
     def from_float(value: float) -> "PolyEval":

@@ -8,9 +8,9 @@ p_n(a0) * lambda together with the witnessing strategy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .optimal import Strategy, expand_sequence
+from ._base import Record, set_field
+from .optimal import Strategy, check_lambda, expand_sequence
 from .polynomials import alpha, eval_p
 
 
@@ -22,32 +22,31 @@ class InfeasibleRatioError(ValueError):
     """R < 3 is unachievable even when the distance is known exactly."""
 
 
-@dataclass(frozen=True)
-class ReachQuery:
+class ReachQuery(Record):
     """Ratio budget R and lower distance bound for the reach problem."""
 
-    ratio: float
-    lambda_: float = 1.0
+    __slots__ = ("ratio", "lambda_")
 
-    def __post_init__(self) -> None:
-        if not (self.lambda_ > 0.0 and math.isfinite(self.lambda_)):
-            raise ValueError(f"lambda must be positive and finite, got {self.lambda_}")
-        if self.ratio < 3.0:
+    def __init__(self, ratio: float, lambda_: float = 1.0) -> None:
+        check_lambda(lambda_)
+        if ratio < 3.0:
             raise InfeasibleRatioError(
-                f"ratio budget {self.ratio} is below 3, the cost of a known distance"
+                f"ratio budget {ratio} is below 3, the cost of a known distance"
             )
-        if self.ratio >= 9.0:
-            raise UnboundedReachError(
-                f"ratio budget {self.ratio} >= 9 gives unbounded reach"
-            )
+        if ratio >= 9.0:
+            raise UnboundedReachError(f"ratio budget {ratio} >= 9 gives unbounded reach")
+        set_field(self, "ratio", ratio)
+        set_field(self, "lambda_", lambda_)
 
 
-@dataclass(frozen=True)
-class ReachResult:
-    Lambda: float
-    n: int
-    strategy: Strategy
-    a0: float
+class ReachResult(Record):
+    __slots__ = ("Lambda", "n", "strategy", "a0")
+
+    def __init__(self, Lambda: float, n: int, strategy: Strategy, a0: float) -> None:
+        set_field(self, "Lambda", Lambda)
+        set_field(self, "n", n)
+        set_field(self, "strategy", strategy)
+        set_field(self, "a0", a0)
 
 
 def _iterations_for(a0: float) -> int:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
+from ._base import Record, set_field
 from .optimal import Strategy
 
 LEFT = "left"
@@ -30,25 +30,32 @@ class IncompleteStrategyError(ValueError):
     """The strategy cannot cover all of [lambda, Lambda]."""
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(Record):
     """A concrete target: distance plus side ('left'/'right') or ray index."""
 
-    distance: float
-    side: str | int | None = None
+    __slots__ = ("distance", "side")
 
-    def __post_init__(self) -> None:
-        if not (self.distance > 0.0 and math.isfinite(self.distance)):
-            raise ValueError(f"target distance must be positive and finite, got {self.distance}")
+    def __init__(self, distance: float, side: str | int | None = None) -> None:
+        if not (distance > 0.0 and math.isfinite(distance)):
+            raise ValueError(f"target distance must be positive and finite, got {distance}")
+        set_field(self, "distance", distance)
+        set_field(self, "side", side)
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(Record):
     """Per-interval suprema of cost/distance and their overall maximum."""
 
-    sup_ratio: float
-    argmax_interval: int
-    per_interval: tuple[tuple[tuple[float, float], float], ...]
+    __slots__ = ("sup_ratio", "argmax_interval", "per_interval")
+
+    def __init__(
+        self,
+        sup_ratio: float,
+        argmax_interval: int,
+        per_interval: tuple[tuple[tuple[float, float], float], ...],
+    ) -> None:
+        set_field(self, "sup_ratio", sup_ratio)
+        set_field(self, "argmax_interval", argmax_interval)
+        set_field(self, "per_interval", per_interval)
 
 
 def _distance_of(target: TargetSpec | float) -> float:

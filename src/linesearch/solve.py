@@ -18,10 +18,9 @@ Three routes, matching how hard the equation is:
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 
+from ._base import Emitter, Record, set_field
 from .polynomials import (
     PolyEval,
     alpha,
@@ -38,22 +37,30 @@ from .polynomials import (
     x_of_theta,
 )
 
-logger = logging.getLogger("linesearch.solve")
+logger = Emitter("linesearch.solve")
 
 MODE_EXACT = "exact"
 MODE_NUMERIC = "numeric"
 MODE_LIMIT = "limit_approx"
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Root report: a0 with how it was obtained and how good it is."""
+class SolveResult(Record):
+    """Root report: a0 with how it was obtained and how good it is.
 
-    a0: float
-    mode: str
-    residual: float  # |p_n(a0) - rho|; NaN when rho was not supplied
-    bracket_width: float
-    theta: float  # a0 = 4 cos^2(theta); NaN when a0 > 4
+    ``residual`` is |p_n(a0) - rho|, NaN when rho was not supplied;
+    ``theta`` has a0 = 4 cos^2(theta), NaN when a0 > 4.
+    """
+
+    __slots__ = ("a0", "mode", "residual", "bracket_width", "theta")
+
+    def __init__(
+        self, a0: float, mode: str, residual: float, bracket_width: float, theta: float
+    ) -> None:
+        set_field(self, "a0", a0)
+        set_field(self, "mode", mode)
+        set_field(self, "residual", residual)
+        set_field(self, "bracket_width", bracket_width)
+        set_field(self, "theta", theta)
 
 
 class BracketError(ValueError):

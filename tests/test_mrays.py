@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linesearch import cli
 from linesearch.mrays import (
     ALPHA_TABLE,
     InfeasibleParamsError,
@@ -148,6 +149,39 @@ def test_infeasibility_detected_below_lower_bound():
 def test_worst_ratio_requires_m_horizon():
     with pytest.raises(ValueError):
         mray_worst_ratio(RayFamilyParams(3, 0.0, 1.0), 2)
+
+
+def test_params_reject_subnormal_lambda():
+    with pytest.raises(ValueError, match="subnormal"):
+        RayFamilyParams(2, 0.0, 1.0, lambda_=1e-315)
+
+
+def test_horizon_beyond_double_range(capsys):
+    params = RayFamilyParams(2, 2.0, 4.0)
+    assert mray_worst_ratio(params, 1011) == pytest.approx(9.0, abs=1e-9)
+    # f(i) = (2i + 4) 2^i: the cost sums overflow first, then the turns, then 2^i.
+    for horizon in (1012, 1015, 5000):
+        with pytest.raises(ValueError, match=f"^horizon {horizon} is too large"):
+            mray_worst_ratio(params, horizon)
+    assert cli.main(["mray", "--m", "2", "--a", "2", "--b", "4", "--horizon", "5000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: horizon 5000 is too large: the turns up to it or their sums overflow a double\n"
+    )
+
+
+def test_small_lambda_keeps_horizons_past_the_power_overflow(capsys):
+    # 2^i leaves double range at i = 1024, but 2^i * 1e-100 stays finite to i ~ 1350.
+    params = RayFamilyParams(2, 0.0, 1.0, lambda_=1e-100)
+    assert params.f(1100) == 2.0**550 * 1e-100 * 2.0**550
+    assert mray_worst_ratio(params, 1100) == pytest.approx(9.0, abs=1e-9)
+    with pytest.raises(ValueError, match="^horizon 1400 is too large"):
+        mray_worst_ratio(params, 1400)
+    argv = ["mray", "--m", "2", "--a", "0", "--b", "1", "--lambda", "1e-100", "--horizon", "1100"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and '"worst_ratio": 9.0000000000000000e+00' in out
 
 
 # --- multivariate recurrence ------------------------------------------------------

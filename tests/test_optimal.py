@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linesearch import cli
 from linesearch.optimal import (
     SearchProblem,
     eq7_certificate,
@@ -143,6 +145,25 @@ def test_problem_log2_constructor():
     assert p.Lambda == 2.0**1000 and p.rho == 2.0**1000
     with pytest.raises(OverflowError):
         SearchProblem.from_log2_rho(1030.0)
+
+
+def test_problem_rejects_subnormal_lambda():
+    smallest_normal = sys.float_info.min
+    for lam in (5e-324, 1e-315, smallest_normal * (1.0 - 2.0**-52)):
+        with pytest.raises(ValueError, match="subnormal"):
+            optimize(SearchProblem(lam, 1.0))
+        with pytest.raises(ValueError, match="subnormal"):
+            SearchProblem.from_log2_rho(10.0, lambda_=lam)
+    rep = optimize(SearchProblem(smallest_normal, 1.0))
+    assert rep.strategy.lambda_ == smallest_normal and rep.strategy.terminal == 1.0
+
+
+def test_cli_subnormal_lambda(capsys):
+    assert cli.main(["verify", "--lambda", "1e-315", "--Lambda", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: lambda 1e-315 is subnormal")
+    assert cli.main(["verify", "--lambda", "2.2250738585072014e-308", "--Lambda", "1"]) == 0
 
 
 # --- optimize ---------------------------------------------------------------

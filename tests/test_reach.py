@@ -46,6 +46,8 @@ def test_reach_rejects_out_of_range():
         maximal_reach(ReachQuery(9.0, 1.0))
     with pytest.raises(ValueError):
         ReachQuery(5.0, 0.0)
+    with pytest.raises(ValueError, match="subnormal"):
+        ReachQuery(5.0, 1e-315)
 
 
 def test_round_trip_through_optimize():
