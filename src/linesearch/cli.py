@@ -31,7 +31,7 @@ import math
 import sys
 
 from ._base import configure_from_env
-from .optimal import SearchProblem, StrategyReport, optimize
+from .optimal import SearchProblem, StrategyReport, optimize, solve_problem
 from .solve import MODE_LIMIT
 
 SCHEMA_VERSION = "1"
@@ -286,16 +286,16 @@ def _sweep(args: argparse.Namespace, verify: bool) -> int:
                 }
             )
         else:
-            report = optimize(problem)
+            sol = solve_problem(problem)  # the rows print no turns
             rows.append(
                 {
                     "rho": rho,
-                    "n": report.n,
-                    "a0": report.a0,
-                    "cr": report.cr,
-                    "mode": report.mode,
-                    "cr_error_bound": report.cr_error_bound,
-                    "residual": report.residual,
+                    "n": sol.n,
+                    "a0": sol.a0,
+                    "cr": sol.cr,
+                    "mode": sol.mode,
+                    "cr_error_bound": sol.cr_error_bound,
+                    "residual": sol.residual,
                 }
             )
     _emit_rows(rows, args.format or "csv")

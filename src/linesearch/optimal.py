@@ -6,8 +6,9 @@ number of growing turns n is picked in O(1) from rho = Lambda/lambda, a_0
 solves p_n(x) = rho on [alpha_{n+1}, alpha_{n+2}), the later ratios follow
 the recurrence a_i = a_0 (a_{i-1} - a_{i-2}), so a_i = p_i(a_0), and the
 achieved competitive ratio is exactly 2 a_0 + 1.  Beyond the closed forms
-(n <= 3) the solve returns theta with a_0 = 4 cos^2 theta, and each a_i is
-taken from the closed form p_i(theta) rather than the recurrence.
+(n <= 3) the solve returns theta with a_0 = 4 cos^2 theta, and the a_i are
+expanded from theta rather than by the recurrence.  :func:`solve_problem` is
+the O(1) solve alone; :func:`optimize` adds the O(n) turn expansion.
 """
 
 from __future__ import annotations
@@ -215,11 +216,12 @@ def expand_sequence(
     Equal to p_i(a0) for each i; empty for n = 0.  With a scale the same
     recurrence runs directly in absolute distance units (seeded by scale
     and a0*scale), which stays finite even when the dimensionless ratios
-    alone would overflow.  Given theta with a0 = 4 cos^2 theta, each turn
-    is instead scale * p_i(theta) from the closed form, in O(1) and to a few
-    ulps however large n is.  The recurrence only sees a0 rounded to a
-    double, and one ulp of a0 moves p_i by about i^3 ulp(a0) / 100,
-    relative (4e-9 at i = 999).
+    alone would overflow.  Given theta with a0 = 4 cos^2 theta, the turns
+    are instead scale * p_i(theta) from :func:`p_theta_terms`: runs of
+    complex rotation restarted from the closed form, one complex multiply
+    per turn and about 11 ulps at most, however large n is.  The recurrence
+    only sees a0 rounded to a double, and one ulp of a0 moves p_i by about
+    i^3 ulp(a0) / 100, relative (4e-9 at i = 999).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -243,15 +245,49 @@ def f_infinity(i: int, lambda_: float = 1.0) -> float:
     return (2.0 * i + 4.0) * math.ldexp(lambda_, i)
 
 
-def optimize(problem: SearchProblem) -> StrategyReport:
-    """Compute the unique optimal strategy and its exact competitive ratio.
+class Solution(Record):
+    """The O(1) part of optimize(): the solved strategy without its turns.
+
+    ``theta`` has a0 = 4 cos^2 theta (NaN when a0 > 4); the turns
+    lambda * p_i(a0) are :func:`expand_sequence` of it.
+    """
+
+    __slots__ = (
+        "n", "mode", "theta", "a0", "cr", "cr_error_bound",
+        "residual", "bracket_width", "solve_result",
+    )
+    _repr_hidden = ("solve_result",)
+
+    def __init__(
+        self,
+        n: int,
+        mode: str,
+        theta: float,
+        a0: float,
+        cr: float,
+        cr_error_bound: float,
+        residual: float,
+        bracket_width: float,
+        solve_result: SolveResult,
+    ) -> None:
+        set_field(self, "n", n)
+        set_field(self, "mode", mode)
+        set_field(self, "theta", theta)
+        set_field(self, "a0", a0)
+        set_field(self, "cr", cr)
+        set_field(self, "cr_error_bound", cr_error_bound)
+        set_field(self, "residual", residual)
+        set_field(self, "bracket_width", bracket_width)
+        set_field(self, "solve_result", solve_result)
+
+
+def solve_problem(problem: SearchProblem) -> Solution:
+    """Pick n and solve for a0 and the exact competitive ratio, in O(1).
 
     Dispatch: closed forms for n <= 3; the alpha_{n+2} limit approximation
     once n >= 7 eps^{-1/3} - 4 (ratio error below eps by construction);
     bracketed numeric solving to the ulp floor of theta otherwise, which
     keeps the ratio error far inside the reported eps since CR = 2 a0 + 1.
-    Outside the closed forms the turns are expanded from the solved theta,
-    so nothing but the n-turn expansion costs O(n).
     """
     rho = problem.rho  # may overflow to inf when Lambda/lambda_ exceeds doubles
     eps = problem.epsilon
@@ -268,27 +304,52 @@ def optimize(problem: SearchProblem) -> StrategyReport:
     else:
         sol = _solve.solve_numeric(n, log2_rho=problem.log2_rho)
         bound = eps
-    theta = None if sol.mode == MODE_EXACT else sol.theta
-    turns = expand_sequence(sol.a0, n, scale=problem.lambda_, theta=theta)
-    if sol.mode == MODE_LIMIT:
-        # The limit point can overshoot rho in its top turns; capping at
-        # Lambda keeps the strategy monotone and inside [lambda, Lambda]
-        # while only reducing travel, so the reported ratio bound holds.
-        turns = [min(t, problem.Lambda) for t in turns]
-    turns = tuple(turns)
-    strategy = Strategy(turns=turns, terminal=problem.Lambda, lambda_=problem.lambda_)
     cr = 2.0 * sol.a0 + 1.0
     logger.info(
         "optimize rho=%.6g -> n=%d mode=%s a0=%.17g cr=%.17g", rho, n, sol.mode, sol.a0, cr
     )
-    return StrategyReport(
-        strategy=strategy,
+    return Solution(
         n=n,
+        mode=sol.mode,
+        theta=sol.theta,
         a0=sol.a0,
         cr=cr,
-        mode=sol.mode,
         cr_error_bound=bound,
         residual=sol.residual,
         bracket_width=sol.bracket_width,
         solve_result=sol,
+    )
+
+
+def optimize(problem: SearchProblem) -> StrategyReport:
+    """Compute the unique optimal strategy and its exact competitive ratio.
+
+    :func:`solve_problem` picks n and a0 in O(1); outside the closed forms
+    (n <= 3) the turns are then expanded from the solved theta by
+    :func:`expand_sequence`, the one O(n) step, to about 11 ulps each.
+    """
+    sol = solve_problem(problem)
+    theta = None if sol.mode == MODE_EXACT else sol.theta
+    turns = expand_sequence(sol.a0, sol.n, scale=problem.lambda_, theta=theta)
+    if sol.mode == MODE_LIMIT:
+        # The limit point can overshoot rho in its top turns; capping them at
+        # Lambda keeps the strategy monotone and inside [lambda, Lambda]
+        # while only reducing travel, so the reported ratio bound holds.
+        # The turns increase, so only a tail can exceed Lambda.
+        cap = problem.Lambda
+        i = len(turns)
+        while i and turns[i - 1] > cap:
+            i -= 1
+        turns[i:] = [cap] * (len(turns) - i)
+    strategy = Strategy(turns=turns, terminal=problem.Lambda, lambda_=problem.lambda_)
+    return StrategyReport(
+        strategy=strategy,
+        n=sol.n,
+        a0=sol.a0,
+        cr=sol.cr,
+        mode=sol.mode,
+        cr_error_bound=sol.cr_error_bound,
+        residual=sol.residual,
+        bracket_width=sol.bracket_width,
+        solve_result=sol.solve_result,
     )

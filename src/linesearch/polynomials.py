@@ -24,6 +24,8 @@ theta in [pi/(n+4), pi/(n+3)], where log2 p_n decreases in theta.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
+from operator import mul
 
 from ._base import Record, set_field
 
@@ -356,13 +358,34 @@ def eval_p_closed(n: PolyIndex, x: float) -> PolyEval:
     return PolyEval(v.mantissa, v.exp2 + n + 1)
 
 
-def p_theta_terms(n: PolyIndex, theta: float, scale: float = 1.0) -> list[float]:
-    """scale * p_i(4 cos^2 theta) for i = 0 .. n-1, each from the closed form.
+# Terms per rotation run in p_theta_terms.  Each run restarts from the closed
+# form; a longer run costs fewer restarts but carries more rounding error.
+_BLOCK = 64
+# Period over which the forward multiplier's real part is dithered.
+_DITHER = 16
 
-    Needs 0 < theta < pi/(n+1), so that every term is positive.  Each term
-    costs O(1) and carries a few ulps of relative error, however large n is;
-    the powers of 2 cos theta are taken as 2^{i+1} exp((i+1) ln cos theta) so
-    that the rounding of cos theta is not raised to the power i+1.
+
+def p_theta_terms(n: PolyIndex, theta: float, scale: float = 1.0) -> list[float]:
+    """scale * p_i(4 cos^2 theta) for i = 0 .. n-1, by blockwise complex rotation.
+
+    Needs 0 < theta < pi/(n+1), so that every term is positive.  With
+    c = cos theta, term k - 1 (k = 1 .. n) is scale (2c)^k sin((k+1) theta)
+    / sin theta, the imaginary part of scale (2c)^k e^{i (k+1) theta} /
+    sin theta.  The terms come in runs of _BLOCK.  Each run starts from one
+    term's complex value in closed form (its power c^k as exp(k ln c), so the
+    rounding of c is not raised to the power k) and reaches the others by
+    one complex multiply each: by w = 2c e^{i theta} (see _forward_steps)
+    while the phase (k+1) theta is at most pi/2, and past it backwards from
+    the run's top term by 1/w, with that phase reduced in double-double as
+    in _sin_multiple.  Either way the sine grows along the run, so no term
+    inherits the absolute error of a larger one.  A term is off by at most
+    about 11 ulps, however large n is (measured against 45-digit arithmetic
+    for n up to 2040, at both bracket edges and between them).
+
+    Within a run the power of two is one exact factor; a run whose products
+    could leave the normal range takes ldexp term by term instead.  So a
+    power-of-two scale changes no bit of a normal term, and a term past
+    double range raises OverflowError.
     """
     _check_index(n)
     if n == 0:
@@ -373,17 +396,58 @@ def p_theta_terms(n: PolyIndex, theta: float, scale: float = 1.0) -> list[float]
     ln_cos = 0.5 * math.log1p(-s * s)
     m, e = math.frexp(scale)  # keeps tiny or huge scales off the subnormal range
     m /= s
-    exp, sin, ldexp = math.exp, math.sin, math.ldexp
-    # Terms with (i+2) theta <= pi/2 take the sine directly, later ones of
-    # pi - (i+2) theta, as in _sin_multiple.
-    k_mid = min(n + 1, int(0.5 * math.pi / theta))
-    out = [ldexp(m * exp(k * ln_cos) * sin((k + 1) * theta), k + e) for k in range(1, k_mid)]
+    exp, sin, cos, frexp = math.exp, math.sin, math.cos, math.frexp
+    k_mid = min(n + 1, int(0.5 * math.pi / theta))  # first k with (k+1) theta > pi/2
+    out: list[float] = []
+    steps = _forward_steps(s, theta)
+    for k in range(1, k_mid, _BLOCK):
+        count = min(_BLOCK, k_mid - k)
+        u = (k + 1) * theta
+        r, er = frexp(m * exp(k * ln_cos))
+        run = accumulate(steps[: count - 1], mul, initial=complex(r * cos(u), r * sin(u)))
+        _append_run(out, run, k + e + er, count)  # |z| grows by at most 2 a step
+    w_down = complex(0.5, -0.5 * math.tan(theta))  # 1/w, with an exact real part
     hi, lo, pi = *_split(theta), math.pi
-    out += [
-        ldexp(m * exp(k * ln_cos) * sin((pi - (k + 1) * hi) - (k + 1) * lo + _PI_LO), k + e)
-        for k in range(max(k_mid, 1), n + 1)
-    ]
+    for k in range(max(k_mid, 1), n + 1, _BLOCK):
+        top = min(k + _BLOCK - 1, n)
+        d = (pi - (top + 1) * hi) - (top + 1) * lo + _PI_LO  # pi - (top+1) theta
+        r, er = frexp(m * exp(top * ln_cos))
+        run = [*accumulate(repeat(w_down, top - k), mul, initial=complex(-r * cos(d), r * sin(d)))]
+        run.reverse()
+        _append_run(out, run, top + e + er, 0)  # |z| shrinks backwards
     return out
+
+
+def _forward_steps(s: float, theta: float) -> list[complex]:
+    """_BLOCK - 1 multipliers whose running products follow (2c e^{i theta})^j.
+
+    The real part 2c^2 = 2 - 2 s^2 of w rounds with a relative error of up to
+    2^-54, which one repeated multiplier would build up to 2^-54 j after j
+    steps, and which would jump back at the next run.  Instead the real part
+    takes the neighbouring double on the other side of 2c^2 in the share of
+    steps (to 1/_DITHER) that cancels the rounding.
+    """
+    hi, lo = _split(s)
+    ss = s * s
+    ss_lo = ((hi * hi - ss) + 2.0 * hi * lo) + lo * lo  # s^2 = ss + ss_lo exactly
+    a = 2.0 - 2.0 * ss
+    a_lo = ((2.0 - a) - 2.0 * ss) - 2.0 * ss_lo  # 2 - 2 s^2 - a
+    other = math.nextafter(a, math.copysign(4.0, a_lo))
+    q = round(_DITHER * abs(a_lo) / abs(other - a))  # steps per period on the other side
+    b = math.sin(2.0 * theta)
+    near, far = complex(a, b), complex(other, b)
+    period = [far if q * (i + 1) // _DITHER > q * i // _DITHER else near for i in range(_DITHER)]
+    return (period * (_BLOCK // _DITHER))[: _BLOCK - 1]
+
+
+def _append_run(out: list[float], run, exp2: int, span: int) -> None:
+    """Append Im(z) 2^exp2 for each z of run, where every |z| < 2^span."""
+    if -1022 <= exp2 and exp2 + span <= 1023:
+        f = 2.0**exp2  # a normal double, and no product reaches 2^1024
+        out += [z.imag * f for z in run]
+    else:
+        ldexp = math.ldexp
+        out += [ldexp(z.imag, exp2) for z in run]
 
 
 def log2_p_cosh_excess(n: PolyIndex, t: float) -> float:

@@ -265,23 +265,29 @@ def baselines(name: str, lam: float, Lam: float) -> Strategy:
     """Named reference strategies, truncated at the first index reaching Lam.
 
     power_of_two: 2^i lam.  f_infinity: (2i+4) 2^i lam.  los_sqrt:
-    sqrt(1 + i/2) 2^i lam.  single_shot: straight to Lam both ways.
+    sqrt(1 + i/2) 2^i lam.  single_shot: straight to Lam both ways.  Each
+    turn is a factor of at least 1 times the power 2^i lam, and the power is
+    doubled only while twice it stays below Lam, so it never leaves double
+    range.  A turn past double range is inf, which ends the strategy like
+    any turn at or above Lam.
     """
     if not 0.0 < lam <= Lam:
         raise ValueError(f"need 0 < lambda <= Lambda, got {lam}, {Lam}")
     if name == "power_of_two":
-        gen = lambda i: math.ldexp(lam, i)
+        factor = lambda i: 1.0
     elif name == "f_infinity":
-        gen = lambda i: (2.0 * i + 4.0) * math.ldexp(lam, i)
+        factor = lambda i: 2.0 * i + 4.0
     elif name == "los_sqrt":
-        gen = lambda i: math.sqrt(1.0 + 0.5 * i) * math.ldexp(lam, i)
+        factor = lambda i: math.sqrt(1.0 + 0.5 * i)
     elif name == "single_shot":
         return Strategy(turns=(), terminal=Lam, lambda_=lam)
     else:
         raise ValueError(f"unknown baseline {name!r}; expected one of {_BASELINES}")
     turns = []
-    i = 0
-    while (v := gen(i)) < Lam:
+    i, power = 0, lam  # power = 2^i lam, below Lam whenever v is
+    while (v := factor(i) * power) < Lam:
         turns.append(v)
-        i += 1
+        if power >= Lam - power:  # 2 power >= Lam, without forming 2 power
+            break
+        i, power = i + 1, 2.0 * power
     return Strategy(turns=tuple(turns), terminal=Lam, lambda_=lam)

@@ -215,6 +215,21 @@ def test_verify_tight_eps_at_large_rho(capsys):
     assert rec["results"]["worst_case_ratio"] - rec["results"]["cr"] <= 1e-12
 
 
+@pytest.mark.parametrize("bound", [("--Lambda", "1e308"), ("--log2-rho", "1023.5")])
+def test_verify_at_the_top_of_double_range_prints_a_record(capsys, bound):
+    # The baselines stop below Lambda instead of forming a power past double
+    # range.  The prefix sums of the pricing still overflow there, so the
+    # exit code is not asserted.
+    code, out, err = run_cli(capsys, "verify", *bound, "--grid-points", "1000")
+    assert "math range error" not in err
+    rec = parse_record(out)
+    assert rec["command"] == "verify"
+    assert rec["results"]["n"] >= 1020
+    assert set(rec["results"]["baseline_ratios"]) == {
+        "power_of_two", "f_infinity", "los_sqrt", "single_shot"
+    }
+
+
 # --- mray -----------------------------------------------------------------------
 
 
@@ -251,7 +266,12 @@ def test_module_entry_point_and_logging():
         [sys.executable, "-m", "linesearch", "optimal", "--Lambda", "10"],
         capture_output=True,
         text=True,
-        env={"PATH": "", "LINESEARCH_LOG": "debug", "PYTHONPATH": str(repo_root / "src")},
+        env={
+            "PATH": "",
+            "LINESEARCH_LOG": "debug",
+            "PYTHONPATH": str(repo_root / "src"),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
         cwd=repo_root,
     )
     assert proc.returncode == 0
@@ -280,7 +300,7 @@ print("numpy" in sys.modules)
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={"PATH": "", "PYTHONPATH": str(repo_root / "src")},
+        env={"PATH": "", "PYTHONPATH": str(repo_root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         cwd=repo_root,
     )
     assert proc.returncode == 0, proc.stderr

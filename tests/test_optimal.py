@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesearch import cli
+from linesearch import cli, optimal
 from linesearch.optimal import (
     SearchProblem,
     eq7_certificate,
@@ -15,6 +15,7 @@ from linesearch.optimal import (
     f_infinity,
     optimal_n,
     optimize,
+    solve_problem,
 )
 from linesearch.polynomials import eval_p
 from linesearch.solve import solve_beyond_alpha, solve_exact
@@ -353,6 +354,71 @@ def test_printed_bound_holds_for_printed_turns():
         assert sup <= allowed, (log2_rho, eps, rep.n, rep.mode, float(sup - Fraction(rep.cr)))
         modes.add(rep.mode)
     assert modes == {"exact", "numeric", "limit_approx"}
+
+
+def test_printed_bound_holds_at_the_tightest_eps():
+    # With eps below ulp(cr) the numeric bound is all rounding, so the
+    # turns' own errors must keep the exact supremum within 8 ulps of cr.
+    rng = np.random.default_rng(20261019)
+    for log2_rho, eps in zip(rng.uniform(4.0, 1000.0, 60), rng.choice([1e-15, 1e-16], 60)):
+        rep = optimize(SearchProblem.from_log2_rho(float(log2_rho), epsilon=float(eps)))
+        assert rep.mode == "numeric"
+        s = rep.strategy
+        sup = exact_sup_ratio(s.turns, s.terminal, s.lambda_)
+        allowed = Fraction(rep.cr) + Fraction(rep.cr_error_bound) + 8 * Fraction(math.ulp(rep.cr))
+        assert sup <= allowed, (log2_rho, eps, rep.n, float(sup - Fraction(rep.cr)))
+
+
+def test_limit_mode_caps_only_the_tail_at_Lambda():
+    # The draws of test_printed_bound_holds_for_printed_turns.  The turns
+    # increase, so capping the tail that exceeds Lambda must give exactly
+    # the turn-by-turn min.
+    rng = np.random.default_rng(20261018)
+    draws = zip(rng.uniform(0.0, 1000.0, 240), rng.choice([1e-12, 1e-9, 1e-6], 240))
+    limit = capped = 0
+    for log2_rho, eps in [(0.0, 1e-9), (1000.0, 1e-12), (1000.0, 1e-6), *draws]:
+        problem = SearchProblem.from_log2_rho(float(log2_rho), epsilon=float(eps))
+        rep = optimize(problem)
+        if rep.mode != "limit_approx":
+            continue
+        raw = expand_sequence(rep.a0, rep.n, scale=problem.lambda_, theta=rep.solve_result.theta)
+        assert rep.strategy.turns == tuple(min(t, problem.Lambda) for t in raw), log2_rho
+        limit += 1
+        capped += raw[-1] > problem.Lambda
+    assert limit > 10 and capped > 0
+
+
+def test_solve_problem_is_optimize_without_the_turns():
+    problems = [
+        SearchProblem(1.0, 1.0),
+        SearchProblem(2.0, 20.0),
+        SearchProblem(1.0, 1e6, 1e-12),
+        SearchProblem(1e-300, 1e10),
+        SearchProblem.from_log2_rho(1000.0, epsilon=1e-6),
+        SearchProblem.from_log2_rho(1023.5),
+    ]
+    fields = ("n", "a0", "cr", "mode", "cr_error_bound", "residual", "bracket_width")
+    for problem in problems:
+        sol, rep = solve_problem(problem), optimize(problem)
+        got = [getattr(sol, f) for f in fields]
+        want = [getattr(rep, f) for f in fields]
+        assert repr(got) == repr(want), problem  # bit for bit, NaN included
+        assert sol.solve_result == rep.solve_result
+        assert repr(sol.theta) == repr(rep.solve_result.theta)
+        assert not hasattr(sol, "strategy") and "solve_result" not in repr(sol)
+
+
+def test_optimal_sweep_does_not_expand_turns(monkeypatch, capsys):
+    argv = ["optimal", "--sweep", "--rho-min", "1", "--rho-max", "1e300", "--points", "40"]
+    assert cli.main(argv) == 0
+    expanded = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep row prints no turns")
+
+    monkeypatch.setattr(optimal, "expand_sequence", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expanded
 
 
 def test_optimize_wide_scale_rho_beyond_doubles():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,50 @@ def test_p_theta_terms_keep_extreme_scales():
     assert p_theta_terms(0, theta) == []
     with pytest.raises(ValueError):
         p_theta_terms(10, math.pi / 11)
+
+
+def _normal_scale(n: int) -> float:
+    # Terms run from about 4 scale to 2^(n+2) scale; this keeps them all normal.
+    return 0.75 * 2.0 ** max(-1022, min(0, 1018 - n))
+
+
+@pytest.mark.parametrize("n", [4, 31, 32, 33, 63, 64, 65, 1022, 1023, 2040])
+def test_p_theta_terms_match_oracle_across_runs_and_bracket_edges(n):
+    # The rotation restarts every 64 terms and turns back at phase pi/2;
+    # run boundaries, both bracket edges and long runs must all stay within
+    # the bound of the per-term closed form.
+    scale = _normal_scale(n)
+    edges = [math.pi / (n + 4), math.nextafter(math.pi / (n + 3), 0.0)]
+    for theta in edges + _bracket_thetas(n, 2, 11 * n):
+        terms = p_theta_terms(n, theta, scale=scale)
+        assert len(terms) == n
+        assert all(sys.float_info.min <= t < math.inf for t in terms), (n, theta)
+        with mp.workdps(50):
+            refs = p_sequence_mp(n, 4 * mp.cos(mpf(theta)) ** 2)
+            for i, (got, ref) in enumerate(zip(terms, refs)):
+                want = mpf(scale) * ref
+                assert abs(got - want) <= 1e-14 * want, (n, theta, i)
+
+
+@pytest.mark.parametrize("n", [5, 200, 999])
+def test_p_theta_terms_power_of_two_scales_are_exact(n):
+    theta = _bracket_thetas(n, 1, 13 * n)[0]
+    base = p_theta_terms(n, theta)
+    low, high = math.frexp(base[0])[1], math.frexp(base[-1])[1]
+    top = 1024 - high  # the largest k that keeps the last term finite
+    bottom = -1021 - low  # the smallest k that keeps the first term normal
+    deep = max(-1074, bottom - (high - low) // 2)  # 2^k itself may be subnormal
+    for k in (deep, bottom, bottom + 1, -7, 3, top - 1, top):
+        got = p_theta_terms(n, theta, scale=2.0**k)
+        compared = 0
+        for g, b in zip(got, base):
+            want = math.ldexp(b, k)
+            if want >= sys.float_info.min:
+                assert g == want, (n, k)
+                compared += 1
+        assert compared > 0, (n, k)
+    with pytest.raises(OverflowError):
+        p_theta_terms(n, theta, scale=2.0 ** (top + 1))
 
 
 @pytest.mark.parametrize("n", [1, 3, 30, 500])

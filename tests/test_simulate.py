@@ -127,6 +127,28 @@ def test_los_sqrt_gap_shrinks_as_inverse_log_squared():
     assert all(1.0 <= g <= 10.0 for g in gaps)
 
 
+@pytest.mark.parametrize("name", ["power_of_two", "f_infinity", "los_sqrt"])
+@pytest.mark.parametrize(
+    "lam, Lam",
+    [(1.0, 1e308), (1.0, 2.0**1023 * 1.5), (1.0, 1.7976931348623157e308),
+     (2.0**-1022, 1e300), (3.0, 3.0 * 2.0**40), (1.0, 1.0)],
+)
+def test_baselines_stop_at_the_last_turn_below_Lambda(name, lam, Lam):
+    # The turns are factor(i) 2^i lam for i = 0, 1, ... up to the last one
+    # below Lam, also where the next one would pass double range.
+    factor = {
+        "power_of_two": lambda i: 1.0,
+        "f_infinity": lambda i: 2.0 * i + 4.0,
+        "los_sqrt": lambda i: math.sqrt(1.0 + 0.5 * i),
+    }[name]
+    turns = baselines(name, lam, Lam).turns
+    assert turns == tuple(factor(i) * math.ldexp(lam, i) for i in range(len(turns)))
+    assert all(t < Lam for t in turns)
+    i = len(turns)
+    if i + math.frexp(lam)[1] <= 1024:  # the next turn is a double: it reaches Lam
+        assert factor(i) * math.ldexp(lam, i) >= Lam
+
+
 def test_grid_below_exact_sup():
     rep = optimize(SearchProblem(1.0, 10.0, 1e-9))
     sup = worst_case_ratio(rep.strategy).sup_ratio
