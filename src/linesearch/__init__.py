@@ -8,38 +8,27 @@ independent simulator to verify every claim.
 
 from importlib import import_module
 
-# Each public name and the submodule that defines it.  Names are imported on
-# first access (PEP 562), so a CLI launch loads only what its command uses.
+# Each public name and the submodule that defines it: the functions a user of
+# the paper's results calls, the records they take or return and the
+# exceptions they raise.  Everything else (the solvers, the polynomial family,
+# the m-ray recurrence) is imported from its submodule.  Names are imported
+# on first access (PEP 562), so a CLI launch loads only what its command uses.
 _EXPORTS = {
     name: module
     for module, names in {
-        "mrays": (
-            "ALPHA_TABLE", "InfeasibleParamsError", "MultiPoint", "RayFamilyParams",
-            "breakpoint_ratios", "f_infinity_fixed_point", "family_strategy",
-            "feasible_b_interval", "limit_family_params", "mray_breakpoint_ratios",
-            "mray_cost", "mray_worst_ratio", "multi_p", "verify_alpha_table",
-        ),
-        "optimal": (
-            "SearchProblem", "Strategy", "StrategyReport", "eq7_certificate",
-            "expand_sequence", "f_infinity", "optimal_n", "optimize",
-        ),
-        "polynomials": ("PolyEval", "alpha", "eval_p", "p_at_alpha", "p_at_alpha2", "roots_of_p"),
+        "mrays": ("InfeasibleParamsError", "RayFamilyParams", "mray_worst_ratio"),
+        "optimal": ("SearchProblem", "Strategy", "StrategyReport", "optimize"),
         "reach": (
             "InfeasibleRatioError", "ReachQuery", "ReachResult", "UnboundedReachError",
             "maximal_reach",
         ),
         "simulate": (
-            "IncompleteStrategyError", "RatioReport", "TargetSpec", "UnreachableTargetError",
-            "baselines", "cost", "grid_sweep_ratio", "walk_cost", "worst_case_ratio",
-        ),
-        "solve": (
-            "BracketError", "SolveResult", "cr_error_bound_limit", "solve_beyond_alpha",
-            "solve_exact", "solve_limit", "solve_numeric",
+            "IncompleteStrategyError", "RatioReport", "grid_sweep_ratio", "worst_case_ratio",
         ),
     }.items()
     for name in names
 }
-_SUBMODULES = {"cli", *_EXPORTS.values()}
+_SUBMODULES = {"cli", "polynomials", "solve", *_EXPORTS.values()}
 
 __version__ = "0.1.0"
 

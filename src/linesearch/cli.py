@@ -215,8 +215,12 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     else:
         equalized = max(sups) - min(sups) <= rel
         consistent = abs(wcr.sup_ratio - report.cr) <= rel
-    grid_ok = wcr.sup_ratio - 1e-3 <= grid <= wcr.sup_ratio + rel
-    dominant = all(wcr.sup_ratio <= r + 1e-9 for r in base_ratios.values())
+    # An infinite ratio satisfies both comparisons (inf - 1e-3 <= inf) yet
+    # bounds nothing, so these two checks need a finite ratio to pass (a
+    # grid ratio within 1e-3 of a finite one is finite too).
+    finite = math.isfinite(wcr.sup_ratio)
+    grid_ok = finite and wcr.sup_ratio - 1e-3 <= grid <= wcr.sup_ratio + rel
+    dominant = finite and all(wcr.sup_ratio <= r + 1e-9 for r in base_ratios.values())
     passed = equalized and consistent and grid_ok and dominant
 
     results = {

@@ -63,9 +63,6 @@ class PolyEval(Record):
             e += 1
         return PolyEval(-m if negative else m, e)
 
-    def is_zero(self) -> bool:
-        return self.mantissa == 0.0
-
     def sign(self) -> int:
         if self.mantissa > 0.0:
             return 1
@@ -87,29 +84,8 @@ class PolyEval(Record):
             return math.inf if self.mantissa > 0 else -math.inf
         return math.ldexp(self.mantissa, self.exp2)  # underflow is silent
 
-
-    def compare(self, other: "PolyEval") -> int:
-        """Sign of self - other, computed without leaving the representation."""
-        d = _sub(self, other)
-        return d.sign()
-
     def __float__(self) -> float:
         return self.to_float()
-
-
-def _sub(a: PolyEval, b: PolyEval) -> PolyEval:
-    """a - b with exponent alignment; exact up to one float subtraction."""
-    if a.is_zero():
-        return PolyEval(-b.mantissa, b.exp2)
-    if b.is_zero():
-        return a
-    e = max(a.exp2, b.exp2)
-    # Shifts are <= 0 so ldexp can only underflow (harmlessly) to zero.
-    d = math.ldexp(a.mantissa, a.exp2 - e) - math.ldexp(b.mantissa, b.exp2 - e)
-    if d == 0.0:
-        return PolyEval(0.0, 0)
-    m, ex = math.frexp(d)
-    return PolyEval(2.0 * m, ex - 1 + e)
 
 
 def _check_index(n: int) -> None:
@@ -171,52 +147,26 @@ def eval_p(n: PolyIndex, x: float) -> PolyEval:
     return _pack(m1, e1)
 
 
-def eval_p_and_derivative(n: PolyIndex, x: float) -> tuple[PolyEval, PolyEval]:
-    """p_n(x) and p_n'(x) together, both exponent tracked.
+def eval_p_and_derivative(n: PolyIndex, x: float) -> tuple[float, float]:
+    """p_n(x) and p_n'(x) as plain floats.
 
     The derivative follows the differentiated recurrence
-    p_i' = (p_{i-1} - p_{i-2}) + x (p_{i-1}' - p_{i-2}').
+    p_i' = (p_{i-1} - p_{i-2}) + x (p_{i-1}' - p_{i-2}').  Where every term
+    stays in double range the values are bit-identical to exponent-tracked
+    evaluation (scaling by a power of two commutes with rounding); past it
+    they overflow, so :func:`eval_p` is the reference for large values.
     """
     _check_index(n)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     if n == 0:
-        return PolyEval.from_float(x), PolyEval.from_float(1.0)
-    pm2, pe2 = math.frexp(x)
-    dm2, de2 = math.frexp(1.0)
-    pm1, pe1 = math.frexp(x * (x - 1.0))
-    dm1, de1 = math.frexp(2.0 * x - 1.0)
-    frexp = math.frexp
-    ldexp = math.ldexp
+        return x, 1.0
+    p2, d2 = x, 1.0
+    p1, d1 = x * (x - 1.0), 2.0 * x - 1.0
     for _ in range(2, n + 1):
-        pd, pref = _diff_aligned(pm1, pe1, pm2, pe2)
-        dd, dref = _diff_aligned(dm1, de1, dm2, de2)
-        pm2, pe2, dm2, de2 = pm1, pe1, dm1, de1
-        v = x * pd
-        if v == 0.0:
-            pm1, pe1 = 0.0, 0
-        else:
-            pm1, pe1 = frexp(v)
-            pe1 += pref
-        # d_i = pdiff + x * ddiff, aligned to the larger exponent.
-        xdd = x * dd
-        if pd == 0.0 and xdd == 0.0:
-            dm1, de1 = 0.0, 0
-        else:
-            if pd == 0.0:
-                s, sref = xdd, dref
-            elif xdd == 0.0:
-                s, sref = pd, pref
-            elif pref >= dref:
-                s, sref = pd + ldexp(xdd, dref - pref), pref
-            else:
-                s, sref = ldexp(pd, pref - dref) + xdd, dref
-            if s == 0.0:
-                dm1, de1 = 0.0, 0
-            else:
-                dm1, de1 = frexp(s)
-                de1 += sref
-    return _pack(pm1, pe1), _pack(dm1, de1)
+        diff = p1 - p2
+        p2, d2, p1, d1 = p1, d1, x * diff, diff + x * (d1 - d2)
+    return p1, d1
 
 
 def alpha(n: PolyIndex) -> float:
@@ -241,16 +191,6 @@ def log2_p_at_alpha_next2(n: PolyIndex) -> float:
     """log2 of p_n(alpha_{n+2}) via the closed form alpha_{n+2}^{(n+2)/2}."""
     _check_index(n)
     return 0.5 * (n + 2) * math.log2(alpha(n + 2))
-
-
-def p_at_alpha(n: PolyIndex) -> PolyEval:
-    """p_n evaluated at alpha_{n+1}, in closed form rather than recurrence."""
-    return PolyEval.from_log2(log2_p_at_alpha_next(n))
-
-
-def p_at_alpha2(n: PolyIndex) -> PolyEval:
-    """p_n evaluated at alpha_{n+2}, in closed form rather than recurrence."""
-    return PolyEval.from_log2(log2_p_at_alpha_next2(n))
 
 
 _LN2 = math.log(2.0)

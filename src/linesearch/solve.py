@@ -199,12 +199,10 @@ def _largest_root_quartic_n3(rho: float) -> float:
 def _polish(n: int, x: float, rho: float, lo: float, hi: float, steps: int = 2) -> float:
     """A couple of guarded Newton corrections to scrub radical round-off."""
     for _ in range(steps):
-        pe, dpe = eval_p_and_derivative(n, x)
-        num = pe.compare(PolyEval.from_float(rho))
-        if num == 0 or dpe.is_zero():
+        p, dp = eval_p_and_derivative(n, x)
+        if p == rho or dp == 0.0:
             return x
-        delta = (pe.to_float() - rho) / dpe.to_float()
-        x_new = x - delta
+        x_new = x - (p - rho) / dp
         if not (lo <= x_new <= hi) or not math.isfinite(x_new):
             return x
         x = x_new
@@ -214,13 +212,16 @@ def _polish(n: int, x: float, rho: float, lo: float, hi: float, steps: int = 2) 
 def solve_exact(n: int, rho: float) -> SolveResult:
     """Closed-form largest real root of p_n(x) = rho for n <= 3.
 
-    Accepts any rho >= 1 (not only the rho range where this n is optimal),
-    so that boundary ties between consecutive n can be checked directly.
+    Accepts any rho in [1, 2^24), not only the rho range where this n is
+    optimal (below 19), so that boundary ties between consecutive n can be
+    checked directly.  Within that range a0 is within an ulp of the root;
+    from about 2^27 the n = 3 radicals lose digits that two Newton steps do
+    not recover, so larger rho is refused.
     """
     if not 0 <= n <= 3:
         raise ValueError(f"solve_exact handles n in 0..3 only, got {n}")
-    if rho < 1.0:
-        raise ValueError(f"rho must be at least 1, got {rho}")
+    if not 1.0 <= rho < 2.0**24:
+        raise ValueError(f"solve_exact needs rho in [1, 2^24), got {rho}")
     if n == 0:
         a0 = rho
     elif n == 1:

@@ -219,7 +219,8 @@ def test_verify_tight_eps_at_large_rho(capsys):
 def test_verify_at_the_top_of_double_range_prints_a_record(capsys, bound):
     # The baselines stop below Lambda instead of forming a power past double
     # range.  The prefix sums of the pricing still overflow there, so the
-    # exit code is not asserted.
+    # exit code is not asserted; but an infinite ratio must not pass the
+    # grid and dominance checks, though inf - 1e-3 <= inf <= inf + 1e-9.
     code, out, err = run_cli(capsys, "verify", *bound, "--grid-points", "1000")
     assert "math range error" not in err
     rec = parse_record(out)
@@ -228,6 +229,10 @@ def test_verify_at_the_top_of_double_range_prints_a_record(capsys, bound):
     assert set(rec["results"]["baseline_ratios"]) == {
         "power_of_two", "f_infinity", "los_sqrt", "single_shot"
     }
+    assert rec["results"]["worst_case_ratio"] == math.inf
+    checks = rec["results"]["checks"]
+    assert checks["grid_within_tolerance"] is False
+    assert checks["dominates_baselines"] is False
 
 
 # --- mray -----------------------------------------------------------------------

@@ -21,8 +21,6 @@ from linesearch.polynomials import (
     log2_p_at_alpha_next2,
     log2_p_cosh_excess,
     log2_p_theta,
-    p_at_alpha,
-    p_at_alpha2,
     p_theta_terms,
     roots_of_p,
     theta_of_x,
@@ -45,14 +43,6 @@ def test_polyeval_from_log2():
     assert PolyEval.from_log2(0.5).to_float() == pytest.approx(math.sqrt(2.0), rel=1e-15)
     big = PolyEval.from_log2(5000.0)
     assert big.exp2 == 5000 and big.mantissa == 1.0
-
-
-def test_polyeval_compare():
-    a = PolyEval.from_float(2.0**60 + 1024.0)
-    b = PolyEval.from_float(2.0**60)
-    assert a.compare(b) > 0
-    assert b.compare(a) < 0
-    assert a.compare(a) == 0
 
 
 def test_eval_p_base_cases():
@@ -114,9 +104,9 @@ def test_alpha_strictly_increasing_bounded():
 
 
 def test_p_at_alpha_values():
-    assert p_at_alpha(0).to_float() == pytest.approx(1.0, rel=1e-14)
+    assert 2.0 ** log2_p_at_alpha_next(0) == pytest.approx(1.0, rel=1e-14)
     # n = 3: alpha_4 = 3 and 3^((3+1)/2) = 9; the recurrence agrees.
-    assert p_at_alpha(3).to_float() == pytest.approx(9.0, rel=1e-13)
+    assert 2.0 ** log2_p_at_alpha_next(3) == pytest.approx(9.0, rel=1e-13)
     assert eval_p(3, alpha(4)).to_float() == pytest.approx(9.0, rel=1e-12)
 
 
@@ -124,8 +114,8 @@ def test_p_at_alpha2_matches_quoted_boundary():
     # p_3(alpha_5) = alpha_5^(5/2) = 32 cos^5(pi/7), the largest rho still
     # solvable by radicals; approximately 18.99761.
     expected = 32.0 * math.cos(math.pi / 7.0) ** 5
-    assert p_at_alpha2(3).to_float() == pytest.approx(expected, rel=1e-13)
-    assert p_at_alpha2(3).to_float() == pytest.approx(18.99761, abs=5e-6)
+    assert 2.0 ** log2_p_at_alpha_next2(3) == pytest.approx(expected, rel=1e-13)
+    assert 2.0 ** log2_p_at_alpha_next2(3) == pytest.approx(18.99761, abs=5e-6)
 
 
 @pytest.mark.parametrize("n", range(0, 51))
@@ -172,12 +162,12 @@ def test_adjacent_order_inside_and_outside_bracket():
         lo, hi = alpha(n + 1), alpha(n + 2)
         for t in (0.25, 0.5, 0.75):
             x = lo + t * (hi - lo)
-            assert eval_p(n + 1, x).compare(eval_p(n, x)) < 0, (n, x)
+            assert eval_p(n + 1, x).to_float() < eval_p(n, x).to_float(), (n, x)
         # At x = alpha_{n+2} the two agree exactly; float noise allowed.
         at_edge_hi = eval_p(n + 1, hi).to_float()
         assert at_edge_hi == pytest.approx(eval_p(n, hi).to_float(), rel=1e-12)
         for x in (hi + 0.01, 4.0, 4.5):
-            assert eval_p(n + 1, x).compare(eval_p(n, x)) >= 0, (n, x)
+            assert eval_p(n + 1, x).to_float() >= eval_p(n, x).to_float(), (n, x)
 
 
 def test_roots_examples():
@@ -211,10 +201,30 @@ def test_large_n_no_overflow():
 def test_derivative_tracks_finite_differences():
     for n in (1, 2, 5, 12, 30):
         for x in (1.3, 2.7, 3.6):
-            _, dpe = eval_p_and_derivative(n, x)
+            _, dp = eval_p_and_derivative(n, x)
             h = 1e-6
             fd = (eval_p(n, x + h).to_float() - eval_p(n, x - h).to_float()) / (2.0 * h)
-            assert dpe.to_float() == pytest.approx(fd, rel=1e-7)
+            assert dp == pytest.approx(fd, rel=1e-7)
+
+
+def test_plain_value_is_bit_identical_to_exponent_tracked():
+    # Where no term leaves double range, aligning by powers of two is exact,
+    # so the plain recurrence reproduces eval_p bit for bit.
+    rng = random.Random(8)
+    xs = [-3.5, -1.0, -0.25, 0.0, 0.3, 1.0, 1.5, 2.0, 2.5, 3.0, 3.9, 4.0, 7.25, 1e3, 1e60]
+    xs += [rng.uniform(-8.0, 8.0) for _ in range(200)]
+    for n in range(4):
+        for x in xs:
+            assert eval_p_and_derivative(n, x)[0] == eval_p(n, x).to_float(), (n, x)
+    finite = 0
+    for _ in range(400):
+        n = rng.randint(0, 1000)
+        x = 4.0 + 2.0 ** rng.uniform(-40.0, 4.0)
+        p, _ = eval_p_and_derivative(n, x)
+        if math.isfinite(p):
+            finite += 1
+            assert p == eval_p(n, x).to_float(), (n, x)
+    assert finite >= 100
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,7 +25,7 @@ from linesearch.solve import (
     solve_numeric,
 )
 
-from _oracles import bisect_root, p_at_theta_mp, poly_coeffs, poly_eval
+from _oracles import bisect_root, p_at_theta_mp, p_recurrence_mp, poly_coeffs, poly_eval
 
 
 def oracle_root(n: int, rho: float, lo: float, hi: float) -> float:
@@ -108,6 +108,23 @@ def test_exact_rejects():
         solve_exact(4, 20.0)
     with pytest.raises(ValueError):
         solve_exact(1, 0.5)
+
+
+def test_exact_holds_on_its_stated_range():
+    # solve_exact takes rho in [1, 2^24): on a 1/8 step scan of log2 rho, and
+    # at the top of the range, a0 is within a few ulps of the largest root
+    # for every n.  Past the range (from about 2^27 the n = 3 radicals drift
+    # by hundreds of ulps) rho is refused.
+    rhos = [2.0 ** (k / 8) for k in range(24 * 8)] + [math.nextafter(2.0**24, 0.0)]
+    for n in range(4):
+        for rho in rhos:
+            a0 = solve_exact(n, rho).a0
+            with mp.workdps(50):
+                root = mp.findroot(lambda x: p_recurrence_mp(n, x) - rho, mpf(a0))
+            assert abs(mpf(a0) - root) <= 4 * math.ulp(a0), (n, rho)
+        for rho in (2.0**24, 2.0**36, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"rho in \[1, 2\^24\)"):
+                solve_exact(n, rho)
 
 
 # --- numeric solving ------------------------------------------------------
