@@ -37,12 +37,13 @@ from .solve import MODE_LIMIT
 SCHEMA_VERSION = "1"
 
 
+# JSON's names for the values '.16e' spells nan, inf and -inf.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return f"{x:.16e}"
+    text = f"{x:.16e}"
+    return _NON_FINITE.get(text, text)
 
 
 def dumps_record(obj: object, indent: int = 0) -> str:
@@ -59,6 +60,13 @@ def dumps_record(obj: object, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == {float}:
+            # Each distinct value is formatted once: the interval sups of a
+            # verify record are equalized, so a few values fill the list.
+            distinct = set(obj)
+            if 0.0 not in distinct:  # 0.0 and -0.0 are one key but print apart
+                text = {v: _fmt_float(v) for v in distinct}
+                return "[" + ", ".join(map(text.__getitem__, obj)) + "]"
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in obj) + "]"
         items = [f"{pad}  {dumps_record(v, indent + 1)}" for v in obj]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import le
 
 from . import solve as _solve
 from ._base import Emitter, Record, set_field
@@ -120,14 +121,34 @@ class Strategy(Record):
         )
 
     def validate(self, rel_tol: float = 1e-9) -> None:
-        """Check monotonicity, the lower bound on turns, and the terminal."""
-        slack = rel_tol * self.terminal
-        prev = self.lambda_ - rel_tol * self.lambda_
-        for i, t in enumerate(self.turns):
+        """Check finiteness, monotonicity, the lower bound on turns, and the terminal.
+
+        Each turn may fall short of the one before it by rel_tol * terminal,
+        and the first short of lambda_ by that plus rel_tol * lambda_.
+        Nondecreasing turns pass in one C-level pass; the turn-by-turn loop
+        runs only where they do not, to allow dips within the slack or to
+        name the offending turn.
+        """
+        lam, terminal, turns = self.lambda_, self.terminal, self.turns
+        if not (math.isfinite(lam) and math.isfinite(terminal)):
+            raise ValueError(f"lambda and terminal must be finite, got {lam} and {terminal}")
+        slack = rel_tol * terminal
+        prev = lam - rel_tol * lam
+        # A NaN fails the pass, and an inf turn makes every later one inf,
+        # the last included, which then exceeds the terminal.
+        if not turns or (
+            all(map(le, turns, turns[1:]))
+            and turns[0] >= prev - slack
+            and turns[-1] <= terminal + slack
+        ):
+            return
+        for i, t in enumerate(turns):
+            if not math.isfinite(t):
+                raise ValueError(f"turn {i} is not finite: {t}")
             if t < prev - slack:
                 raise ValueError(f"turn {i} breaks monotonicity: {t} < {prev}")
             prev = t
-        if self.turns and self.turns[-1] > self.terminal + slack:
+        if turns[-1] > terminal + slack:
             raise ValueError("last turn exceeds the terminal distance")
 
 

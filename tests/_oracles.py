@@ -1,10 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: exact integer coefficient algebra,
-plain bisection, step-by-step walk simulation, point-by-point grid pricing,
-the paper's three-term recurrence in 50-digit arithmetic and exact rational
-pricing.  None of it
-shares code with the package.
+plain bisection, step-by-step walk simulation, turn-by-turn breakpoint
+pricing, point-by-point grid pricing, the paper's three-term recurrence in
+50-digit arithmetic and exact rational pricing.  None of it shares code with
+the package.
 """
 
 from __future__ import annotations
@@ -60,6 +60,36 @@ def exact_sup_ratio(turns, terminal: float, lam: float) -> Fraction:
             best = max(best, 2 * travelled / max(lam, prev) + 1)
         prev = r
     return best
+
+
+def worst_case_ratio_loop(turns, terminal: float, lam: float, big_lam: float):
+    """(sup, argmax, per_interval) of the breakpoint pricing, turn by turn, in floats.
+
+    The float reference for ``simulate.worst_case_ratio`` on bounds it has
+    already checked: prefix sums accumulated as acc += 2t, the breakpoints a
+    sorted set of the turns in [lam, big_lam), and each breakpoint's serving
+    turn (the first one above it) found by walking forward.  Interval j is
+    (lower end, next breakpoint or big_lam) with the ratio
+    prefix[serving turn] / lower end + 1; the first interval starts at lam.
+    No rescaling: where twice a prefix sum overflows, the ratio is inf.
+    """
+    prefix, acc = [], 0.0
+    for t in turns:
+        acc += 2.0 * t
+        prefix.append(acc)
+    prefix.append(acc + 2.0 * terminal)
+    first = next((j for j, t in enumerate(turns) if t >= lam), len(turns))
+    inner = sorted({t for t in turns if lam <= t < big_lam})
+    uppers = inner[1:] + [big_lam]
+    first_hi = inner[0] if inner and inner[0] > lam else (uppers[0] if inner else big_lam)
+    entries = [((lam, first_hi), prefix[first] / lam + 1.0)]
+    k = 0
+    for b, hi in zip(inner, uppers):
+        while k < len(turns) and turns[k] <= b:
+            k += 1
+        entries.append(((b, hi), prefix[k] / b + 1.0))
+    best = max(range(len(entries)), key=lambda i: entries[i][1])
+    return entries[best][1], best, tuple(entries)
 
 
 def grid_ratio_pointwise(turns, terminal: float, lam: float, big_lam: float, points: int) -> float:

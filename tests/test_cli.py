@@ -41,6 +41,29 @@ def test_float_formatting_has_full_precision():
     assert "2.0000000000000000e+00" in text
 
 
+def test_list_text_is_pinned():
+    # All-float lists (with non-finite values, signed zeros, a subnormal and
+    # repeats), a mixed int/float list, and a list with a bool, which is not
+    # a number here and keeps the multi-line form.
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]
+    assert dumps_record(floats) == (
+        "[NaN, Infinity, -Infinity, -0.0000000000000000e+00, "
+        "4.9406564584124654e-324, 1.0000000000000001e-01]"
+    )
+    repeats = [0.1, math.nan, 0.1, math.inf, 0.1, math.nan]
+    assert dumps_record(repeats) == (
+        "[1.0000000000000001e-01, NaN, 1.0000000000000001e-01, Infinity, "
+        "1.0000000000000001e-01, NaN]"
+    )
+    assert dumps_record([0.0, -0.0, 0.0]) == (
+        "[0.0000000000000000e+00, -0.0000000000000000e+00, 0.0000000000000000e+00]"
+    )
+    assert dumps_record([1, -2.5, 3]) == "[1, -2.5000000000000000e+00, 3]"
+    assert dumps_record({"v": [1.5, True]}) == (
+        '{\n  "v": [\n    1.5000000000000000e+00,\n    true\n  ]\n}'
+    )
+
+
 # --- optimal -------------------------------------------------------------------
 
 
@@ -217,22 +240,32 @@ def test_verify_tight_eps_at_large_rho(capsys):
 
 @pytest.mark.parametrize("bound", [("--Lambda", "1e308"), ("--log2-rho", "1023.5")])
 def test_verify_at_the_top_of_double_range_prints_a_record(capsys, bound):
-    # The baselines stop below Lambda instead of forming a power past double
-    # range.  The prefix sums of the pricing still overflow there, so the
-    # exit code is not asserted; but an infinite ratio must not pass the
-    # grid and dominance checks, though inf - 1e-3 <= inf <= inf + 1e-9.
+    # Twice the sum of the turns overflows here; the simulator prices in
+    # units of a power of two instead, so every check passes.  Only the
+    # single-shot baseline stays inf: 2 rho + 1 really exceeds a double.
     code, out, err = run_cli(capsys, "verify", *bound, "--grid-points", "1000")
-    assert "math range error" not in err
+    assert code == 0, err
     rec = parse_record(out)
     assert rec["command"] == "verify"
     assert rec["results"]["n"] >= 1020
-    assert set(rec["results"]["baseline_ratios"]) == {
-        "power_of_two", "f_infinity", "los_sqrt", "single_shot"
-    }
-    assert rec["results"]["worst_case_ratio"] == math.inf
-    checks = rec["results"]["checks"]
-    assert checks["grid_within_tolerance"] is False
-    assert checks["dominates_baselines"] is False
+    ratio = rec["results"]["worst_case_ratio"]
+    assert math.isfinite(ratio)
+    assert abs(ratio - rec["results"]["cr"]) <= rec["diagnostics"]["cr_error_bound"]
+    baselines = rec["results"]["baseline_ratios"]
+    assert set(baselines) == {"power_of_two", "f_infinity", "los_sqrt", "single_shot"}
+    assert baselines["single_shot"] == math.inf
+    assert all(rec["results"]["checks"].values())
+
+
+def test_verify_sweep_to_the_top_of_double_range(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--sweep", "--rho-min", "1e300", "--rho-max", "1.7e308",
+        "--points", "6", "--grid-points", "1000",
+    )
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert len(lines) == 7
+    assert all(line.endswith("true") for line in lines[1:])
 
 
 # --- mray -----------------------------------------------------------------------

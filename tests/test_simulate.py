@@ -18,11 +18,13 @@ from linesearch.simulate import (
     walk_cost,
     worst_case_ratio,
 )
+from linesearch.solve import MODE_EXACT, MODE_LIMIT, MODE_NUMERIC
 
 from _oracles import (
     brute_worst_ratio,
     grid_ratio_pointwise,
     walk_cost as oracle_walk,
+    worst_case_ratio_loop,
     worst_orientation_cost,
 )
 
@@ -217,9 +219,169 @@ def test_non_monotone_strategy_rejected():
         worst_case_ratio(s, 1.0, 8.0)
 
 
+@pytest.mark.parametrize(
+    "turns, terminal, lam, where",
+    [
+        ((2.0, math.nan, 8.0), 10.0, 1.0, "turn 1"),
+        ((2.0, 8.0, math.inf), 10.0, 1.0, "turn 2"),
+        ((-math.inf, 2.0), 10.0, 1.0, "turn 0"),
+        ((2.0, 8.0), math.nan, 1.0, "terminal"),
+        ((2.0, 8.0), math.inf, 1.0, "terminal"),
+        ((2.0, 8.0), 10.0, math.nan, "lambda"),
+        ((), 10.0, math.inf, "lambda"),
+    ],
+)
+def test_validate_refuses_non_finite_distances(turns, terminal, lam, where):
+    s = Strategy(turns=turns, terminal=terminal, lambda_=lam)
+    for check in (s.validate, lambda: worst_case_ratio(s, 1.0, 5.0),
+                  lambda: grid_sweep_ratio(s, 1.0, 5.0, 100)):
+        with pytest.raises(ValueError, match="finite") as err:
+            check()
+        assert where in str(err.value) and "\n" not in str(err.value)
+
+
 def test_grid_needs_two_points():
     with pytest.raises(ValueError):
         grid_sweep_ratio(pot(), points=1)
+
+
+# --- the C-level passes against the turn-by-turn references --------------------
+
+# (log2 rho, lambda, eps, mode, capped): optimize() output in every solve mode;
+# "capped" marks a limit-mode strategy whose top turn was cut back to Lambda.
+OPTIMAL_CASES = [
+    (0.0, 1.0, 1e-9, MODE_EXACT, False),
+    (0.3, 1.0, 1e-9, MODE_EXACT, False),
+    (2.5, 1.5, 1e-9, MODE_EXACT, False),
+    (10.7, 1.0, 1e-9, MODE_NUMERIC, False),
+    (57.2, 1.5, 1e-9, MODE_NUMERIC, False),
+    (300.9, 1e-200, 1e-6, MODE_NUMERIC, False),
+    (999.5, 1.0, 1e-9, MODE_NUMERIC, False),
+    (71.0, 1.0, 1e-3, MODE_LIMIT, True),
+    (400.9, 3.0, 1e-3, MODE_LIMIT, False),
+    (900.5, 1.0, 1e-3, MODE_LIMIT, True),
+    (117.3, 1.0, 1e-3, MODE_LIMIT, True),
+]
+
+
+def _optimal_report(log2_rho, lam, eps):
+    return optimize(SearchProblem.from_log2_rho(log2_rho, lam, eps))
+
+
+def test_optimal_cases_cover_every_mode_and_a_capped_tail():
+    for log2_rho, lam, eps, mode, capped in OPTIMAL_CASES:
+        rep = _optimal_report(log2_rho, lam, eps)
+        assert rep.mode == mode
+        assert (rep.strategy.turns[-1:] == (rep.strategy.terminal,)) == capped
+
+
+def _pricing_cases():
+    """(label, strategy, lam, Lam) for the bit-for-bit comparisons."""
+    cases = []
+    for log2_rho, lam, eps, _, _ in OPTIMAL_CASES:
+        s = _optimal_report(log2_rho, lam, eps).strategy
+        cases.append((f"optimal({log2_rho}, {lam}, {eps})", s, s.lambda_, s.terminal))
+    for lam, Lam in ((1.0, 10.0), (1.0, 1e300), (3.0, 3.0 * 2.0**40), (1e-300, 1e-10)):
+        for name in ("power_of_two", "f_infinity", "los_sqrt", "single_shot"):
+            cases.append((f"{name}({lam}, {Lam})", baselines(name, lam, Lam), lam, Lam))
+    runs = Strategy(turns=(2.0, 2.0, 5.0, 5.0, 5.0, 7.0), terminal=8.0, lambda_=1.0)
+    # Dips inside validate()'s slack (1e-9 of the terminal): below lambda,
+    # and below the turn before, also down to an earlier turn's value.
+    dips = Strategy(
+        turns=(1.0 - 5e-9, 2.0, 2.0 + 5e-9, 2.0, 3.0, 3.0 - 5e-9, 6.0, 6.0, 6.0 - 1e-9, 9.0),
+        terminal=10.0,
+        lambda_=1.0,
+    )
+    on_lambda = Strategy(turns=(1.0, 3.0), terminal=6.0, lambda_=1.0)
+    on_big_lambda = Strategy(turns=(2.0, 6.0), terminal=6.0, lambda_=1.0)
+    long_tail = Strategy(turns=(1.5, 2.0, 4.0, 8.0, 12.0), terminal=20.0, lambda_=1.0)
+    cases += [
+        ("equal-turn runs", runs, 1.0, 8.0),
+        ("equal-turn runs, lam on a run", runs, 5.0, 8.0),
+        ("dips", dips, 1.0, 10.0),
+        ("dips, lam inside", dips, 2.5, 10.0),
+        ("dips, lam inside a dip", dips, 2.0 + 2e-9, 10.0),
+        # The next turn is served past the dip, not from lam inside it.
+        ("a dip under lam", Strategy(turns=(4.0 + 5e-9, 4.0, 8.0), terminal=8.0, lambda_=1.0),
+         4.0 + 2e-9, 8.0),
+        ("lambda on a turn", on_lambda, 1.0, 6.0),
+        ("Lambda on a turn", on_big_lambda, 1.0, 6.0),
+        ("lam above the first turn", long_tail, 2.5, 20.0),
+        ("lam on a later turn", long_tail, 4.0, 20.0),
+        ("Lam below the terminal", long_tail, 1.0, 10.0),
+        ("lam = Lam", long_tail, 3.0, 3.0),
+        ("no turns", baselines("single_shot", 1.0, 7.0), 1.0, 7.0),
+        ("no turns, lam = Lam", baselines("single_shot", 2.0, 2.0), 2.0, 2.0),
+    ]
+    return cases
+
+
+PRICING_CASES = _pricing_cases()
+
+
+@pytest.mark.parametrize("label, s, lam, Lam", PRICING_CASES, ids=[c[0] for c in PRICING_CASES])
+def test_worst_case_ratio_is_the_loop_reference(label, s, lam, Lam):
+    report = worst_case_ratio(s, lam, Lam)
+    want = worst_case_ratio_loop(s.turns, s.terminal, lam, Lam)
+    assert (report.sup_ratio, report.argmax_interval, report.per_interval) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    head=st.floats(min_value=1.0 - 5e-10, max_value=3.0),
+    moves=st.lists(st.sampled_from(["same", "dip", "up", "up", "up"]), max_size=25),
+    steps=st.lists(st.floats(min_value=1.0, max_value=3.0), min_size=25, max_size=25),
+    lo=st.floats(min_value=0.0, max_value=1.0),
+    hi=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_worst_case_ratio_is_the_loop_reference_property(head, moves, steps, lo, hi):
+    turns, t = [], head
+    for move, step in zip(moves, steps):
+        turns.append(t)
+        if move == "dip":
+            t -= 1e-9 * step  # inside the slack of a terminal >= 3 * head
+        elif move == "up":
+            t *= step
+    terminal = max([*turns, 1.0]) * 3.0
+    s = Strategy(turns=tuple(turns), terminal=terminal, lambda_=1.0)
+    # A pricing range [lam, Lam] anywhere inside [lambda, terminal].
+    lam = terminal ** min(lo, hi)
+    Lam = terminal ** max(lo, hi)
+    report = worst_case_ratio(s, lam, Lam)
+    want = worst_case_ratio_loop(s.turns, s.terminal, lam, Lam)
+    assert (report.sup_ratio, report.argmax_interval, report.per_interval) == want
+
+
+@pytest.mark.parametrize("bound", [("Lambda", 1e308), ("log2_rho", 1023.5), ("log2_rho", 1023.89)])
+def test_top_of_double_range_prices_in_scaled_units(bound):
+    # Twice the sum of the turns overflows here, so the loop reference gives
+    # inf at the late breakpoints.  The package prices in units of a power
+    # of two: each ratio is that of the strategy scaled down by 2^-16, and
+    # every ratio the reference could give finitely is unchanged.
+    kind, value = bound
+    problem = (SearchProblem(1.0, value) if kind == "Lambda"
+               else SearchProblem.from_log2_rho(value))
+    rep = optimize(problem)
+    s = rep.strategy
+    report = worst_case_ratio(s)
+    assert abs(report.sup_ratio - rep.cr) <= rep.cr_error_bound
+    down = s.scaled(2.0**-16)
+    sup, best, entries = worst_case_ratio_loop(
+        down.turns, down.terminal, down.lambda_, down.terminal
+    )
+    assert (report.sup_ratio, report.argmax_interval) == (sup, best)
+    assert [r for _, r in report.per_interval] == [r for _, r in entries]
+    assert [bounds for bounds, _ in report.per_interval] == [
+        (lo * 2.0**16, hi * 2.0**16) for (lo, hi), _ in entries
+    ]
+    _, _, unscaled = worst_case_ratio_loop(s.turns, s.terminal, s.lambda_, s.terminal)
+    assert math.inf in [r for _, r in unscaled]
+    assert all(r == mine for (_, r), (_, mine) in zip(unscaled, report.per_interval)
+               if math.isfinite(r))
+    for points in (2, 1000, 100_000):
+        assert grid_sweep_ratio(s, points=points) == grid_ratio_pointwise(
+            down.turns, down.terminal, down.lambda_, down.terminal, points
+        )
 
 
 # --- the grid pricer against the point-by-point oracle -------------------------
@@ -255,6 +417,11 @@ def test_grid_is_pointwise_on_random_strategies():
 def test_grid_is_pointwise_on_optimal_strategies(log2_rho, eps):
     rep = optimize(SearchProblem.from_log2_rho(log2_rho, 1.5, eps))
     assert_grid_is_pointwise(rep.strategy, 1.5, rep.strategy.terminal)
+
+
+@pytest.mark.parametrize("label, s, lam, Lam", PRICING_CASES, ids=[c[0] for c in PRICING_CASES])
+def test_grid_is_pointwise_on_pricing_cases(label, s, lam, Lam):
+    assert_grid_is_pointwise(s, lam, Lam)
 
 
 def test_grid_is_pointwise_on_edges():
@@ -310,6 +477,22 @@ def test_grid_beyond_double_ratio():
     assert sup - 1e-3 <= grid_sweep_ratio(rep.strategy) <= sup + 1e-12
 
 
+def test_integer_bounds_price_as_their_floats():
+    # SearchProblem passes an int lambda through to the strategy; every
+    # pricer and the grid take int bounds as the floats they equal.
+    s = optimize(SearchProblem(1, 10)).strategy
+    f = optimize(SearchProblem(1.0, 10.0)).strategy
+    assert grid_sweep_ratio(s) == grid_sweep_ratio(f)
+    assert grid_sweep_ratio(s, 1, 8, 1000) == grid_sweep_ratio(f, 1.0, 8.0, 1000)
+    assert worst_case_ratio(s).sup_ratio == worst_case_ratio(f).sup_ratio
+    assert list(GeometricGrid(1, 8, 5)) == list(GeometricGrid(1.0, 8.0, 5))
+    assert GeometricGrid(1, 8, 5).first_above(3) == GeometricGrid(1.0, 8.0, 5).first_above(3.0)
+    for name in ("power_of_two", "f_infinity", "los_sqrt"):
+        turns = baselines(name, 1, 100).turns
+        assert turns == baselines(name, 1.0, 100.0).turns
+        assert all(type(t) is float for t in turns)
+
+
 # --- baselines -----------------------------------------------------------------
 
 
@@ -340,6 +523,12 @@ def test_baseline_los_sqrt():
 def test_baseline_unknown():
     with pytest.raises(ValueError):
         baselines("sqrt_of_two", 1.0, 10.0)
+
+
+@pytest.mark.parametrize("lam, Lam", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
+def test_baselines_need_a_finite_Lambda(lam, Lam):
+    with pytest.raises(ValueError, match="Lambda"):
+        baselines("power_of_two", lam, Lam)
 
 
 # --- property-based -------------------------------------------------------------
