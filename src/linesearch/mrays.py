@@ -18,7 +18,9 @@ that root system is open, so no solver is provided).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Sequence
+from itertools import accumulate
 
 from ._base import Record, set_field
 from .optimal import check_lambda
@@ -72,6 +74,8 @@ def feasible_b_interval(m: int, a: float) -> tuple[float, float]:
     """The closed interval of b values making f_{a,b} optimal."""
     if m < 2:
         raise ValueError(f"need at least 2 rays, got m={m}")
+    if not math.isfinite(a):
+        raise ValueError(f"slope a must be finite, got {a}")
     if a < 0.0:
         raise ValueError(f"slope a must be non-negative, got {a}")
     big_m = optimal_cost_coefficient(m)
@@ -89,6 +93,8 @@ class RayFamilyParams(Record):
         if m < 2:
             raise ValueError(f"need at least 2 rays, got m={m}")
         check_lambda(lambda_)
+        if not math.isfinite(b):
+            raise ValueError(f"offset b must be finite, got {b}")
         lo, hi = feasible_b_interval(m, a)
         tol = 1e-12 * max(1.0, hi)
         if not (lo - tol <= b <= hi + tol):
@@ -112,12 +118,21 @@ class RayFamilyParams(Record):
             half = i // 2
             return (self.a * i + self.b) * self.lambda_ * base**half * base ** (i - half)
 
+    def turns(self, count: int) -> list[float]:
+        """f(0) .. f(count - 1), each bit-identical to :meth:`f`, in one pass."""
+        a, b, lam, base = self.a, self.b, self.lambda_, growth_base(self.m)
+        try:
+            return [(a * i + b) * base**i * lam for i in range(count)]
+        except OverflowError:
+            f = self.f
+            return [f(i) for i in range(count)]
+
 
 def family_strategy(params: RayFamilyParams, count: int) -> list[float]:
     """First ``count`` turn distances of f_{a,b}."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    return [params.f(i) for i in range(count)]
+    return params.turns(count)
 
 
 def _accessor(f: Callable[[int], float] | Sequence[float]) -> Callable[[int], float]:
@@ -125,6 +140,38 @@ def _accessor(f: Callable[[int], float] | Sequence[float]) -> Callable[[int], fl
         return f
     seq = f
     return lambda i: seq[i]
+
+
+# mray_cost gives up on a strategy whose turn at this index is still <= D.
+_OVERTAKE_LIMIT = 10_000_001
+
+
+def _last_turn_at_most(fx: Callable[[int], float], d: float) -> int:
+    """The largest j with fx(j) <= d, given fx(0) <= d and nondecreasing turns.
+
+    Doubles an upper index until a turn exceeds d, then bisects between it
+    and the last index known to be <= d.  The doubling can probe past the
+    answer, so a turn too large to compute counts as exceeding d.
+    """
+
+    def at_most(i: int) -> bool:
+        try:
+            return fx(i) <= d
+        except OverflowError:
+            return False
+
+    lo, hi = 0, 1
+    while at_most(hi):
+        if hi >= _OVERTAKE_LIMIT:
+            raise ArithmeticError("strategy never overtakes the target distance")
+        lo, hi = hi, min(2 * hi, _OVERTAKE_LIMIT)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_most(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def mray_cost(
@@ -137,22 +184,19 @@ def mray_cost(
     2 sum_{i=0}^{j+m-1} f(i) + D.  For D below f(0) the searcher still
     clears the first m-1 rays.  At D = f(j) exactly this keeps the
     conservative limit-from-above value (the supremum convention) rather
-    than crediting the exact touch as a find.
+    than crediting the exact touch as a find.  The turns must be
+    nondecreasing: j is found by search, not by walking.
     """
     if m < 2:
         raise ValueError(f"need at least 2 rays, got m={m}")
     fx = _accessor(f)
     d = target.distance if isinstance(target, TargetSpec) else float(target)
-    if d <= 0.0:
-        raise ValueError(f"target distance must be positive, got {d}")
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"target distance must be positive and finite, got {d}")
     if fx(0) > d:
         total = sum(fx(i) for i in range(m - 1))
         return 2.0 * total + d
-    j = 0
-    while fx(j + 1) <= d:
-        j += 1
-        if j > 10_000_000:
-            raise ArithmeticError("strategy never overtakes the target distance")
+    j = _last_turn_at_most(fx, d) if callable(f) else bisect_right(f, d) - 1
     total = sum(fx(i) for i in range(j + m))
     return 2.0 * total + d
 
@@ -164,26 +208,33 @@ def breakpoint_ratios(
 
     Entry 0 is the D -> lam limit; entry j+1 the D -> f(j)+ limit.  Works
     for any increasing turn sequence, feasible or not, which is what makes
-    infeasibility observable as a ratio leaving the optimal band.  Raises
+    infeasibility observable as a ratio leaving the optimal band.  A
+    sequence must hold f(0) .. f(horizon + m - 2) at least.  Raises
     ValueError when the turns up to the horizon leave double range.
     """
+    _check_horizon(m, horizon)
+    count = horizon + m - 1
+    if callable(f):
+        try:
+            values = [f(i) for i in range(count)]
+        except OverflowError:
+            raise _horizon_overflow(horizon) from None
+    elif len(f) < count:
+        raise ValueError(f"horizon {horizon} needs {count} turns, got {len(f)}")
+    else:
+        values = f
+    # Half the cost sums: doubling is exact, so 2 s is the sum of the 2 f(i).
+    sums = list(accumulate(values[m - 1 : count], initial=sum(values[: m - 1])))
+    if not math.isfinite(2.0 * sums[-1]):
+        raise _horizon_overflow(horizon)
+    return [1.0 + 2.0 * s / v for s, v in zip(sums, [lam, *values])]
+
+
+def _check_horizon(m: int, horizon: int) -> None:
     if m < 2:
         raise ValueError(f"need at least 2 rays, got m={m}")
     if horizon < m:
         raise ValueError(f"horizon must be at least m={m}, got {horizon}")
-    fx = _accessor(f)
-    try:
-        values = [fx(i) for i in range(horizon + m - 1)]
-    except OverflowError:
-        raise _horizon_overflow(horizon) from None
-    acc = 2.0 * sum(values[: m - 1])
-    ratios = [1.0 + acc / lam]
-    for j in range(horizon):
-        acc += 2.0 * values[j + m - 1]
-        ratios.append(1.0 + acc / values[j])
-    if not math.isfinite(acc):
-        raise _horizon_overflow(horizon)
-    return ratios
 
 
 def _horizon_overflow(horizon: int) -> ValueError:
@@ -194,7 +245,12 @@ def _horizon_overflow(horizon: int) -> ValueError:
 
 def mray_breakpoint_ratios(params: RayFamilyParams, horizon: int) -> list[float]:
     """Breakpoint ratio suprema of a family member, up to f(horizon)."""
-    return breakpoint_ratios(params.f, params.m, params.lambda_, horizon)
+    _check_horizon(params.m, horizon)
+    try:
+        turns = params.turns(horizon + params.m - 1)
+    except OverflowError:
+        raise _horizon_overflow(horizon) from None
+    return breakpoint_ratios(turns, params.m, params.lambda_, horizon)
 
 
 def mray_worst_ratio(params: RayFamilyParams, horizon: int = 200) -> float:

@@ -2,7 +2,9 @@
 
 Inverting CR = 2 a0 + 1 gives a0 = (R - 1)/2 directly, the iteration count
 follows from which root bracket contains a0, and the reach is Lambda =
-p_n(a0) * lambda together with the witnessing strategy.
+p_n(a0) * lambda together with the witnessing strategy.  One pass of the
+turn recurrence gives p_0 .. p_n: the first n are the turn ratios and the
+last is the reach ratio.
 """
 
 from __future__ import annotations
@@ -11,7 +13,18 @@ import math
 
 from ._base import Record, set_field
 from .optimal import Strategy, check_lambda, expand_sequence
-from .polynomials import alpha, eval_p
+from .polynomials import alpha
+from .polynomials import eval_p  # noqa: F401  (the reference for p_n; benchmark tracing wraps reach.eval_p)
+
+# A budget landing exactly on a bracket edge belongs to the larger n; the
+# fuzz absorbs the few-ulp noise of the closed-form alphas.
+_EDGE_FUZZ = 8.0 * math.ulp(4.0)
+
+# In bracket n, p_n(a0) >= p_n(alpha_{n+1}) = (2 cos(pi/(n+3)))^(n+1) > 2^n, so
+# from n = 1024 on p_n leaves double range before lambda scales it.  Budgets
+# that far up are refused before the bracket search, which would otherwise
+# step through n one at a time (for ever once a0 is within the fuzz of 4).
+_FIRST_OVERFLOWING_A0 = alpha(1025) - _EDGE_FUZZ
 
 
 class UnboundedReachError(ValueError):
@@ -29,6 +42,8 @@ class ReachQuery(Record):
 
     def __init__(self, ratio: float, lambda_: float = 1.0) -> None:
         check_lambda(lambda_)
+        if math.isnan(ratio):
+            raise ValueError("ratio budget must be a number, got nan")
         if ratio < 3.0:
             raise InfeasibleRatioError(
                 f"ratio budget {ratio} is below 3, the cost of a known distance"
@@ -58,12 +73,9 @@ def _iterations_for(a0: float) -> int:
     """
     n = int(math.floor(math.pi / math.acos(math.sqrt(a0) / 2.0))) - 3
     n = max(n, 0)
-    # A budget landing exactly on a bracket edge belongs to the larger n;
-    # the fuzz absorbs the few-ulp noise of the closed-form alphas.
-    tol = 8.0 * math.ulp(4.0)
-    while n > 0 and a0 < alpha(n + 1) - tol:
+    while n > 0 and a0 < alpha(n + 1) - _EDGE_FUZZ:
         n -= 1
-    while a0 >= alpha(n + 2) - tol:
+    while a0 >= alpha(n + 2) - _EDGE_FUZZ:
         n += 1
     return n
 
@@ -71,11 +83,17 @@ def _iterations_for(a0: float) -> int:
 def maximal_reach(query: ReachQuery) -> ReachResult:
     """Largest Lambda coverable with competitive ratio <= query.ratio."""
     a0 = 0.5 * (query.ratio - 1.0)
+    if a0 >= _FIRST_OVERFLOWING_A0:
+        raise _overflow()
     n = _iterations_for(a0)
-    rho = eval_p(n, a0).to_float()
-    Lambda = rho * query.lambda_
+    lam = query.lambda_
+    ratios = expand_sequence(a0, n + 1)  # p_0 .. p_n
+    Lambda = ratios.pop() * lam
     if not math.isfinite(Lambda):
-        raise OverflowError("reach exceeds double range; raise the ratio margin below 9")
-    turns = tuple(r * query.lambda_ for r in expand_sequence(a0, n))
-    strategy = Strategy(turns=turns, terminal=Lambda, lambda_=query.lambda_)
+        raise _overflow()
+    strategy = Strategy(turns=[r * lam for r in ratios], terminal=Lambda, lambda_=lam)
     return ReachResult(Lambda=Lambda, n=n, strategy=strategy, a0=a0)
+
+
+def _overflow() -> OverflowError:
+    return OverflowError("reach exceeds double range; raise the ratio margin below 9")

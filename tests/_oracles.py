@@ -211,3 +211,37 @@ def mray_walk_cost(f, m: int, d: float, ray: int) -> float:
 
 def mray_worst_cost(f, m: int, d: float) -> float:
     return max(mray_walk_cost(f, m, d, r) for r in range(m))
+
+
+def mray_cost_scan(f, m: int, d: float) -> float:
+    """m-ray worst-case cost at D by walking j up turn by turn.
+
+    f is a callable or a sequence.  With f(j) <= D < f(j+1), the cost is
+    2 (f(0) + ... + f(j+m-1)) + D; below f(0) it is 2 (f(0) + ... + f(m-2))
+    + D.  At D = f(j) exactly, j is the touched turn (the supremum
+    convention).
+    """
+    fx = f if callable(f) else f.__getitem__
+    if fx(0) > d:
+        return 2.0 * sum(fx(i) for i in range(m - 1)) + d
+    j = 0
+    while fx(j + 1) <= d:
+        j += 1
+    return 2.0 * sum(fx(i) for i in range(j + m)) + d
+
+
+def breakpoint_ratios_loop(values, m: int, lam: float, horizon: int) -> list[float]:
+    """The m-ray breakpoint ratios, with cost sums accumulated as acc += 2 v.
+
+    values holds f(0) .. f(horizon + m - 2).  Entry 0 is 1 + 2 (f(0) + ...
+    + f(m-2)) / lam; entry j + 1 adds 2 f(j + m - 1) to that sum and divides
+    by f(j).  Raises ValueError when the last sum is not finite.
+    """
+    acc = 2.0 * sum(values[: m - 1])
+    ratios = [1.0 + acc / lam]
+    for j in range(horizon):
+        acc += 2.0 * values[j + m - 1]
+        ratios.append(1.0 + acc / values[j])
+    if not math.isfinite(acc):
+        raise ValueError("cost sums overflow a double")
+    return ratios

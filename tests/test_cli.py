@@ -169,6 +169,12 @@ def test_reach_unbounded(capsys):
     assert "unbounded" in err
 
 
+def test_reach_nan_ratio_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "reach", "--ratio", "nan")
+    assert code == 1 and out == ""
+    assert err == "error: ratio budget must be a number, got nan\n"
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -293,6 +299,21 @@ def test_mray_infeasible(capsys):
     assert code == 1
     assert rec["results"]["feasible"] is False
     assert rec["results"]["b_interval"] == [1.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "ab, message",
+    [
+        (("nan", "1"), "slope a must be finite, got nan"),
+        (("inf", "1"), "slope a must be finite, got inf"),
+        (("0", "nan"), "offset b must be finite, got nan"),
+        (("0", "-inf"), "offset b must be finite, got -inf"),
+    ],
+)
+def test_mray_non_finite_parameters_are_one_error_line(capsys, ab, message):
+    code, out, err = run_cli(capsys, "mray", "--m", "2", f"--a={ab[0]}", f"--b={ab[1]}")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # --- process-level behaviour -------------------------------------------------------

@@ -1,7 +1,10 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
-from linesearch import cli
+from linesearch import cli, mrays
 from linesearch.mrays import (
     ALPHA_TABLE,
     InfeasibleParamsError,
@@ -21,7 +24,7 @@ from linesearch.mrays import (
 from linesearch.polynomials import alpha, eval_p
 from linesearch.simulate import baselines, cost
 
-from _oracles import mray_worst_cost
+from _oracles import breakpoint_ratios_loop, mray_cost_scan, mray_worst_cost
 
 
 # --- family ------------------------------------------------------------------
@@ -95,6 +98,54 @@ def test_mray_cost_matches_walk_oracle():
 
 def test_mray_cost_accepts_sequence():
     assert mray_cost([1.0, 2.0, 4.0, 8.0, 16.0], 2, 5.0) == 35.0
+
+
+def _cost_distances(turns):
+    """Every turn, the doubles on either side of it, and points below f(0)."""
+    ds = [turns[0] / 2.0, math.nextafter(turns[0], 0.0)]
+    for t in turns:
+        ds += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+    return ds
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_mray_cost_search_is_the_scan(m):
+    rng = random.Random(m)
+    for _ in range(6):
+        a = mrays.limit_family_params(m).a * rng.random()
+        lo, hi = feasible_b_interval(m, a)
+        params = RayFamilyParams(m, a, lo + (hi - lo) * rng.random(), 2.0 ** rng.uniform(-20, 20))
+        seq = params.turns(60 + m)
+        for d in _cost_distances(seq[:60]):
+            want = mray_cost_scan(params.f, m, d)
+            assert mray_cost(params.f, m, d) == want, (m, d)
+            assert mray_cost(seq, m, d) == mray_cost_scan(seq, m, d) == want, (m, d)
+    # Equal turns: the last of a run of ties is the touched one.
+    flat = [1.0, 2.0, 2.0, 2.0, 5.0, 5.0, 9.0, 9.0, 9.0, 12.0] + [20.0 + i for i in range(10)]
+    for d in _cost_distances(flat[:10]):
+        assert mray_cost(flat, m, d) == mray_cost_scan(flat, m, d), d
+        assert mray_cost(flat.__getitem__, m, d) == mray_cost_scan(flat, m, d), d
+
+
+def test_mray_cost_gives_up_on_turns_that_never_overtake_quickly():
+    with pytest.raises(ArithmeticError, match="never overtakes"):
+        mray_cost(lambda i: 1.0, 2, 2.0)
+    with pytest.raises(ArithmeticError, match="never overtakes"):
+        mray_cost(lambda i: 1.0 + i * 1e-10, 3, 5.0)
+
+
+def test_mray_cost_counts_an_overflowing_probe_as_past_the_target():
+    # The doubling probes f(2048), whose powers overflow even halved; the scan
+    # never reaches it.
+    params = RayFamilyParams(2, 0.0, 1.0, lambda_=1e-300)
+    d = params.f(1500) * 1.5
+    assert mray_cost(params.f, 2, d) == mray_cost_scan(params.f, 2, d)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_mray_cost_refuses_non_finite_or_non_positive_distances(d):
+    with pytest.raises(ValueError, match="positive and finite"):
+        mray_cost(lambda i: 2.0**i, 2, d)
 
 
 # --- worst ratio -----------------------------------------------------------------
@@ -182,6 +233,85 @@ def test_small_lambda_keeps_horizons_past_the_power_overflow(capsys):
     assert cli.main(argv) == 0
     out, err = capsys.readouterr()
     assert err == "" and '"worst_ratio": 9.0000000000000000e+00' in out
+
+
+def _family_cases():
+    rng = random.Random(7)
+    cases = [RayFamilyParams(2, 2.0, 4.0), RayFamilyParams(2, 0.0, 1.0, lambda_=1e-100)]
+    for k in range(60):
+        m = 2 + k % 7
+        a = mrays.limit_family_params(m).a * rng.random()
+        lo, hi = feasible_b_interval(m, a)
+        lam = rng.choice([1.0, 1e-100, 1e-300, 2.0**-1022, 1e100, 2.0 ** rng.uniform(-1000, 1000)])
+        cases.append(RayFamilyParams(m, a, lo + (hi - lo) * rng.random(), lambda_=lam))
+    return cases
+
+
+def test_turns_are_f_bit_for_bit():
+    for params in _family_cases():
+        for count in (1, 9, 300, 1100):
+            assert params.turns(count) == [params.f(i) for i in range(count)], (params, count)
+    # Past i = 1024 the powers overflow and f halves them; turns takes the same path.
+    params = RayFamilyParams(2, 0.0, 1.0, lambda_=1e-100)
+    assert params.turns(1400) == [params.f(i) for i in range(1400)]
+    assert params.turns(1400)[1100] == 2.0**550 * 1e-100 * 2.0**550
+    with pytest.raises(OverflowError):
+        params.turns(2100)
+
+
+def test_breakpoint_ratios_are_the_loop_reference():
+    for params in _family_cases():
+        m, lam = params.m, params.lambda_
+        for horizon in (m, 40, 200, 1000, 1100):
+            try:
+                values = [params.f(i) for i in range(horizon + m - 1)]
+            except OverflowError:
+                continue
+            try:
+                want = breakpoint_ratios_loop(values, m, lam, horizon)
+            except ValueError:
+                for f in (values, params.f):
+                    with pytest.raises(ValueError, match="too large"):
+                        breakpoint_ratios(f, m, lam, horizon)
+                with pytest.raises(ValueError, match="too large"):
+                    mray_breakpoint_ratios(params, horizon)
+                continue
+            assert breakpoint_ratios(values, m, lam, horizon) == want, (params, horizon)
+            assert breakpoint_ratios(params.f, m, lam, horizon) == want, (params, horizon)
+            assert mray_breakpoint_ratios(params, horizon) == want, (params, horizon)
+    # Turns outside the family, callable and listed, including ties.
+    flat = [1.0, 1.0, 3.0, 3.0, 3.0, 8.0, 20.0, 20.0, 50.0, 51.0]
+    for m in (2, 3, 4):
+        horizon = len(flat) - m + 1
+        want = breakpoint_ratios_loop(flat, m, 0.5, horizon)
+        assert breakpoint_ratios(flat, m, 0.5, horizon) == want
+        assert breakpoint_ratios(flat.__getitem__, m, 0.5, horizon) == want
+
+
+def test_breakpoint_ratios_need_every_turn_of_the_horizon():
+    with pytest.raises(ValueError, match="needs 11 turns, got 10"):
+        breakpoint_ratios([2.0**i for i in range(10)], 2, 1.0, 10)
+
+
+def test_family_pricing_calls_no_method_per_turn(monkeypatch):
+    def refuse(self, i):
+        raise AssertionError("RayFamilyParams.f called")
+
+    expected = mray_worst_ratio(RayFamilyParams(5, 0.1, 1.2), 200)
+    monkeypatch.setattr(RayFamilyParams, "f", refuse)
+    assert mray_worst_ratio(RayFamilyParams(5, 0.1, 1.2), 200) == expected
+    assert family_strategy(RayFamilyParams(2, 0.0, 1.0), 4) == [1.0, 2.0, 4.0, 8.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_family_parameters_are_refused(bad):
+    with pytest.raises(ValueError, match="slope a must be finite") as exc:
+        feasible_b_interval(2, bad)
+    assert type(exc.value) is ValueError
+    for a, b in ((bad, 1.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="must be finite") as exc:
+            RayFamilyParams(2, a, b)
+        assert type(exc.value) is ValueError
 
 
 # --- multivariate recurrence ------------------------------------------------------
