@@ -46,6 +46,10 @@ def _fmt_float(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+# What json.dumps does with a str, without its per-call set-up.
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps_record(obj: object, indent: int = 0) -> str:
     """JSON text with floats at full precision (17 significant digits)."""
     pad = "  " * indent
@@ -53,7 +57,8 @@ def dumps_record(obj: object, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{pad}  {json.dumps(str(k))}: {dumps_record(v, indent + 1)}'
+            f'{pad}  {_quote(str(k))}: '
+            f'{_fmt_float(v) if type(v) is float else dumps_record(v, indent + 1)}'
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
@@ -79,7 +84,7 @@ def dumps_record(obj: object, indent: int = 0) -> str:
         return str(obj)
     if obj is None:
         return "null"
-    return json.dumps(str(obj))
+    return _quote(str(obj))
 
 
 def parse_record(text: str) -> dict:
@@ -210,7 +215,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     strategy = report.strategy
     wcr = simulate.worst_case_ratio(strategy, problem.lambda_, problem.Lambda)
     grid = simulate.grid_sweep_ratio(strategy, problem.lambda_, problem.Lambda, grid_points)
-    sups = [s for (_, s) in wcr.per_interval]
+    sups = wcr.interval_sups
     base_ratios = {}
     for name in ("power_of_two", "f_infinity", "los_sqrt", "single_shot"):
         b = simulate.baselines(name, problem.lambda_, problem.Lambda)
@@ -221,7 +226,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
         equalized = True  # approximation mode does not promise equalized intervals
         consistent = abs(wcr.sup_ratio - report.cr) <= report.cr_error_bound + rel
     else:
-        equalized = max(sups) - min(sups) <= rel
+        equalized = wcr.sup_ratio - min(sups) <= rel  # the sup is the largest of sups
         consistent = abs(wcr.sup_ratio - report.cr) <= rel
     # An infinite ratio satisfies both comparisons (inf - 1e-3 <= inf) yet
     # bounds nothing, so these two checks need a finite ratio to pass (a

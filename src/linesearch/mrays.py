@@ -66,8 +66,12 @@ def growth_base(m: int) -> float:
 
 
 def optimal_cost_coefficient(m: int) -> float:
-    """M = m^m / (m-1)^(m-1); the optimal unbounded ratio is 1 + 2M."""
-    return m**m / (m - 1.0) ** (m - 1)
+    """M = m^m / (m-1)^(m-1); the optimal unbounded ratio is 1 + 2M.
+
+    Taken as m (m/(m-1))^(m-1) in floats, so no power of m leaves double
+    range; for m <= 15 this is bit for bit the quotient of the two powers.
+    """
+    return m * math.exp((m - 1) * math.log1p(1.0 / (m - 1)))
 
 
 def feasible_b_interval(m: int, a: float) -> tuple[float, float]:

@@ -77,11 +77,18 @@ class SearchProblem(Record):
         if log2_rho < 0.0:
             raise ValueError(f"log2_rho must be non-negative, got {log2_rho}")
         check_lambda(lambda_)
-        if log2_rho + math.log2(lambda_) >= 1023.9:
+        if log2_rho < 1024.0:
+            Lambda = lambda_ * 2.0**log2_rho
+        else:
+            # 2.0**log2_rho would raise, yet a lambda below 1 can bring Lambda
+            # back into range.  The doublings after the first factor are exact
+            # up to overflow, and past 2047 any normal lambda overflows.
+            Lambda = lambda_ * 2.0 ** (min(log2_rho, 2047.0) - 1024.0) * 2.0**1023 * 2.0
+        if Lambda == math.inf:
             raise OverflowError(
                 "Lambda exceeds double range; turn distances cannot be materialized"
             )
-        return cls(lambda_=lambda_, Lambda=lambda_ * 2.0**log2_rho, epsilon=epsilon)
+        return cls(lambda_=lambda_, Lambda=Lambda, epsilon=epsilon)
 
 
 class Strategy(Record):

@@ -11,19 +11,21 @@ first of them can carry that run's largest ratio.
 Each O(n) pass (validation, prefix sums, breakpoints, the grid points that
 open each run, the baselines' turns) is a few C-level passes: ``accumulate``,
 ``bisect``, ``map``/``zip`` and comprehensions, not a statement per turn.  At
-n = 995 that puts ``worst_case_ratio`` at about 0.4 ms, ``grid_sweep_ratio``
-at about 1 ms (two ``exp`` and one ``log`` per run) and each baseline at
-about 0.1-0.3 ms to build, on a 2-CPU machine.  Where twice the sum of the
-reaches would overflow, both pricers work in units of an exact power of two.
+n = 995 on a 2-CPU machine (CPython 3.11) that puts ``worst_case_ratio`` at
+about 0.2-0.25 ms, plus about 0.1 ms if its per-interval table is read,
+``grid_sweep_ratio`` at about 1 ms (one ``log`` and two ``exp`` per run), and
+each baseline at about 0.07-0.18 ms to build and 0.25 ms to price.  Where
+twice the sum of the reaches would overflow, both pricers work in units of an
+exact power of two.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
-from itertools import accumulate, compress, repeat
-from operator import lt, mul
+from collections.abc import Iterable, Sequence
+from itertools import accumulate, repeat
+from operator import le, lt, mul
 
 from ._base import Record, set_field
 from .optimal import Strategy
@@ -53,7 +55,13 @@ class TargetSpec(Record):
 
 
 class RatioReport(Record):
-    """Per-interval suprema of cost/distance and their overall maximum."""
+    """Per-interval suprema of cost/distance and their overall maximum.
+
+    ``per_interval`` pairs each interval (lower end, upper end) with its
+    supremum.  :func:`worst_case_ratio` hands over the parts it is made of,
+    and the table is built on first read: a caller that reads only
+    ``sup_ratio`` or ``interval_sups`` never pays for its n pairs of pairs.
+    """
 
     __slots__ = ("sup_ratio", "argmax_interval", "per_interval")
 
@@ -65,7 +73,39 @@ class RatioReport(Record):
     ) -> None:
         set_field(self, "sup_ratio", sup_ratio)
         set_field(self, "argmax_interval", argmax_interval)
-        set_field(self, "per_interval", per_interval)
+        _TABLE.__set__(self, per_interval)  # the table, or the _Intervals it is built from
+
+    @property
+    def interval_sups(self) -> tuple[float, ...]:
+        """The suprema of ``per_interval`` in order, read without building it."""
+        table = _TABLE.__get__(self)
+        return tuple(table.sups if type(table) is _Intervals else [s for _, s in table])
+
+
+class _Intervals:
+    """The breakpoints in [lam, Lam) and the suprema a per-interval table pairs."""
+
+    __slots__ = ("lam", "breaks", "Lam", "sups")
+
+    def __init__(self, lam: float, breaks: Sequence[float], Lam: float, sups: list[float]) -> None:
+        self.lam, self.breaks, self.Lam, self.sups = lam, breaks, Lam, sups
+
+
+def _per_interval(report: RatioReport) -> tuple[tuple[tuple[float, float], float], ...]:
+    """((lower, upper), supremum) per interval, built on first read."""
+    parts = _TABLE.__get__(report)
+    if type(parts) is not _Intervals:
+        return parts
+    lam, breaks, ends = parts.lam, parts.breaks, [*parts.breaks, parts.Lam]
+    # A breakpoint on lam ends the first interval where the next one does.
+    first_hi = ends[1] if breaks and breaks[0] == lam else ends[0]
+    table = tuple(zip([(lam, first_hi), *zip(breaks, ends[1:])], parts.sups))
+    _TABLE.__set__(report, table)
+    return table
+
+
+_TABLE = RatioReport.per_interval  # the slot, which the property below reads and fills
+RatioReport.per_interval = property(_per_interval)
 
 
 def _distance_of(target: TargetSpec | float) -> float:
@@ -171,40 +211,33 @@ def worst_case_ratio(
     The breakpoints are the distinct turns in [lam, Lam), and the first turn
     above b serves every D just above it, at cost 2 S + D with S the sum of
     the reaches through that turn.  These closed forms make the verifier
-    exact.  For nondecreasing turns the breakpoints are one slice of the
-    turns and the serving turn is the next one, so pricing is a few
-    C-level passes; turns that dip (within ``validate``'s slack) are served
-    by a bisection of their running maximum.  That bisection would serve
-    nondecreasing turns too, but the running maximum and one bisection per
-    breakpoint cost several times the slice (about 0.5 ms against 0.1 ms at
-    n = 1 000), and every strategy the package builds is nondecreasing.
+    exact.  Where the turns below Lam strictly increase and none after them
+    falls below Lam (every strategy the package builds), the breakpoints
+    are one slice of the turns and each is served by the next turn, so
+    pricing is a few C-level passes.  Otherwise (equal turns below Lam, or
+    turns that dip within ``validate``'s slack) the breakpoints are sorted
+    out of the turns and each is served by a bisection of their running
+    maximum, about 0.4-0.6 ms more than the slice at n = 995.
     """
     lam, Lam = _checked_bounds(strategy, lam, Lam)
     sums, scale = _reach_sums(strategy, lam)
     turns = strategy.turns
-    ordered = sorted(turns)
-    lo, hi = bisect_left(ordered, lam), bisect_left(ordered, Lam)
-    inner = ordered[lo:hi]
-    last_of_run = list(map(lt, inner, [*inner[1:], Lam]))  # one breakpoint per distinct turn
-    breaks = list(compress(inner, last_of_run))
-    if ordered == list(turns):
-        first = lo  # the first turn reaching lam
-        served = list(compress(sums[lo + 1 : hi + 1], last_of_run))
+    # On any tuple, turns[hi - 1] < Lam <= turns[hi] where those exist.
+    hi = bisect_left(turns, Lam)
+    head = turns[:hi]
+    if all(map(lt, head, head[1:])) and min(turns[hi:], default=Lam) >= Lam:
+        lo = bisect_left(head, lam)
+        first, breaks, served = lo, head[lo:], sums[lo + 1 : hi + 1]
     else:
+        breaks = sorted({t for t in turns if lam <= t < Lam})
         peaks = list(accumulate(turns, max))
         first = bisect_left(peaks, lam)
         served = [sums[bisect_right(peaks, b)] for b in breaks]
-    ends = [*breaks, Lam]
-    first_hi = ends[1] if breaks and breaks[0] == lam else ends[0]
     ratios = [
         2.0 * s / (d * scale) + 1.0 for s, d in zip([sums[first], *served], [lam, *breaks])
     ]
     sup = max(ratios)
-    return RatioReport(
-        sup_ratio=sup,
-        argmax_interval=ratios.index(sup),
-        per_interval=tuple(zip([(lam, first_hi), *zip(breaks, ends[1:])], ratios)),
-    )
+    return RatioReport(sup, ratios.index(sup), _Intervals(lam, breaks, Lam, ratios))
 
 
 class GeometricGrid(Sequence):
@@ -229,17 +262,19 @@ class GeometricGrid(Sequence):
     def __getitem__(self, k: int) -> float:
         if not 0 <= k < self.points:
             raise IndexError(k)
-        return self._points_at([k])[0]
+        if k == 0:
+            return self.lo
+        if k == self.points - 1:
+            return self.hi
+        return self._inner_points((k,))[0]
 
-    def _points_at(self, ks: list[int]) -> list[float]:
-        """The points d_k for ks, each 0 <= k < len(self), in C-level passes."""
-        lo, hi, last, exp = self.lo, self.hi, self.points - 1, math.exp
-        times_step = self.step.__mul__
+    def _inner_points(self, ks: Iterable[int], shift: int = 0) -> list[float]:
+        """d_{k + shift} for ks, each 0 < k + shift < len(self) - 1: the formula capped at hi."""
+        lo, hi, step, exp = self.lo, self.hi, self.step, math.exp
         if self._scaled:
-            raw = map(mul, repeat(lo), map(exp, map(times_step, ks)))
-        else:
-            raw = map(exp, map(self._log_lo.__add__, map(times_step, ks)))
-        return [d if 0 < k < last and d < hi else lo if k == 0 else hi for k, d in zip(ks, raw)]
+            return [d if (d := lo * exp(step * (k + shift))) < hi else hi for k in ks]
+        log_lo = self._log_lo
+        return [d if (d := exp(log_lo + step * (k + shift))) < hi else hi for k in ks]
 
     def first_above(self, b: float) -> tuple[int, float]:
         """(k, d_k) for the smallest k with d_k > b; (len, inf) if there is none.
@@ -267,23 +302,27 @@ def _first_points_above(grid: GeometricGrid, bounds: list[float]) -> list[float]
     """The point ``grid.first_above(b)`` finds for each of the nondecreasing bounds.
 
     The list stops before the first b with no point above it.  Below lo the
-    point is lo, and from hi on there is none.  Between them,
-    each k is guessed from ln(b/lo)/step as ``first_above`` guesses it, and
-    the guess stands only where d_{k-1} <= b < d_k; ``first_above`` settles
-    the rest point by point.
+    point is lo, and from hi on there is none.  Between them, each k is
+    guessed from ln(b/lo)/step as ``first_above`` guesses it: at least 1, as
+    b >= lo.  The guesses grow with b, and from the first one at or past the
+    last index on, k is the last index and d_k is hi.  A guess stands only
+    where d_{k-1} <= b < d_k; ``first_above`` settles the rest point by point.
     """
     start, stop = bisect_left(bounds, grid.lo), bisect_left(bounds, grid.hi)
     mid = bounds[start:stop]
-    last, step, log_lo = grid.points - 1, grid.step, grid._log_lo
-    guesses = [(lb - log_lo) / step + 1.0 for lb in map(math.log, mid)] if step > 0.0 else []
-    cut = bisect_left(guesses, last)  # the guesses grow with b; from here on k = last
-    ks = [*map(int, guesses[:cut]), *repeat(last, len(mid) - cut)]
-    above = grid._points_at(ks)
-    below = grid._points_at([k - 1 for k in ks])
-    checked = [
-        d if prev <= b < d else grid.first_above(b)[1] for b, d, prev in zip(mid, above, below)
-    ]
-    return [grid.lo] * start + checked
+    last, step, log_lo = grid.points - 1, grid.step, grid._log_lo  # step > 0 wherever mid is not empty
+    guesses = [(lb - log_lo) / step + 1.0 for lb in map(math.log, mid)]
+    cut = bisect_left(guesses, last)
+    ks = list(map(int, guesses[:cut]))
+    tail = len(mid) - cut
+    above = [*grid._inner_points(ks), *repeat(grid.hi, tail)]
+    # At k - 1 = 0 the formula may miss lo by an ulp (when hi/lo overflows);
+    # as d_0 = lo <= b, that can only send the run to first_above.
+    below = [*grid._inner_points(ks, -1), *repeat(grid[last - 1], tail)]
+    if not (all(map(le, below, mid)) and all(map(lt, mid, above))):
+        above = [d if prev <= b < d else grid.first_above(b)[1]
+                 for b, d, prev in zip(mid, above, below)]
+    return [grid.lo] * start + above
 
 
 def grid_sweep_ratio(
@@ -309,8 +348,12 @@ def grid_sweep_ratio(
     sums, scale = _reach_sums(strategy, lam)
     turns = strategy.turns
     reach = [*turns, strategy.terminal]
-    # Run j's first point lies above every earlier reach.
-    peaks = [-math.inf, *accumulate(turns, max)]
+    # Run j's first point lies above every earlier reach: above the turn
+    # before it, when the turns do not decrease.
+    if all(map(le, turns, turns[1:])):
+        peaks = [-math.inf, *turns]
+    else:
+        peaks = [-math.inf, *accumulate(turns, max)]
     firsts = _first_points_above(GeometricGrid(lam, Lam, points), peaks)
     priced = [2.0 * s / (d * scale) + 1.0 for s, d, r in zip(sums, firsts, reach) if d <= r]
     if len(firsts) == len(reach):  # the terminal serves every point past it

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,26 @@ def test_verify_at_the_top_of_double_range_prints_a_record(capsys, bound):
     assert all(rec["results"]["checks"].values())
 
 
+@pytest.mark.parametrize("log2_rho", ["1023.9", "1023.99"])
+def test_log2_rho_up_to_double_range_prints_a_record(capsys, log2_rho):
+    # Lambda = 2^log2_rho is finite, so both commands print a record.
+    code, out, err = run_cli(capsys, "optimal", "--log2-rho", log2_rho)
+    assert code == 0, err
+    assert parse_record(out)["results"]["n"] == 1022
+    code, out, err = run_cli(capsys, "verify", "--log2-rho", log2_rho, "--grid-points", "1000")
+    assert code == 0, err
+    rec = parse_record(out)
+    assert rec["inputs"]["Lambda"] == 2.0 ** float(log2_rho)
+    assert all(rec["results"]["checks"].values())
+
+
+@pytest.mark.parametrize("command", ["optimal", "verify"])
+def test_log2_rho_past_double_range_is_one_error_line(capsys, command):
+    code, out, err = run_cli(capsys, command, "--log2-rho", "1024")
+    assert code == 1 and out == ""
+    assert err == "error: Lambda exceeds double range; turn distances cannot be materialized\n"
+
+
 def test_verify_sweep_to_the_top_of_double_range(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--sweep", "--rho-min", "1e300", "--rho-max", "1.7e308",
@@ -314,6 +335,23 @@ def test_mray_non_finite_parameters_are_one_error_line(capsys, ab, message):
     code, out, err = run_cli(capsys, "mray", "--m", "2", f"--a={ab[0]}", f"--b={ab[1]}")
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("m", [144, 200, 300_000])
+def test_mray_many_rays_print_a_record_or_one_error_line(capsys, m):
+    # M = m^m / (m-1)^(m-1) is about e m: no power of m is formed.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mray", "--m", str(m), "--a", "0", "--b", "1")
+    assert time.perf_counter() - start < 0.5
+    if m < 300_000:
+        assert code == 0, err
+        rec = parse_record(out)
+        assert rec["results"]["feasible"] is True
+        assert rec["results"]["bound_upper"] == pytest.approx(1.0 + 2.0 * math.e * (m - 0.5), rel=1e-4)
+        assert rec["results"]["worst_ratio"] <= rec["results"]["bound_upper"]
+    else:
+        assert code == 1 and out == ""
+        assert err == f"error: horizon must be at least m={m}, got 200\n"
 
 
 # --- process-level behaviour -------------------------------------------------------

@@ -148,6 +148,31 @@ def test_problem_log2_constructor():
         SearchProblem.from_log2_rho(1030.0)
 
 
+@pytest.mark.parametrize(
+    "log2_rho, lam, Lam",
+    [
+        (1023.99, 1.0, 2.0**1023.99),
+        (1023.999999, 1.0, 2.0**1023.999999),
+        # 2.0**log2_rho alone would overflow; lambda brings Lambda back.
+        (1024.5, 0.5, 2.0**1023.5),
+        (2045.0, 2.0**-1022, 2.0**1023),
+        (2045.75, 2.0**-1022, 2.0**1023.75),
+    ],
+)
+def test_problem_log2_constructor_up_to_double_range(log2_rho, lam, Lam):
+    assert SearchProblem.from_log2_rho(log2_rho, lambda_=lam).Lambda == Lam
+
+
+@pytest.mark.parametrize(
+    "log2_rho, lam",
+    [(1024.0, 1.0), (1025.0, 0.5), (2046.0, 2.0**-1022), (2047.5, 2.0**-1022), (1e300, 1.0),
+     (math.inf, 2.0**-1022)],
+)
+def test_problem_log2_constructor_refuses_an_infinite_Lambda(log2_rho, lam):
+    with pytest.raises(OverflowError, match="Lambda exceeds double range"):
+        SearchProblem.from_log2_rho(log2_rho, lambda_=lam)
+
+
 def test_problem_rejects_subnormal_lambda():
     smallest_normal = sys.float_info.min
     for lam in (5e-324, 1e-315, smallest_normal * (1.0 - 2.0**-52)):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linesearch import simulate
 from linesearch.optimal import SearchProblem, Strategy, optimize
 from linesearch.simulate import (
     GeometricGrid,
     IncompleteStrategyError,
+    RatioReport,
     TargetSpec,
     UnreachableTargetError,
     baselines,
@@ -382,6 +385,109 @@ def test_top_of_double_range_prices_in_scaled_units(bound):
         assert grid_sweep_ratio(s, points=points) == grid_ratio_pointwise(
             down.turns, down.terminal, down.lambda_, down.terminal, points
         )
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """The slow branches a pricing call takes, read off helpers only they call.
+
+    "running max": a pricer takes the running maximum of the turns, as
+    worst_case_ratio does off its slice and grid_sweep_ratio for dipping turns.
+    "first_above": the grid settles a run's first point point by point.
+    """
+    seen = set()
+    accumulate = simulate.accumulate
+
+    def spy(*args, **kwargs):
+        if max in args[1:2] or kwargs.get("func") is max:
+            seen.add("running max")
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "accumulate", spy)
+    first_above = GeometricGrid.first_above
+    monkeypatch.setattr(
+        GeometricGrid, "first_above", lambda grid, b: seen.add("first_above") or first_above(grid, b)
+    )
+    return seen
+
+
+_ON_GRID = GeometricGrid(1.0, 8.0, 1000)[21]  # its guess is 21.99999...: k = 21 fails the check
+_TAIL = Strategy(turns=(1.5, 2.0, 4.0, 8.0, 12.0), terminal=20.0, lambda_=1.0)
+
+# (label, strategy, lam, Lam, grid points, branches of worst_case_ratio, of grid_sweep_ratio)
+BRANCH_CASES = [
+    ("optimal, n = 999", _optimal_report(999.5, 1.0, 1e-9).strategy, None, None, 100_000,
+     set(), set()),
+    ("optimal, capped at Lambda", _optimal_report(71.0, 1.0, 1e-3).strategy, None, None, 1000,
+     set(), set()),
+    ("strictly increasing, lam and Lam on turns", _TAIL, 2.0, 8.0, 1000, set(), set()),
+    ("strictly increasing, lam = Lam on a turn", _TAIL, 4.0, 4.0, 2, set(), set()),
+    ("equal turns from Lam on", Strategy(turns=(1.5, 3.0, 6.0, 6.0), terminal=6.0, lambda_=1.0),
+     1.0, 6.0, 1000, set(), set()),
+    ("an equal-turn run below Lam",
+     Strategy(turns=(1.5, 3.0, 3.0, 6.0), terminal=8.0, lambda_=1.0), 1.0, 8.0, 1000,
+     {"running max"}, set()),
+    ("a dip below Lam",
+     Strategy(turns=(1.5, 3.0, 3.0 - 5e-9, 6.0), terminal=8.0, lambda_=1.0), 1.0, 8.0, 1000,
+     {"running max"}, {"running max"}),
+    ("a dip after Lam",
+     Strategy(turns=(2.0, 5.0, 8.0, 8.0 - 5e-9), terminal=8.0, lambda_=1.0), 1.0, 8.0, 1000,
+     {"running max"}, {"running max"}),
+    ("a turn on a grid point", Strategy(turns=(_ON_GRID,), terminal=1e3, lambda_=1.0),
+     1.0, 8.0, 1000, set(), {"first_above"}),
+]
+
+
+@pytest.mark.parametrize(
+    "label, s, lam, Lam, points, wcr_branches, grid_branches", BRANCH_CASES,
+    ids=[c[0] for c in BRANCH_CASES],
+)
+def test_each_branch_is_the_loop_reference(
+    branches, label, s, lam, Lam, points, wcr_branches, grid_branches
+):
+    lo = s.lambda_ if lam is None else lam
+    hi = s.terminal if Lam is None else Lam
+    want = RatioReport(*worst_case_ratio_loop(s.turns, s.terminal, lo, hi))
+    want_grid = grid_ratio_pointwise(s.turns, s.terminal, lo, hi, points)
+    report = worst_case_ratio(s, lam, Lam)
+    assert branches == wcr_branches
+    # The suprema come straight from the parts; the table is built on first read.
+    assert report.interval_sups == tuple(r for _, r in want.per_interval)
+    assert report.per_interval == want.per_interval
+    assert report == want and hash(report) == hash(want)
+    branches.clear()
+    assert grid_sweep_ratio(s, lam, Lam, points) == want_grid
+    assert branches == grid_branches
+
+
+def test_scaled_units_take_the_slice(branches):
+    # At Lambda = 1e308 twice the sum of the reaches overflows: both pricers
+    # work in units of 2^-16, on the same branches as unscaled turns.
+    s = optimize(SearchProblem(1.0, 1e308)).strategy
+    down = s.scaled(2.0**-16)
+    sup, best, entries = worst_case_ratio_loop(down.turns, down.terminal, down.lambda_, down.terminal)
+    report = worst_case_ratio(s)
+    assert (report.sup_ratio, report.argmax_interval) == (sup, best)
+    assert report.interval_sups == tuple(r for _, r in entries)
+    assert report == RatioReport(
+        sup, best, tuple(((a * 2.0**16, b * 2.0**16), r) for (a, b), r in entries)
+    )
+    assert grid_sweep_ratio(s, points=1000) == grid_ratio_pointwise(
+        down.turns, down.terminal, down.lambda_, down.terminal, 1000
+    )
+    assert branches == set()
+
+
+def test_report_parts_and_tables_compare_alike():
+    s = optimize(SearchProblem(1.0, 1e6)).strategy
+    lazy, eager = worst_case_ratio(s), worst_case_ratio(s)
+    eager.per_interval  # noqa: B018 (built here, still lazy in the other)
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert lazy.interval_sups == eager.interval_sups
+    assert pickle.loads(pickle.dumps(worst_case_ratio(s))) == eager
+    assert repr(worst_case_ratio(s)) == repr(eager)
+    built = RatioReport(eager.sup_ratio, eager.argmax_interval, eager.per_interval)
+    assert built == lazy and built.interval_sups == lazy.interval_sups
 
 
 # --- the grid pricer against the point-by-point oracle -------------------------
