@@ -345,7 +345,7 @@ def _cmd_mray(args: argparse.Namespace) -> int:
         "bound_upper": bound_upper,
         "bound_lower": bound_lower,
         "gap_to_bound": bound_upper - ratio,
-        "first_turns": mrays.family_strategy(params, min(8, args.horizon)),
+        "first_turns": params.turns(min(8, args.horizon)),
     }
     _emit(_record("mray", inputs, results, {}), args.format or "json")
     return 0

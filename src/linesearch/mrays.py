@@ -1,4 +1,4 @@
-"""Searching m concurrent rays: the optimal family, its costs and bounds.
+"""Searching m concurrent rays: the optimal family, its ratios and bounds.
 
 For m >= 2 rays visited cyclically, every member of the family
 
@@ -18,13 +18,11 @@ that root system is open, so no solver is provided).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from itertools import accumulate
 
 from ._base import Record, set_field
 from .optimal import check_lambda
-from .simulate import TargetSpec
 
 
 class InfeasibleParamsError(ValueError):
@@ -130,79 +128,6 @@ class RayFamilyParams(Record):
         except OverflowError:
             f = self.f
             return [f(i) for i in range(count)]
-
-
-def family_strategy(params: RayFamilyParams, count: int) -> list[float]:
-    """First ``count`` turn distances of f_{a,b}."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    return params.turns(count)
-
-
-def _accessor(f: Callable[[int], float] | Sequence[float]) -> Callable[[int], float]:
-    if callable(f):
-        return f
-    seq = f
-    return lambda i: seq[i]
-
-
-# mray_cost gives up on a strategy whose turn at this index is still <= D.
-_OVERTAKE_LIMIT = 10_000_001
-
-
-def _last_turn_at_most(fx: Callable[[int], float], d: float) -> int:
-    """The largest j with fx(j) <= d, given fx(0) <= d and nondecreasing turns.
-
-    Doubles an upper index until a turn exceeds d, then bisects between it
-    and the last index known to be <= d.  The doubling can probe past the
-    answer, so a turn too large to compute counts as exceeding d.
-    """
-
-    def at_most(i: int) -> bool:
-        try:
-            return fx(i) <= d
-        except OverflowError:
-            return False
-
-    lo, hi = 0, 1
-    while at_most(hi):
-        if hi >= _OVERTAKE_LIMIT:
-            raise ArithmeticError("strategy never overtakes the target distance")
-        lo, hi = hi, min(2 * hi, _OVERTAKE_LIMIT)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if at_most(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def mray_cost(
-    f: Callable[[int], float] | Sequence[float], m: int, target: TargetSpec | float
-) -> float:
-    """Worst-case cost of finding a target at distance D on one of m rays.
-
-    With f(j) <= D < f(j+1), the unluckiest ray placement forces full round
-    trips through iteration j + m - 1 before the target is reached:
-    2 sum_{i=0}^{j+m-1} f(i) + D.  For D below f(0) the searcher still
-    clears the first m-1 rays.  At D = f(j) exactly this keeps the
-    conservative limit-from-above value (the supremum convention) rather
-    than crediting the exact touch as a find.  The turns must be
-    nondecreasing: j is found by search, not by walking.
-    """
-    if m < 2:
-        raise ValueError(f"need at least 2 rays, got m={m}")
-    fx = _accessor(f)
-    d = target.distance if isinstance(target, TargetSpec) else float(target)
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"target distance must be positive and finite, got {d}")
-    if fx(0) > d:
-        total = sum(fx(i) for i in range(m - 1))
-        return 2.0 * total + d
-    j = _last_turn_at_most(fx, d) if callable(f) else bisect_right(f, d) - 1
-    total = sum(fx(i) for i in range(j + m))
-    return 2.0 * total + d
 
 
 def breakpoint_ratios(
@@ -350,22 +275,3 @@ def verify_alpha_table(m: int, n: int, tol: float = 1e-10) -> bool:
         return False
     return all(abs(multi_p(k, point, m)) <= tol for k in range(n, n + m - 1))
 
-
-def limit_family_params(m: int, lambda_: float = 1.0) -> RayFamilyParams:
-    """The family member with a and b at their largest allowed values.
-
-    a = m/(m-1)^2 is where the upper b constraint meets b = m a; for m = 2
-    this is the (a, b) = (2, 4) strategy that the bounded optimum tends to
-    as Lambda grows.
-    """
-    a = m / (m - 1.0) ** 2
-    return RayFamilyParams(m=m, a=a, b=m * a, lambda_=lambda_)
-
-
-def f_infinity_fixed_point(m: int, n: int, rel_tol: float = 1e-9) -> bool:
-    """Check p_n(f_inf(0), ..., f_inf(m-2)) = f_inf(n) for the limit member."""
-    params = limit_family_params(m)
-    point = [params.f(i) for i in range(m - 1)]
-    lhs = multi_p(n, point, m)
-    rhs = params.f(n)
-    return abs(lhs - rhs) <= rel_tol * max(abs(lhs), abs(rhs), 1.0)

@@ -107,12 +107,6 @@ class Strategy(Record):
         set_field(self, "terminal", terminal)
         set_field(self, "lambda_", lambda_)
 
-    def f(self, i: int) -> float:
-        """Turn distance of iteration i, including the constant tail."""
-        if i < 0:
-            raise IndexError("iteration index must be non-negative")
-        return self.turns[i] if i < len(self.turns) else self.terminal
-
     @property
     def n(self) -> int:
         return len(self.turns)
@@ -225,15 +219,6 @@ def _bracket_holds(n: int, log2_rho: float, fuzz: float) -> bool:
     lo = log2_p_at_alpha_next(n)
     hi = log2_p_at_alpha_next2(n)
     return lo - fuzz <= log2_rho < hi - fuzz
-
-
-def eq7_certificate(n: int, log2_rho: float) -> tuple[float, float]:
-    """log2 of the bracket edges (p_n(alpha_{n+1}), p_n(alpha_{n+2})).
-
-    Useful to certify 2^n <= p_n(alpha_{n+1}) <= rho < p_n(alpha_{n+2}) <= 2^{n+2}
-    without evaluating anything that could overflow.
-    """
-    return log2_p_at_alpha_next(n), log2_p_at_alpha_next2(n)
 
 
 def expand_sequence(

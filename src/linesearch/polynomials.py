@@ -420,21 +420,3 @@ def _ln_sinh(u: float) -> float:
     if u < 20.0:
         return math.log(math.sinh(u))
     return u - _LN2 + math.log1p(-math.exp(-2.0 * u))
-
-
-def roots_of_p(n: PolyIndex) -> list[float]:
-    """All real roots of p_n with multiplicity, sorted ascending.
-
-    These are the analytic closed forms: zero repeated floor((n+1)/2) times,
-    plus 4 cos^2(k pi/(n+2)) for 1 <= k <= floor((n+2)/2).  (For even n the
-    k = (n+2)/2 factor contributes one more zero.)
-    """
-    _check_index(n)
-    out = [0.0] * ((n + 1) // 2)
-    for k in range((n + 2) // 2, 0, -1):
-        if 2 * k == n + 2:  # cos(pi/2): an exact zero, not 1e-32 noise
-            out.append(0.0)
-            continue
-        c = math.cos(k * math.pi / (n + 2))
-        out.append(4.0 * c * c)
-    return out

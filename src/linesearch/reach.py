@@ -14,7 +14,9 @@ import math
 from ._base import Record, set_field
 from .optimal import Strategy, check_lambda, expand_sequence
 from .polynomials import alpha
-from .polynomials import eval_p  # noqa: F401  (the reference for p_n; benchmark tracing wraps reach.eval_p)
+# Unused: kept so bench/tracing.py's ("reach", "eval_p") site resolves.  That
+# site records nothing (p_n comes from the turn recurrence); drop both together.
+from .polynomials import eval_p  # noqa: F401
 
 # A budget landing exactly on a bracket edge belongs to the larger n; the
 # fuzz absorbs the few-ulp noise of the closed-form alphas.

@@ -1,12 +1,12 @@
-"""Independent verification of strategies: costs and exact worst-case ratios.
+"""Independent verification of strategies: exact worst-case ratios.
 
-Nothing here knows how a strategy was produced.  Costs follow the turn-by-turn
-walk; the worst-case ratio is evaluated analytically at breakpoint limits, so
-it is exact rather than sampled.  A geometric grid sweep is kept alongside as
-a deliberately dumb second opinion: it prices real grid points only, never a
-breakpoint limit.  It costs O(n) rather than O(points), because the grid
-points between two consecutive reaches share one prefix sum, so only the
-first of them can carry that run's largest ratio.
+Nothing here knows how a strategy was produced.  The worst-case ratio is
+evaluated analytically at breakpoint limits, so it is exact rather than
+sampled.  A geometric grid sweep is kept alongside as a deliberately dumb
+second opinion: it prices real grid points only, never a breakpoint limit.
+It costs O(n) rather than O(points), because the grid points between two
+consecutive reaches share one prefix sum, so only the first of them can
+carry that run's largest ratio.
 
 Each O(n) pass (validation, prefix sums, breakpoints, the grid points that
 open each run, the baselines' turns) is a few C-level passes: ``accumulate``,
@@ -30,28 +30,9 @@ from operator import le, lt, mul
 from ._base import Record, set_field
 from .optimal import Strategy
 
-LEFT = "left"
-RIGHT = "right"
-
-
-class UnreachableTargetError(ValueError):
-    """The target distance exceeds the strategy's terminal reach."""
-
 
 class IncompleteStrategyError(ValueError):
     """The strategy cannot cover all of [lambda, Lambda]."""
-
-
-class TargetSpec(Record):
-    """A concrete target: distance plus side ('left'/'right') or ray index."""
-
-    __slots__ = ("distance", "side")
-
-    def __init__(self, distance: float, side: str | int | None = None) -> None:
-        if not (distance > 0.0 and math.isfinite(distance)):
-            raise ValueError(f"target distance must be positive and finite, got {distance}")
-        set_field(self, "distance", distance)
-        set_field(self, "side", side)
 
 
 class RatioReport(Record):
@@ -106,59 +87,6 @@ def _per_interval(report: RatioReport) -> tuple[tuple[tuple[float, float], float
 
 _TABLE = RatioReport.per_interval  # the slot, which the property below reads and fills
 RatioReport.per_interval = property(_per_interval)
-
-
-def _distance_of(target: TargetSpec | float) -> float:
-    if isinstance(target, TargetSpec):
-        return target.distance
-    d = float(target)
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"target distance must be positive and finite, got {d}")
-    return d
-
-
-def _first_reaching(strategy: Strategy, d: float) -> int:
-    """Smallest iteration j with f(j) >= d; the tail makes this total."""
-    for j, t in enumerate(strategy.turns):
-        if t >= d:
-            return j
-    return len(strategy.turns)
-
-
-def cost(strategy: Strategy, target: TargetSpec | float) -> float:
-    """Worst-case-orientation cost 2 sum_{i<=j} f(i) + D with j = f^{-1}(D).
-
-    The searcher that first reaches depth D at iteration j only finds a
-    target on the unlucky side during iteration j+1, after paying full
-    round trips through iteration j.
-    """
-    d = _distance_of(target)
-    if d > strategy.terminal * (1.0 + 1e-12):
-        raise UnreachableTargetError(
-            f"target at {d} is beyond the terminal distance {strategy.terminal}"
-        )
-    j = _first_reaching(strategy, d)
-    return 2.0 * (sum(strategy.turns[: j + 1]) + (strategy.terminal if j == strategy.n else 0.0)) + d
-
-
-def walk_cost(strategy: Strategy, target: TargetSpec) -> float:
-    """Orientation-resolved travel: iteration 0 goes right, then alternate."""
-    if target.side not in (LEFT, RIGHT, 0, 1):
-        raise ValueError(f"side must be 'left', 'right', 0 or 1, got {target.side!r}")
-    d = target.distance
-    if d > strategy.terminal * (1.0 + 1e-12):
-        raise UnreachableTargetError(
-            f"target at {d} is beyond the terminal distance {strategy.terminal}"
-        )
-    parity = 0 if target.side in (RIGHT, 0) else 1
-    total = 0.0
-    i = 0
-    while True:
-        reach = strategy.f(i)
-        if i % 2 == parity and reach >= d:
-            return total + d
-        total += 2.0 * reach
-        i += 1
 
 
 def _checked_bounds(strategy: Strategy, lam: float | None, Lam: float | None) -> tuple[float, float]:

@@ -4,25 +4,21 @@ import random
 import numpy as np
 import pytest
 
-from linesearch import cli, mrays
+from linesearch import cli
 from linesearch.mrays import (
     ALPHA_TABLE,
     InfeasibleParamsError,
     RayFamilyParams,
     breakpoint_ratios,
-    f_infinity_fixed_point,
-    family_strategy,
     feasible_b_interval,
-    limit_family_params,
     mray_breakpoint_ratios,
-    mray_cost,
     mray_worst_ratio,
     multi_p,
     optimal_cost_coefficient,
     verify_alpha_table,
 )
 from linesearch.polynomials import alpha, eval_p
-from linesearch.simulate import baselines, cost
+from linesearch.simulate import baselines, worst_case_ratio
 
 from _oracles import breakpoint_ratios_loop, mray_cost_scan, mray_worst_cost
 
@@ -32,12 +28,12 @@ from _oracles import breakpoint_ratios_loop, mray_cost_scan, mray_worst_cost
 
 def test_family_power_of_two():
     params = RayFamilyParams(m=2, a=0.0, b=1.0)
-    assert family_strategy(params, 4) == [1.0, 2.0, 4.0, 8.0]
+    assert params.turns(4) == [1.0, 2.0, 4.0, 8.0]
 
 
 def test_family_limit_member():
     params = RayFamilyParams(m=2, a=2.0, b=4.0)
-    assert family_strategy(params, 3) == [4.0, 12.0, 32.0]
+    assert params.turns(3) == [4.0, 12.0, 32.0]
 
 
 def test_feasible_interval_m2():
@@ -59,93 +55,42 @@ def test_infeasible_params_carry_interval():
     assert exc.value.interval == pytest.approx((1.0, 4.0))
     with pytest.raises(ValueError):
         RayFamilyParams(m=1, a=0.0, b=1.0)
-    with pytest.raises(ValueError):
-        family_strategy(RayFamilyParams(m=2, a=0.0, b=1.0), 0)
 
 
 # --- m-ray cost ----------------------------------------------------------------
 
 
 def test_mray_cost_reduces_to_line_cost():
-    # Agreement holds strictly between breakpoints; at D = f(j) exactly the
-    # two-ray formula keeps the conservative just-above-breakpoint value.
+    # On two rays the cyclic walk is the line's alternating walk, and the
+    # terminal serves every distance past the last turn.
     s = baselines("power_of_two", 1.0, 64.0)
-    for d in (1.2, 1.5, 5.0, 17.0, 60.0):
-        assert mray_cost(s.f, 2, d) == pytest.approx(cost(s, d), rel=1e-12)
-    assert mray_cost(s.f, 2, 1.0) == 7.0  # limit from above
-    assert cost(s, 1.0) == 3.0  # exact-reach find
-
-
-def test_mray_cost_power_of_two_d5():
-    assert mray_cost(lambda i: 2.0**i, 2, 5.0) == 35.0
+    got = breakpoint_ratios([*s.turns, s.terminal], 2, 1.0, len(s.turns))
+    assert got == list(worst_case_ratio(s).interval_sups)
+    assert got[:4] == [3.0, 7.0, 8.0, 8.5]
 
 
 def test_mray_cost_three_rays_below_first_turn():
     # D just under f(0) = 1 on 3 rays: clear the other two rays first.
-    got = mray_cost(lambda i: 1.5**i, 3, 1.0 - 1e-9)
-    assert got == pytest.approx(2.0 * (1.0 + 1.5) + 1.0, rel=1e-8)
-    assert got <= 1.0 + 2.0 * 27.0 / 4.0  # within the m = 3 optimal bound
+    lam = 1.0 - 1e-9
+    ratio = breakpoint_ratios(lambda i: 1.5**i, 3, lam, 3)[0]
+    assert ratio * lam == pytest.approx(2.0 * (1.0 + 1.5) + 1.0, rel=1e-8)
+    assert ratio <= 1.0 + 2.0 * 27.0 / 4.0  # within the m = 3 optimal bound
 
 
 def test_mray_cost_matches_walk_oracle():
-    rng = np.random.default_rng(3)
+    # Entry 0 prices D = lam below f(0); entry j + 1 the limit D -> f(j)+.
+    lam, horizon = 0.75, 30
     for m in (2, 3, 4, 5):
         f = lambda i, m=m: (0.5 * i + 1.0) * (m / (m - 1.0)) ** i
-        for d in rng.uniform(1.0, 50.0, size=8):
-            d = float(d)
-            assert mray_cost(f, m, d) == pytest.approx(mray_worst_cost(f, m, d), rel=1e-12)
-
-
-def test_mray_cost_accepts_sequence():
-    assert mray_cost([1.0, 2.0, 4.0, 8.0, 16.0], 2, 5.0) == 35.0
-
-
-def _cost_distances(turns):
-    """Every turn, the doubles on either side of it, and points below f(0)."""
-    ds = [turns[0] / 2.0, math.nextafter(turns[0], 0.0)]
-    for t in turns:
-        ds += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
-    return ds
-
-
-@pytest.mark.parametrize("m", range(2, 9))
-def test_mray_cost_search_is_the_scan(m):
-    rng = random.Random(m)
-    for _ in range(6):
-        a = mrays.limit_family_params(m).a * rng.random()
-        lo, hi = feasible_b_interval(m, a)
-        params = RayFamilyParams(m, a, lo + (hi - lo) * rng.random(), 2.0 ** rng.uniform(-20, 20))
-        seq = params.turns(60 + m)
-        for d in _cost_distances(seq[:60]):
-            want = mray_cost_scan(params.f, m, d)
-            assert mray_cost(params.f, m, d) == want, (m, d)
-            assert mray_cost(seq, m, d) == mray_cost_scan(seq, m, d) == want, (m, d)
-    # Equal turns: the last of a run of ties is the touched one.
-    flat = [1.0, 2.0, 2.0, 2.0, 5.0, 5.0, 9.0, 9.0, 9.0, 12.0] + [20.0 + i for i in range(10)]
-    for d in _cost_distances(flat[:10]):
-        assert mray_cost(flat, m, d) == mray_cost_scan(flat, m, d), d
-        assert mray_cost(flat.__getitem__, m, d) == mray_cost_scan(flat, m, d), d
-
-
-def test_mray_cost_gives_up_on_turns_that_never_overtake_quickly():
-    with pytest.raises(ArithmeticError, match="never overtakes"):
-        mray_cost(lambda i: 1.0, 2, 2.0)
-    with pytest.raises(ArithmeticError, match="never overtakes"):
-        mray_cost(lambda i: 1.0 + i * 1e-10, 3, 5.0)
-
-
-def test_mray_cost_counts_an_overflowing_probe_as_past_the_target():
-    # The doubling probes f(2048), whose powers overflow even halved; the scan
-    # never reaches it.
-    params = RayFamilyParams(2, 0.0, 1.0, lambda_=1e-300)
-    d = params.f(1500) * 1.5
-    assert mray_cost(params.f, 2, d) == mray_cost_scan(params.f, 2, d)
-
-
-@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_mray_cost_refuses_non_finite_or_non_positive_distances(d):
-    with pytest.raises(ValueError, match="positive and finite"):
-        mray_cost(lambda i: 2.0**i, 2, d)
+        ratios = breakpoint_ratios(f, m, lam, horizon)
+        assert ratios[0] == pytest.approx(mray_cost_scan(f, m, lam) / lam, rel=1e-12)
+        assert ratios[0] == pytest.approx(mray_worst_cost(f, m, lam) / lam, rel=1e-12)
+        for j in range(horizon):
+            d, above = f(j), f(j) * (1.0 + 1e-12)
+            assert ratios[j + 1] == pytest.approx(mray_cost_scan(f, m, d) / d, rel=1e-12)
+            assert ratios[j + 1] == pytest.approx(
+                mray_worst_cost(f, m, above) / above, rel=1e-9
+            ), (m, j)
 
 
 # --- worst ratio -----------------------------------------------------------------
@@ -240,7 +185,7 @@ def _family_cases():
     cases = [RayFamilyParams(2, 2.0, 4.0), RayFamilyParams(2, 0.0, 1.0, lambda_=1e-100)]
     for k in range(60):
         m = 2 + k % 7
-        a = mrays.limit_family_params(m).a * rng.random()
+        a = m / (m - 1) ** 2 * rng.random()
         lo, hi = feasible_b_interval(m, a)
         lam = rng.choice([1.0, 1e-100, 1e-300, 2.0**-1022, 1e100, 2.0 ** rng.uniform(-1000, 1000)])
         cases.append(RayFamilyParams(m, a, lo + (hi - lo) * rng.random(), lambda_=lam))
@@ -300,7 +245,7 @@ def test_family_pricing_calls_no_method_per_turn(monkeypatch):
     expected = mray_worst_ratio(RayFamilyParams(5, 0.1, 1.2), 200)
     monkeypatch.setattr(RayFamilyParams, "f", refuse)
     assert mray_worst_ratio(RayFamilyParams(5, 0.1, 1.2), 200) == expected
-    assert family_strategy(RayFamilyParams(2, 0.0, 1.0), 4) == [1.0, 2.0, 4.0, 8.0]
+    assert RayFamilyParams(2, 0.0, 1.0).turns(4) == [1.0, 2.0, 4.0, 8.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -374,22 +319,39 @@ def test_alpha_table_out_of_range():
 # --- fixed point of the limit strategy ------------------------------------------------
 
 
+def limit_member(m: int) -> RayFamilyParams:
+    """The member with a = m/(m-1)^2 and b = m a, both at their largest allowed values."""
+    a = m / (m - 1) ** 2
+    return RayFamilyParams(m, a, m * a)
+
+
+def limit_fixed_point(m: int, n: int) -> bool:
+    """p_n(f(0), ..., f(m-2)) = f(n) for the limit member's turns f."""
+    turns = limit_member(m).turns(max(n + 1, m - 1))
+    lhs, rhs = multi_p(n, turns[: m - 1], m), turns[n]
+    return abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+
+
 def test_limit_family_params_m2():
-    params = limit_family_params(2)
+    params = limit_member(2)
     assert (params.a, params.b) == (2.0, 4.0)
+    # The upper b constraint meets b = m a there, closing the b interval.
+    for m in range(2, 9):
+        params = limit_member(m)
+        assert feasible_b_interval(m, params.a) == pytest.approx((params.b, params.b), rel=1e-12)
 
 
 def test_fixed_point_m2_n5():
     # p_5(4) = 14 * 32 = 448, the sixth turn of the limit strategy.
     assert eval_p(5, 4.0).to_float() == 448.0
-    assert f_infinity_fixed_point(2, 5)
-    assert f_infinity_fixed_point(2, 0)
+    assert limit_fixed_point(2, 5)
+    assert limit_fixed_point(2, 0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 12])
 def test_fixed_point_all(m, n):
-    assert f_infinity_fixed_point(m, n)
+    assert limit_fixed_point(m, n)
 
 
 def test_multi_point_wrapper():

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from linesearch import cli, optimal
 from linesearch.optimal import (
     SearchProblem,
-    eq7_certificate,
     expand_sequence,
     f_infinity,
     optimal_n,
     optimize,
     solve_problem,
 )
-from linesearch.polynomials import eval_p
+from linesearch.polynomials import eval_p, log2_p_at_alpha_next, log2_p_at_alpha_next2
 from linesearch.solve import solve_beyond_alpha, solve_exact
 
 from _oracles import bisect_root, exact_sup_ratio, poly_coeffs, poly_eval
@@ -27,7 +26,7 @@ RNG_SWEEP = np.random.default_rng(20240817)
 
 
 def eq7_holds(n: int, rho: float) -> bool:
-    lo, hi = eq7_certificate(n, math.log2(rho))
+    lo, hi = log2_p_at_alpha_next(n), log2_p_at_alpha_next2(n)
     return lo - 1e-12 <= math.log2(rho) < hi
 
 
@@ -75,7 +74,7 @@ def test_certificate_sweep_small():
     for e in exps:
         rho = float(2.0**e)
         n = optimal_n(rho)
-        lo, hi = eq7_certificate(n, e)
+        lo, hi = log2_p_at_alpha_next(n), log2_p_at_alpha_next2(n)
         assert n <= lo + 1e-9 and e < hi and hi <= n + 2 + 1e-9
         assert lo - 1e-9 <= e
         assert n in (math.floor(e) - 1, math.floor(e)) or (math.floor(e) == 0 and n == 0)

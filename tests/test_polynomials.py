@@ -22,7 +22,6 @@ from linesearch.polynomials import (
     log2_p_cosh_excess,
     log2_p_theta,
     p_theta_terms,
-    roots_of_p,
     theta_of_x,
     x_of_theta,
 )
@@ -170,23 +169,37 @@ def test_adjacent_order_inside_and_outside_bracket():
             assert eval_p(n + 1, x).to_float() >= eval_p(n, x).to_float(), (n, x)
 
 
+def closed_form_roots(n: int) -> list[float]:
+    """The nonzero roots 4 cos^2(k pi/(n+2)), 0 < k < (n+2)/2, then zeros up to degree n + 1."""
+    tops = [4.0 * math.cos(k * math.pi / (n + 2)) ** 2 for k in range(1, (n + 1) // 2 + 1)]
+    return tops + [0.0] * (n + 1 - len(tops))
+
+
 def test_roots_examples():
-    assert roots_of_p(1) == pytest.approx([0.0, 1.0], abs=1e-15)
-    r3 = roots_of_p(3)
-    assert r3[:2] == [0.0, 0.0]
-    assert r3[2] == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-14)
-    assert r3[3] == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, abs=1e-14)
-    assert roots_of_p(4) == pytest.approx([0.0, 0.0, 0.0, 1.0, 3.0], abs=1e-14)
+    examples = {
+        1: [0.0, 1.0],
+        3: [0.0, 0.0, (3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0],
+        4: [0.0, 0.0, 0.0, 1.0, 3.0],
+    }
+    for n, roots in examples.items():
+        assert sorted(closed_form_roots(n)) == pytest.approx(roots, abs=1e-14)
+        assert alpha(n) == pytest.approx(max(roots), abs=1e-14)
+        for r in roots:
+            assert eval_p(n, r).to_float() == pytest.approx(0.0, abs=1e-13), (n, r)
 
 
 @pytest.mark.parametrize("n", range(0, 26))
 def test_roots_annihilate_and_count(n):
-    roots = roots_of_p(n)
-    assert len(roots) == n + 1  # degree of p_n
-    assert roots == sorted(roots)
+    roots = closed_form_roots(n)
+    assert max(roots) == pytest.approx(alpha(n), abs=1e-14)
     coeffs = poly_coeffs(n)
     for r in roots:
         assert abs(poly_eval(coeffs, r)) <= 1e-7 * max(1.0, 4.0 ** (n + 1) / 2.0**n)
+        assert abs(eval_p(n, r).to_float()) <= 1e-7 * max(1.0, 4.0 ** (n + 1) / 2.0**n)
+    # p_n is monic, so it is the product of x - r over its roots: the count
+    # of each root, zero included, is its multiplicity.
+    for x in (-1.5, 4.5, 7.0):
+        assert eval_p(n, x).to_float() == pytest.approx(math.prod(x - r for r in roots), rel=1e-12)
 
 
 def test_large_n_no_overflow():

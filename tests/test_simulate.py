@@ -13,12 +13,8 @@ from linesearch.simulate import (
     GeometricGrid,
     IncompleteStrategyError,
     RatioReport,
-    TargetSpec,
-    UnreachableTargetError,
     baselines,
-    cost,
     grid_sweep_ratio,
-    walk_cost,
     worst_case_ratio,
 )
 from linesearch.solve import MODE_EXACT, MODE_LIMIT, MODE_NUMERIC
@@ -26,7 +22,6 @@ from linesearch.solve import MODE_EXACT, MODE_LIMIT, MODE_NUMERIC
 from _oracles import (
     brute_worst_ratio,
     grid_ratio_pointwise,
-    walk_cost as oracle_walk,
     worst_case_ratio_loop,
     worst_orientation_cost,
 )
@@ -40,53 +35,23 @@ def pot(lam=1.0, Lam=10.0):
 
 
 def test_cost_power_of_two_example():
+    # The brute-force checks below price targets with this walk.
     s = pot()
-    assert cost(s, 5.0) == 35.0  # 2(1+2+4+8) + 5
-    assert worst_orientation_cost(list(s.turns), s.terminal, 5.0) == 35.0
+    assert worst_orientation_cost(list(s.turns), s.terminal, 5.0) == 35.0  # 2(1+2+4+8) + 5
+    # Just above the turn at 4 the turn at 8 serves: (2(1+2+4+8) + 4) / 4.
+    assert worst_case_ratio(s).per_interval[3] == ((4.0, 8.0), 8.5)
 
 
 def test_cost_at_first_turn():
+    # A target on the first turn is found there: (2 * 3 + 3) / 3.
     s = Strategy(turns=(3.0, 6.0), terminal=9.0, lambda_=1.0)
-    assert cost(s, 3.0) == 2.0 * 3.0 + 3.0
+    assert worst_case_ratio(s, 3.0, 9.0).per_interval[0] == ((3.0, 6.0), 3.0)
 
 
 def test_cost_single_shot():
+    # Out to Lambda = 7 on the wrong side first: (2 * 7 + D) / D peaks at D = 1.
     s = baselines("single_shot", 1.0, 7.0)
-    for d in (1.0, 3.3, 7.0):
-        assert cost(s, d) == 2.0 * 7.0 + d
-
-
-def test_cost_accepts_target_spec():
-    s = pot()
-    assert cost(s, TargetSpec(5.0, "left")) == 35.0
-
-
-def test_cost_beyond_terminal():
-    with pytest.raises(UnreachableTargetError):
-        cost(pot(), 11.0)
-
-
-def test_cost_matches_walk_oracle_on_grid():
-    s = pot()
-    for d in np.geomspace(1.0, 10.0, 37):
-        d = float(d)
-        assert cost(s, d) == pytest.approx(
-            worst_orientation_cost(list(s.turns), s.terminal, d), rel=1e-12
-        )
-
-
-def test_walk_cost_orientation():
-    s = pot()
-    # First reach of 5 is iteration 3 (f = 8), an odd = left iteration.
-    assert walk_cost(s, TargetSpec(5.0, "left")) == 2.0 * (1 + 2 + 4) + 5.0
-    assert walk_cost(s, TargetSpec(5.0, "right")) == 2.0 * (1 + 2 + 4 + 8) + 5.0
-    for d in (1.0, 2.5, 9.9):
-        for side in ("left", "right"):
-            assert walk_cost(s, TargetSpec(d, side)) == pytest.approx(
-                oracle_walk(list(s.turns), s.terminal, d, side), rel=1e-12
-            )
-    with pytest.raises(ValueError):
-        walk_cost(s, TargetSpec(5.0, "up"))
+    assert worst_case_ratio(s).per_interval == (((1.0, 7.0), 15.0),)
 
 
 # --- worst_case_ratio ---------------------------------------------------------

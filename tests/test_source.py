@@ -1,0 +1,91 @@
+"""The package keeps no code that nothing reaches, checked on its syntax trees.
+
+Two kinds of leftover are caught: a top-level import that its module never
+uses, and a module-level ``_private`` name that is referenced nowhere but
+where it is defined.  Only the standard library's ``ast`` is used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "linesearch"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+# (module, name) pairs kept on purpose.  reach imports eval_p unused because
+# bench/tracing.py wraps a ("reach", "eval_p") site by name, and resolving it
+# needs the attribute.
+ALLOWED_UNUSED = {("reach", "eval_p")}
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every bare name the module reads; a dotted name is read through its root."""
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """The names bound by the module's top-level imports, with their lines."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and assignments, with their lines."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+TREES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def test_the_package_sources_are_found():
+    assert {"cli", "mrays", "optimal", "polynomials", "reach", "simulate", "solve"} <= set(TREES)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_top_level_import_is_used(module):
+    tree = TREES[module]
+    read = _read_names(tree)
+    unused = [
+        (name, line) for name, line in _imported(tree).items()
+        if name not in read and (module, name) not in ALLOWED_UNUSED
+    ]
+    assert not unused, f"{module}: imported but never used: {unused}"
+
+
+def test_the_allowed_unused_imports_are_still_unused():
+    # An exception that no longer applies should go, not linger.
+    for module, name in ALLOWED_UNUSED:
+        tree = TREES[module]
+        assert name in _imported(tree) and name not in _read_names(tree), (module, name)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_private_name_is_referenced(module):
+    # A definition binds its name without reading it.
+    tree = TREES[module]
+    read = _read_names(tree)
+    dead = [(name, line) for name, line in _private_definitions(tree).items() if name not in read]
+    assert not dead, f"{module}: private names referenced only where defined: {dead}"

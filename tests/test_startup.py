@@ -55,6 +55,12 @@ def test_verify_loads_simulate_only():
     assert not {"linesearch.reach", "linesearch.mrays", "dataclasses", "logging"} & loaded
 
 
+def test_mray_skips_simulate():
+    loaded = loaded_after(["mray", "--m", "3", "--a", "0", "--b", "1"])
+    assert "linesearch.mrays" in loaded
+    assert not {"linesearch.simulate", "linesearch.reach"} & loaded
+
+
 def test_every_public_name_resolves():
     script = """
 import linesearch
@@ -81,12 +87,11 @@ def test_names_outside_the_public_surface_import_from_their_submodules():
     import linesearch
 
     moved = {
-        "mrays": ("ALPHA_TABLE", "MultiPoint", "breakpoint_ratios", "f_infinity_fixed_point",
-                  "family_strategy", "feasible_b_interval", "limit_family_params",
-                  "mray_breakpoint_ratios", "mray_cost", "multi_p", "verify_alpha_table"),
-        "optimal": ("eq7_certificate", "expand_sequence", "f_infinity", "optimal_n"),
-        "polynomials": ("PolyEval", "alpha", "eval_p", "roots_of_p"),
-        "simulate": ("TargetSpec", "UnreachableTargetError", "baselines", "cost", "walk_cost"),
+        "mrays": ("ALPHA_TABLE", "MultiPoint", "breakpoint_ratios", "feasible_b_interval",
+                  "mray_breakpoint_ratios", "multi_p", "verify_alpha_table"),
+        "optimal": ("expand_sequence", "f_infinity", "optimal_n"),
+        "polynomials": ("PolyEval", "alpha", "eval_p"),
+        "simulate": ("baselines",),
         "solve": ("BracketError", "SolveResult", "cr_error_bound_limit", "solve_beyond_alpha",
                   "solve_exact", "solve_limit", "solve_numeric"),
     }
@@ -130,7 +135,6 @@ from linesearch import (
 )
 from linesearch.mrays import MultiPoint
 from linesearch.polynomials import PolyEval
-from linesearch.simulate import TargetSpec
 from linesearch.solve import SolveResult
 def twice(make):
     return make(), make()
@@ -143,14 +147,13 @@ pairs = [
     (report, optimize(SearchProblem(1.0, 1e6))),
     twice(lambda: ReachQuery(7.0)),
     twice(lambda: maximal_reach(ReachQuery(7.0))),
-    twice(lambda: TargetSpec(3.0, "left")),
     twice(lambda: RatioReport(7.0, 1, (((1.0, 2.0), 7.0),))),
     twice(lambda: MultiPoint([1, 2])),
     twice(lambda: RayFamilyParams(3, 0.0, 1.0)),
 ]
 assert {type(a).__name__ for a, _ in pairs} == {
     "PolyEval", "SolveResult", "SearchProblem", "Strategy", "StrategyReport", "ReachQuery",
-    "ReachResult", "TargetSpec", "RatioReport", "MultiPoint", "RayFamilyParams"}
+    "ReachResult", "RatioReport", "MultiPoint", "RayFamilyParams"}
 for a, b in pairs:
     assert a is not b and a == b and hash(a) == hash(b) and not (a != b), a
     # As for a frozen dataclass: the hash of the tuple of all fields.
