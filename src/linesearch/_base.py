@@ -21,12 +21,10 @@ class Record:
     A subclass lists its fields in ``__slots__`` and sets each of them in its
     own ``__init__`` with :data:`set_field`.  Records compare, hash and print
     by field value like frozen dataclasses, and assigning or deleting any
-    attribute raises AttributeError.  Fields named in ``_repr_hidden`` are
-    left out of the repr, but still compared and hashed.
+    attribute raises AttributeError.
     """
 
     __slots__ = ()
-    _repr_hidden: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -40,11 +38,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join(
-            f"{name}={getattr(self, name)!r}"
-            for name in self.__slots__
-            if name not in self._repr_hidden
-        )
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name: str, value) -> None:

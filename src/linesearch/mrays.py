@@ -44,11 +44,6 @@ class MultiPoint(Record):
     def __init__(self, coords: Sequence[float]) -> None:
         set_field(self, "coords", tuple(float(c) for c in coords))
 
-    @property
-    def total(self) -> float:
-        """The coordinate sum |x| driving the recurrence."""
-        return sum(self.coords)
-
     def is_ordered(self, tol: float = 0.0) -> bool:
         """Whether 0 <= x_0 <= x_1 <= ... holds (the root-point constraint)."""
         prev = 0.0

@@ -23,7 +23,6 @@ from .polynomials import log2_p_at_alpha_next, log2_p_at_alpha_next2, p_theta_te
 from .solve import (
     MODE_EXACT,
     MODE_LIMIT,
-    SolveResult,
     cr_error_bound_limit,
     limit_mode_threshold,
 )
@@ -91,6 +90,10 @@ class SearchProblem(Record):
         return cls(lambda_=lambda_, Lambda=Lambda, epsilon=epsilon)
 
 
+# Relative slack Strategy.validate allows on monotonicity and the bounds.
+_REL_TOL = 1e-9
+
+
 class Strategy(Record):
     """Turn distances of a periodic monotone strategy.
 
@@ -121,11 +124,11 @@ class Strategy(Record):
             lambda_=self.lambda_ * c,
         )
 
-    def validate(self, rel_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check finiteness, monotonicity, the lower bound on turns, and the terminal.
 
-        Each turn may fall short of the one before it by rel_tol * terminal,
-        and the first short of lambda_ by that plus rel_tol * lambda_.
+        Each turn may fall short of the one before it by _REL_TOL * terminal,
+        and the first short of lambda_ by that plus _REL_TOL * lambda_.
         Nondecreasing turns pass in one C-level pass; the turn-by-turn loop
         runs only where they do not, to allow dips within the slack or to
         name the offending turn.
@@ -133,8 +136,8 @@ class Strategy(Record):
         lam, terminal, turns = self.lambda_, self.terminal, self.turns
         if not (math.isfinite(lam) and math.isfinite(terminal)):
             raise ValueError(f"lambda and terminal must be finite, got {lam} and {terminal}")
-        slack = rel_tol * terminal
-        prev = lam - rel_tol * lam
+        slack = _REL_TOL * terminal
+        prev = lam - _REL_TOL * lam
         # A NaN fails the pass, and an inf turn makes every later one inf,
         # the last included, which then exceeds the terminal.
         if not turns or (
@@ -154,13 +157,12 @@ class Strategy(Record):
 
 
 class StrategyReport(Record):
-    """Everything optimize() knows about the strategy it produced."""
+    """Everything optimize() knows about the strategy it produced; a0 = 4 cos^2 theta."""
 
     __slots__ = (
         "strategy", "n", "a0", "cr", "mode", "cr_error_bound",
-        "residual", "bracket_width", "solve_result",
+        "residual", "bracket_width", "theta",
     )
-    _repr_hidden = ("solve_result",)
 
     def __init__(
         self,
@@ -172,7 +174,7 @@ class StrategyReport(Record):
         cr_error_bound: float,
         residual: float = math.nan,
         bracket_width: float = 0.0,
-        solve_result: SolveResult | None = None,
+        theta: float = math.nan,
     ) -> None:
         set_field(self, "strategy", strategy)
         set_field(self, "n", n)
@@ -182,7 +184,7 @@ class StrategyReport(Record):
         set_field(self, "cr_error_bound", cr_error_bound)
         set_field(self, "residual", residual)
         set_field(self, "bracket_width", bracket_width)
-        set_field(self, "solve_result", solve_result)
+        set_field(self, "theta", theta)
 
 
 def optimal_n(rho: float | None = None, log2_rho: float | None = None) -> int:
@@ -251,13 +253,6 @@ def expand_sequence(
     return seq
 
 
-def f_infinity(i: int, lambda_: float = 1.0) -> float:
-    """Turn distance (2i+4) 2^i lambda of the canonical unbounded strategy."""
-    if i < 0:
-        raise ValueError("iteration index must be non-negative")
-    return (2.0 * i + 4.0) * math.ldexp(lambda_, i)
-
-
 class Solution(Record):
     """The O(1) part of optimize(): the solved strategy without its turns.
 
@@ -266,10 +261,8 @@ class Solution(Record):
     """
 
     __slots__ = (
-        "n", "mode", "theta", "a0", "cr", "cr_error_bound",
-        "residual", "bracket_width", "solve_result",
+        "n", "mode", "theta", "a0", "cr", "cr_error_bound", "residual", "bracket_width",
     )
-    _repr_hidden = ("solve_result",)
 
     def __init__(
         self,
@@ -281,7 +274,6 @@ class Solution(Record):
         cr_error_bound: float,
         residual: float,
         bracket_width: float,
-        solve_result: SolveResult,
     ) -> None:
         set_field(self, "n", n)
         set_field(self, "mode", mode)
@@ -291,7 +283,6 @@ class Solution(Record):
         set_field(self, "cr_error_bound", cr_error_bound)
         set_field(self, "residual", residual)
         set_field(self, "bracket_width", bracket_width)
-        set_field(self, "solve_result", solve_result)
 
 
 def solve_problem(problem: SearchProblem) -> Solution:
@@ -309,7 +300,7 @@ def solve_problem(problem: SearchProblem) -> Solution:
         sol = _solve.solve_exact(n, rho)
         bound = 0.0
     elif n >= limit_mode_threshold(eps):
-        sol = _solve.solve_limit(n, rho if math.isfinite(rho) else None)
+        sol = _solve.solve_limit(n, rho)
         bound = cr_error_bound_limit(n)
     elif math.isfinite(rho):
         sol = _solve.solve_numeric(n, rho)
@@ -330,7 +321,6 @@ def solve_problem(problem: SearchProblem) -> Solution:
         cr_error_bound=bound,
         residual=sol.residual,
         bracket_width=sol.bracket_width,
-        solve_result=sol,
     )
 
 
@@ -364,5 +354,5 @@ def optimize(problem: SearchProblem) -> StrategyReport:
         cr_error_bound=sol.cr_error_bound,
         residual=sol.residual,
         bracket_width=sol.bracket_width,
-        solve_result=sol.solve_result,
+        theta=sol.theta,
     )

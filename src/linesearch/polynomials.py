@@ -18,7 +18,8 @@ and with x = 4 cosh^2(t) above 4 the same form in cosh and sinh.  The
 ``*_theta`` and ``*_cosh`` functions evaluate it in O(1), in log2 and
 relative to 2^{n+1}, so the value keeps full relative precision where
 log2 p_n itself (of size n) would round to ulp(n).  The solving bracket is
-theta in [pi/(n+4), pi/(n+3)], where log2 p_n decreases in theta.
+theta in [pi/(n+4), pi/(n+3)], where log2 p_n decreases in theta.  They are
+the one O(1) route to p_n; :func:`eval_p` is the O(n) one for any x.
 """
 
 from __future__ import annotations
@@ -53,29 +54,6 @@ class PolyEval(Record):
         m, e = math.frexp(value)  # value = m * 2**e, 0.5 <= |m| < 1
         return PolyEval(2.0 * m, e - 1)
 
-    @staticmethod
-    def from_log2(log2_value: float, negative: bool = False) -> "PolyEval":
-        """Build 2**log2_value (optionally negated) without overflow."""
-        e = math.floor(log2_value)
-        m = 2.0 ** (log2_value - e)
-        if m >= 2.0:  # frac rounding can land exactly on 2.0
-            m /= 2.0
-            e += 1
-        return PolyEval(-m if negative else m, e)
-
-    def sign(self) -> int:
-        if self.mantissa > 0.0:
-            return 1
-        if self.mantissa < 0.0:
-            return -1
-        return 0
-
-    def log2_abs(self) -> float:
-        """log2 of the absolute value; -inf for zero."""
-        if self.mantissa == 0.0:
-            return -math.inf
-        return self.exp2 + math.log2(abs(self.mantissa))
-
     def to_float(self) -> float:
         """Collapse to a plain float; overflows to +-inf, underflows to 0."""
         if self.mantissa == 0.0:
@@ -83,9 +61,6 @@ class PolyEval(Record):
         if self.exp2 >= 1024:  # |value| >= 2^1024 exceeds doubles
             return math.inf if self.mantissa > 0 else -math.inf
         return math.ldexp(self.mantissa, self.exp2)  # underflow is silent
-
-    def __float__(self) -> float:
-        return self.to_float()
 
 
 def _check_index(n: int) -> None:
@@ -249,11 +224,6 @@ def log2_p_theta_excess(n: PolyIndex, theta: float) -> float:
     return (n + 1) * log2_cos + math.log2(_sin_multiple(n + 2, theta) / s)
 
 
-def log2_p_theta(n: PolyIndex, theta: float) -> float:
-    """log2 p_n(4 cos^2 theta) in O(1), for 0 < theta < pi/(n+2)."""
-    return (n + 1) + log2_p_theta_excess(n, theta)
-
-
 def dlog2_p_dtheta(n: PolyIndex, theta: float) -> float:
     """d/dtheta of log2 p_n(4 cos^2 theta); negative on (0, pi/(n+2)).
 
@@ -263,39 +233,6 @@ def dlog2_p_dtheta(n: PolyIndex, theta: float) -> float:
     k = n + 2
     cot_k = math.cos(k * theta) / _sin_multiple(k, theta)
     return (k * cot_k - (n + 1) * math.tan(theta) - 1.0 / math.tan(theta)) / _LN2
-
-
-def eval_p_closed(n: PolyIndex, x: float) -> PolyEval:
-    """p_n(x) in O(1) for any x >= 0, from the theta form up to 4, cosh above.
-
-    Relative precision is a few ulps where p_n is far from its roots, which
-    covers [alpha_n, inf); near a smaller root the error is a few ulps of
-    the scale 2^{n+1}, as for the recurrence.
-    """
-    _check_index(n)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"x must be finite and non-negative, got {x!r}")
-    if x > 4.0:
-        excess, negative = log2_p_cosh_excess(n, math.asinh(0.5 * math.sqrt(x - 4.0))), False
-    elif x == 4.0:
-        excess, negative = math.log2(n + 2), False  # p_n(4) = (n+2) 2^{n+1}
-    elif x == 0.0:
-        return PolyEval(0.0, 0)  # every p_n has the factor x
-    else:
-        theta = theta_of_x(x)
-        sin_k = _sin_multiple(n + 2, theta)
-        if sin_k == 0.0:
-            return PolyEval(0.0, 0)
-        # log2 cos theta = log2(x/4) / 2, taken from x itself (theta loses a
-        # small x); log1p keeps it exact near 4, where x - 4 is exact.
-        if x < 2.0:
-            log2_cos = 0.5 * (math.log2(x) - 2.0)
-        else:
-            log2_cos = 0.5 * math.log1p(0.25 * (x - 4.0)) / _LN2
-        excess = (n + 1) * log2_cos + math.log2(abs(sin_k) / math.sin(theta))
-        negative = sin_k < 0.0
-    v = PolyEval.from_log2(excess, negative)
-    return PolyEval(v.mantissa, v.exp2 + n + 1)
 
 
 # Terms per rotation run in p_theta_terms.  Each run restarts from the closed

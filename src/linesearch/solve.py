@@ -14,6 +14,10 @@ Three routes, matching how hard the equation is:
 * ``solve_limit``   -- theta = pi/(n+4), a0 = alpha_{n+2}, valid once
   n >= 7 eps^{-1/3} - 4; the induced competitive-ratio error is at most
   7^3 (n+4)^-3.
+
+The residual |p_n(a0) - rho| comes from the theta form the Newton solve
+evaluates, at theta(a0), wherever alpha_n < a0 < 4; in exact mode and for
+roots at or above 4 it comes from the exponent-tracked :func:`eval_p`.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ import math
 
 from ._base import Emitter, Record, set_field
 from .polynomials import (
-    PolyEval,
     alpha,
     dlog2_p_dt,
     dlog2_p_dtheta,
     eval_p,
     eval_p_and_derivative,
-    eval_p_closed,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
     log2_p_cosh_excess,
@@ -79,15 +81,20 @@ def _residual_exact(n: int, a0: float, rho: float) -> float:
 
 
 def _residual(n: int, a0: float, rho: float | None) -> float:
-    """|p_n(a0) - rho| in O(1), from the closed form at theta(a0) (t(a0) above 4)."""
+    """|p_n(a0) - rho|, in O(1) from the theta form where alpha_n < a0 < 4."""
     if rho is None:
         return math.nan
     if not math.isfinite(rho):
         return math.inf
-    val = eval_p_closed(n, a0).to_float()
-    if math.isinf(val):
+    try:
+        excess = log2_p_theta_excess(n, theta_of_x(a0))
+    except ValueError:  # a0 >= 4, or rounded onto or below alpha_n: p_n(a0) <= 0
+        return _residual_exact(n, a0, rho)
+    m, e = math.frexp(2.0**excess)
+    e += n + 1
+    if e > 1024:  # p_n(a0) >= 2^1024
         return math.inf
-    return abs(val - rho)
+    return abs(math.ldexp(m, e) - rho)
 
 
 def _log2_excess(n: int, rho: float) -> float:
@@ -261,7 +268,7 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
         l2rho = math.log2(rho)
         target = _log2_excess(n, rho)
     else:
-        rho = PolyEval.from_log2(log2_rho).to_float()
+        rho = 2.0**log2_rho if log2_rho < 1024.0 else math.inf
         l2rho = log2_rho
         target = log2_rho - (n + 1)
 
@@ -333,7 +340,8 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     where t_max solves (2 cosh t)^{n+1} = rho, a lower bound of p_n.  A
     double t resolves x only to a relative 2 t ulp(t) (6.9e-14 at n = 1,
     rho = 1e300), so roots above 4 are finished by Newton steps in x on the
-    recurrence, at O(n) cost.
+    recurrence, at O(n) cost.  A root within ulps of alpha_n can round onto
+    or below it; a0 is then moved up to the first double above it.
     """
     if rho < 1.0:
         raise ValueError(f"rho must be at least 1, got {rho}")
@@ -346,6 +354,8 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
         lo, hi = _newton_root(_theta_objective(n, target), 0.0, top, 0.5 * top)
         theta = lo
         a0, width = x_of_theta(theta), x_of_theta(lo) - x_of_theta(hi)
+        while theta_of_x(a0) >= top:  # rounded onto or below alpha_n
+            a0 = math.nextafter(a0, 4.0)
     else:
         t_max = math.acosh(2.0 ** (target / (n + 1)))
         lo, hi = _newton_root(

@@ -284,6 +284,17 @@ def test_log2_rho_past_double_range_is_one_error_line(capsys, command):
     assert err == "error: Lambda exceeds double range; turn distances cannot be materialized\n"
 
 
+@pytest.mark.parametrize("eps,mode", [("1e-15", "numeric"), ("1e-3", "limit_approx")])
+def test_rho_past_double_range_has_an_infinite_residual_in_every_mode(capsys, eps, mode):
+    # Lambda = 2^1030 lambda is finite but rho = 2^1030 is not, and neither is
+    # p_n(a0) near it: |p_n(a0) - rho| is infinite, not unknown.
+    code, out, err = run_cli(capsys, "optimal", "--log2-rho", "1030", "--lambda", "0.01",
+                             "--eps", eps)
+    assert code == 0, err
+    diagnostics = parse_record(out)["diagnostics"]
+    assert diagnostics["mode"] == mode and diagnostics["residual"] == math.inf
+
+
 def test_verify_sweep_to_the_top_of_double_range(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--sweep", "--rho-min", "1e300", "--rho-max", "1.7e308",

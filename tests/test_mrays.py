@@ -358,7 +358,6 @@ def test_multi_point_wrapper():
     from linesearch.mrays import MultiPoint
 
     p = MultiPoint((1.5, 1.5))
-    assert p.total == 3.0
     assert p.is_ordered()
     assert multi_p(4, p, 3) == pytest.approx(0.0, abs=1e-12)
     assert not MultiPoint((2.0, 1.0)).is_ordered()

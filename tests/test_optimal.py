@@ -11,7 +11,6 @@ from linesearch import cli, optimal
 from linesearch.optimal import (
     SearchProblem,
     expand_sequence,
-    f_infinity,
     optimal_n,
     optimize,
     solve_problem,
@@ -80,7 +79,7 @@ def test_certificate_sweep_small():
         assert n in (math.floor(e) - 1, math.floor(e)) or (math.floor(e) == 0 and n == 0)
 
 
-# --- expand_sequence and f_infinity ----------------------------------------
+# --- expand_sequence --------------------------------------------------------
 
 
 def test_expand_at_four():
@@ -116,14 +115,6 @@ def test_expand_edges():
     assert expand_sequence(2.5, 1) == [2.5]
     with pytest.raises(ValueError):
         expand_sequence(2.5, -1)
-
-
-def test_f_infinity_values():
-    assert f_infinity(0, 1.0) == 4.0
-    assert f_infinity(2, 1.0) == 32.0
-    assert f_infinity(3, 0.5) == 40.0
-    with pytest.raises(ValueError):
-        f_infinity(-1, 1.0)
 
 
 # --- SearchProblem ----------------------------------------------------------
@@ -332,12 +323,12 @@ def test_quoted_band_lower_edge_is_too_strong():
 
 
 def test_turns_approach_f_infinity():
+    # (2i + 4) 2^i: the turns of the canonical 9-competitive unbounded strategy.
+    f_inf = [(2 * i + 4) * 2**i for i in range(5)]
     gaps = []
     for k in (10, 20, 40):
         rep = optimize(SearchProblem(1.0, 2.0**k, 1e-12))
-        gap = max(
-            abs(rep.strategy.turns[i] - f_infinity(i)) / f_infinity(i) for i in range(5)
-        )
+        gap = max(abs(rep.strategy.turns[i] - f) / f for i, f in enumerate(f_inf))
         gaps.append(gap)
     assert gaps[0] > gaps[1] > gaps[2]
     # At rho = 2^40 the offset 4 - a0 is about 4 sin^2(pi/43) ~ 0.021, and
@@ -405,7 +396,7 @@ def test_limit_mode_caps_only_the_tail_at_Lambda():
         rep = optimize(problem)
         if rep.mode != "limit_approx":
             continue
-        raw = expand_sequence(rep.a0, rep.n, scale=problem.lambda_, theta=rep.solve_result.theta)
+        raw = expand_sequence(rep.a0, rep.n, scale=problem.lambda_, theta=rep.theta)
         assert rep.strategy.turns == tuple(min(t, problem.Lambda) for t in raw), log2_rho
         limit += 1
         capped += raw[-1] > problem.Lambda
@@ -421,15 +412,13 @@ def test_solve_problem_is_optimize_without_the_turns():
         SearchProblem.from_log2_rho(1000.0, epsilon=1e-6),
         SearchProblem.from_log2_rho(1023.5),
     ]
-    fields = ("n", "a0", "cr", "mode", "cr_error_bound", "residual", "bracket_width")
+    fields = ("n", "a0", "cr", "mode", "cr_error_bound", "residual", "bracket_width", "theta")
     for problem in problems:
         sol, rep = solve_problem(problem), optimize(problem)
         got = [getattr(sol, f) for f in fields]
         want = [getattr(rep, f) for f in fields]
         assert repr(got) == repr(want), problem  # bit for bit, NaN included
-        assert sol.solve_result == rep.solve_result
-        assert repr(sol.theta) == repr(rep.solve_result.theta)
-        assert not hasattr(sol, "strategy") and "solve_result" not in repr(sol)
+        assert not hasattr(sol, "strategy")
 
 
 def test_optimal_sweep_does_not_expand_turns(monkeypatch, capsys):

@@ -1,7 +1,6 @@
 import math
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +15,10 @@ from linesearch.polynomials import (
     dlog2_p_dtheta,
     eval_p,
     eval_p_and_derivative,
-    eval_p_closed,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
     log2_p_cosh_excess,
-    log2_p_theta,
+    log2_p_theta_excess,
     p_theta_terms,
     theta_of_x,
     x_of_theta,
@@ -35,13 +33,6 @@ def test_polyeval_roundtrip():
         assert pe.to_float() == v
         if v != 0.0:
             assert 1.0 <= abs(pe.mantissa) < 2.0
-
-
-def test_polyeval_from_log2():
-    assert PolyEval.from_log2(10.0).to_float() == 1024.0
-    assert PolyEval.from_log2(0.5).to_float() == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    big = PolyEval.from_log2(5000.0)
-    assert big.exp2 == 5000 and big.mantissa == 1.0
 
 
 def test_eval_p_base_cases():
@@ -120,12 +111,11 @@ def test_p_at_alpha2_matches_quoted_boundary():
 @pytest.mark.parametrize("n", range(0, 51))
 def test_closed_form_agreement(n):
     # Recurrence vs alpha_{n+1}^((n+1)/2) and alpha_{n+2}^((n+2)/2).
-    got1 = eval_p(n, alpha(n + 1)).log2_abs()
-    assert got1 == pytest.approx(log2_p_at_alpha_next(n), abs=1e-9)
-    got2 = eval_p(n, alpha(n + 2)).log2_abs()
-    assert got2 == pytest.approx(log2_p_at_alpha_next2(n), abs=1e-9)
-    assert eval_p(n, alpha(n + 1)).sign() > 0
-    assert eval_p(n, alpha(n + 2)).sign() > 0
+    for edge, want in ((alpha(n + 1), log2_p_at_alpha_next(n)),
+                       (alpha(n + 2), log2_p_at_alpha_next2(n))):
+        pe = eval_p(n, edge)
+        assert pe.mantissa > 0
+        assert math.log2(abs(pe.mantissa)) + pe.exp2 == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", range(0, 51))
@@ -206,7 +196,7 @@ def test_large_n_no_overflow():
     # Growth is ~2^n near x = 4; exponent tracking must keep n = 10^6 finite.
     pe = eval_p(1_000_000, 4.2)
     assert math.isfinite(pe.mantissa) and 1.0 <= abs(pe.mantissa) < 2.0
-    assert 1.30e6 <= pe.log2_abs() <= 1.40e6
+    assert 1.30e6 <= math.log2(abs(pe.mantissa)) + pe.exp2 <= 1.40e6
     pe_small = eval_p(1_000_000, 0.5)
     assert math.isfinite(pe_small.mantissa)
 
@@ -268,7 +258,7 @@ def test_log2_p_theta_matches_recurrence_oracle(n):
     for theta in _bracket_thetas(n, 5, n):
         with mp.workdps(50):
             ref = mp.log(p_at_theta_mp(n, theta), 2)
-        assert abs(log2_p_theta(n, theta) - ref) <= 1e-14 * abs(ref), (n, theta)
+        assert abs((n + 1) + log2_p_theta_excess(n, theta) - ref) <= 1e-14 * abs(ref), (n, theta)
 
 
 @pytest.mark.parametrize("n", [0, 4, 37, 1000])
@@ -373,17 +363,4 @@ def test_theta_x_maps():
     with pytest.raises(ValueError):
         theta_of_x(4.5)
     with pytest.raises(ValueError):
-        log2_p_theta(10, math.pi / 12)  # p_10 vanishes there
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=40),
-    x=st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
-)
-def test_eval_p_closed_matches_integer_polynomial(n, x):
-    # Exact rational value of the integer-coefficient polynomial at the double x.
-    exact = sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(poly_coeffs(n)))
-    got = eval_p_closed(n, x)
-    scale = max(abs(exact), Fraction(2) ** (n + 1))
-    assert abs(Fraction(got.mantissa) * Fraction(2) ** got.exp2 - exact) <= Fraction(1e-13) * scale
+        log2_p_theta_excess(10, math.pi / 12)  # p_10 vanishes there

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,15 @@ from _oracles import bisect_root, p_at_theta_mp, p_recurrence_mp, poly_coeffs, p
 def oracle_root(n: int, rho: float, lo: float, hi: float) -> float:
     coeffs = poly_coeffs(n)
     return bisect_root(lambda x: poly_eval(coeffs, x) - rho, lo, hi)
+
+
+def p_exact(n: int, x: float) -> Fraction:
+    """p_n at the double x, exactly: with x = num/den, den^(i+1) p_i is an integer."""
+    num, den = x.as_integer_ratio()
+    prev, cur = 1, num  # den^0 p_{-1} = 1 seeds p_1 = x (x - 1)
+    for _ in range(n):
+        prev, cur = cur, num * (cur - den * prev)
+    return Fraction(cur, den ** (n + 1))
 
 
 def bracket_edges(n: int) -> tuple[float, float]:
@@ -299,9 +310,43 @@ def test_beyond_alpha_large_root_to_a_few_ulps(rho):
 @pytest.mark.parametrize("n", [60, 300, 1000])
 def test_beyond_alpha_root_within_ulps_of_alpha(n):
     # p_n climbs from 0 to 1 within an ulp of alpha_n here: the root is not
-    # representable apart from alpha_n, and the solve returns next to it.
+    # representable apart from alpha_n, and the solve returns next to it,
+    # yet above alpha_n, where p_n is positive.
     res = solve_beyond_alpha(n, 1.0)
     assert abs(res.a0 - alpha(n)) <= 2 * math.ulp(alpha(n))
+    assert p_exact(n, res.a0) > 0
+
+
+# --- residual ---------------------------------------------------------------
+
+
+def assert_residual_exact(n: int, res, rho: float) -> None:
+    exact = abs(p_exact(n, res.a0) - Fraction(rho))
+    scale = max(Fraction(rho), Fraction(2) ** (n + 1))
+    assert abs(Fraction(res.residual) - exact) <= Fraction(1e-12) * scale, (n, rho, res)
+
+
+def test_residual_matches_exact_value():
+    # Roots below 4 take the residual from the theta form, exact mode and
+    # roots above 4 from the recurrence; each is checked against p_n(a0) in
+    # exact rational arithmetic, up to the top of double range.
+    rng = random.Random(14)
+    log2_rhos = [5.0, 1023.9] + [rng.uniform(5.0, 1023.9) for _ in range(40)]
+    for log2_rho in log2_rhos:
+        rho = 2.0**log2_rho
+        n = optimal_n(rho)
+        by_log2 = solve_numeric(n, log2_rho=log2_rho)
+        for res in (solve_numeric(n, rho), solve_limit(n, rho), by_log2):
+            assert_residual_exact(n, res, rho)
+    for rho in (1.0, 2.5, 17.0):
+        n = optimal_n(rho)
+        assert_residual_exact(n, solve_exact(n, rho), rho)
+    for n, rho in [(1, 100.0), (3, 500.0), (1, 1e300), (50, 1e300), (400, 2.0**1000)]:
+        res = solve_beyond_alpha(n, rho)
+        assert res.a0 > 4.0
+        assert_residual_exact(n, res, rho)
+    for n in (60, 300, 1000):
+        assert_residual_exact(n, solve_beyond_alpha(n, 1.0), 1.0)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,16 +1,20 @@
 """The package keeps no code that nothing reaches, checked on its syntax trees.
 
-Two kinds of leftover are caught: a top-level import that its module never
-uses, and a module-level ``_private`` name that is referenced nowhere but
-where it is defined.  Only the standard library's ``ast`` is used.
+Three kinds of leftover are caught: a top-level import that its module never
+uses, a module-level ``_private`` name that is referenced nowhere but where
+it is defined, and a public function, class or method that only the unit
+tests reach.  Only the standard library's ``ast`` is used.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "linesearch"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "linesearch"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 # (module, name) pairs kept on purpose.  reach imports eval_p unused because
@@ -89,3 +93,59 @@ def test_every_private_name_is_referenced(module):
     read = _read_names(tree)
     dead = [(name, line) for name, line in _private_definitions(tree).items() if name not in read]
     assert not dead, f"{module}: private names referenced only where defined: {dead}"
+
+
+# Public names that only the unit tests reach, kept on purpose: qualified
+# name ("function", "Class" or "Class.method") -> the reason it stays.
+ALLOWED_TEST_ONLY: dict[str, str] = {}
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read, bare or as an attribute (``x.name``)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+    return found
+
+
+def _attributes(tree: ast.AST) -> Counter:
+    """How often each name is read as an attribute only."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node, is a method) for each public function, class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def test_no_public_name_is_reached_only_from_tests():
+    # A reach counts from the package (outside the definition itself), the
+    # benchmark harness, the acceptance tests, or a backticked README name.
+    # A method is reached through an attribute only, so that a local
+    # variable of the same name does not count for it.
+    outside = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    outside.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    readme = {
+        word for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+        for word in re.findall(r"[A-Za-z_]\w*", span)
+    }
+    trees = [*TREES.values(), *outside]
+    count = {False: _references, True: _attributes}
+    total = {kind: sum(map(refs, trees), Counter()) for kind, refs in count.items()}
+    unreached = [
+        f"{module}.{qualname}"
+        for module, tree in TREES.items()
+        for qualname, node, is_method in _public_definitions(tree)
+        if total[is_method][node.name] == count[is_method](node)[node.name]
+        and node.name not in readme and qualname not in ALLOWED_TEST_ONLY
+    ]
+    assert not unreached, f"public names only the unit tests reach: {unreached}"
