@@ -31,7 +31,7 @@ import math
 import sys
 
 from ._base import configure_from_env
-from .optimal import SearchProblem, StrategyReport, optimize, solve_problem
+from .optimal import SearchProblem, Strategy, StrategyReport, optimize, solve_problem
 from .solve import MODE_LIMIT
 
 SCHEMA_VERSION = "1"
@@ -117,9 +117,7 @@ def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(dumps_record(record))
     else:
-        flat = _flatten(record)
-        print(",".join(flat.keys()))
-        print(",".join(flat.values()))
+        _emit_rows([record], "csv")
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> None:
@@ -135,16 +133,13 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
         print(",".join(fr.get(k, "") for k in keys))
 
 
+def _turn_fields(strategy: Strategy) -> dict:
+    turns = list(strategy.turns)
+    return {"sequence": turns + [strategy.terminal], "turns": turns, "terminal": strategy.terminal}
+
+
 def _report_payload(report: StrategyReport) -> tuple[dict, dict]:
-    strategy = report.strategy
-    results = {
-        "n": report.n,
-        "a0": report.a0,
-        "cr": report.cr,
-        "sequence": list(strategy.turns) + [strategy.terminal],
-        "turns": list(strategy.turns),
-        "terminal": strategy.terminal,
-    }
+    results = {"n": report.n, "a0": report.a0, "cr": report.cr, **_turn_fields(report.strategy)}
     diagnostics = {
         "mode": report.mode,
         "cr_error_bound": report.cr_error_bound,
@@ -189,14 +184,8 @@ def _cmd_reach(args: argparse.Namespace) -> int:
     from . import reach
 
     result = reach.maximal_reach(reach.ReachQuery(ratio=args.ratio, lambda_=args.lambda_))
-    strategy = result.strategy
     results = {
-        "Lambda": result.Lambda,
-        "n": result.n,
-        "a0": result.a0,
-        "sequence": list(strategy.turns) + [strategy.terminal],
-        "turns": list(strategy.turns),
-        "terminal": strategy.terminal,
+        "Lambda": result.Lambda, "n": result.n, "a0": result.a0, **_turn_fields(result.strategy),
     }
     inputs = {"ratio": args.ratio, "lambda": args.lambda_}
     _emit(_record("reach", inputs, results, {"mode": "exact_inverse"}), args.format or "json")
@@ -363,18 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lower bound on the target distance (default 1)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
 
+    def add_problem(p: argparse.ArgumentParser, points: int) -> None:
+        p.add_argument("--Lambda", type=float, default=None,
+                       help="upper bound on the target distance")
+        p.add_argument("--log2-rho", dest="log2_rho", type=float, default=None,
+                       help="give rho = Lambda/lambda as its base-2 logarithm")
+        p.add_argument("--eps", type=float, default=1e-9,
+                       help="competitive-ratio tolerance (default 1e-9)")
+        p.add_argument("--sweep", action="store_true", help="log-spaced batch over rho")
+        p.add_argument("--rho-min", type=float, default=None)
+        p.add_argument("--rho-max", type=float, default=None)
+        p.add_argument("--points", type=int, default=points)
+
     p_opt = sub.add_parser("optimal", help="compute the optimal strategy and its ratio")
     add_common(p_opt)
-    p_opt.add_argument("--Lambda", type=float, default=None,
-                       help="upper bound on the target distance")
-    p_opt.add_argument("--log2-rho", dest="log2_rho", type=float, default=None,
-                       help="give rho = Lambda/lambda as its base-2 logarithm")
-    p_opt.add_argument("--eps", type=float, default=1e-9,
-                       help="competitive-ratio tolerance (default 1e-9)")
-    p_opt.add_argument("--sweep", action="store_true", help="log-spaced batch over rho")
-    p_opt.add_argument("--rho-min", type=float, default=None)
-    p_opt.add_argument("--rho-max", type=float, default=None)
-    p_opt.add_argument("--points", type=int, default=50)
+    add_problem(p_opt, points=50)
     p_opt.set_defaults(func=_cmd_optimal)
 
     p_reach = sub.add_parser("reach", help="largest Lambda searchable within a ratio budget")
@@ -385,14 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="cross-check the optimizer against the simulator")
     add_common(p_ver)
-    p_ver.add_argument("--Lambda", type=float, default=None)
-    p_ver.add_argument("--log2-rho", dest="log2_rho", type=float, default=None)
-    p_ver.add_argument("--eps", type=float, default=1e-9)
+    add_problem(p_ver, points=20)
     p_ver.add_argument("--grid-points", dest="grid_points", type=int, default=100_000)
-    p_ver.add_argument("--sweep", action="store_true")
-    p_ver.add_argument("--rho-min", type=float, default=None)
-    p_ver.add_argument("--rho-max", type=float, default=None)
-    p_ver.add_argument("--points", type=int, default=20)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_mray = sub.add_parser("mray", help="feasibility and worst ratio of an m-ray family member")

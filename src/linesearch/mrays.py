@@ -36,24 +36,6 @@ class InfeasibleParamsError(ValueError):
         self.interval = interval
 
 
-class MultiPoint(Record):
-    """A point x = (x_0, ..., x_{m-2}) in the turn-ratio coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[float]) -> None:
-        set_field(self, "coords", tuple(float(c) for c in coords))
-
-    def is_ordered(self, tol: float = 0.0) -> bool:
-        """Whether 0 <= x_0 <= x_1 <= ... holds (the root-point constraint)."""
-        prev = 0.0
-        for c in self.coords:
-            if c < prev - tol:
-                return False
-            prev = c
-        return True
-
-
 def growth_base(m: int) -> float:
     return m / (m - 1.0)
 
@@ -187,16 +169,17 @@ def mray_worst_ratio(params: RayFamilyParams, horizon: int = 200) -> float:
     return max(mray_breakpoint_ratios(params, horizon))
 
 
-def multi_p(n: int, point: MultiPoint | Sequence[float], m: int) -> float:
+def multi_p(n: int, point: Sequence[float], m: int) -> float:
     """The multivariate recurrence over the first m-1 turn ratios.
 
+    ``point`` holds the coordinates x = (x_0, ..., x_{m-2}).
     p_n = x_n for n <= m-2; p_{m-1} = |x|(x_0 - 1);
     p_n = |x|(p_{n-(m-1)} - p_{n-m}) for n >= m, where |x| sums the coords.
     Reduces to the univariate family when m = 2.
     """
     if m < 2:
         raise ValueError(f"need at least 2 rays, got m={m}")
-    coords = list(point.coords) if isinstance(point, MultiPoint) else [float(c) for c in point]
+    coords = [float(c) for c in point]
     if len(coords) != m - 1:
         raise ValueError(f"point must have m-1 = {m - 1} coordinates, got {len(coords)}")
     if n < 0:
@@ -265,8 +248,8 @@ def verify_alpha_table(m: int, n: int, tol: float = 1e-10) -> bool:
     key = (m, n)
     if key not in ALPHA_TABLE:
         raise ValueError(f"table covers 2 <= m <= 5 and 0 <= n <= 6, got m={m}, n={n}")
-    point = MultiPoint(ALPHA_TABLE[key])
-    if not point.is_ordered(tol):
+    point = ALPHA_TABLE[key]
+    if any(c < prev - tol for prev, c in zip((0.0, *point), point)):
         return False
     return all(abs(multi_p(k, point, m)) <= tol for k in range(n, n + m - 1))
 

@@ -157,7 +157,11 @@ class Strategy(Record):
 
 
 class StrategyReport(Record):
-    """Everything optimize() knows about the strategy it produced; a0 = 4 cos^2 theta."""
+    """Everything optimize() knows about the strategy it produced; a0 = 4 cos^2 theta.
+
+    :func:`solve_problem` returns the same record without the turns, with
+    ``strategy`` None.
+    """
 
     __slots__ = (
         "strategy", "n", "a0", "cr", "mode", "cr_error_bound",
@@ -166,7 +170,7 @@ class StrategyReport(Record):
 
     def __init__(
         self,
-        strategy: Strategy,
+        strategy: Strategy | None,
         n: int,
         a0: float,
         cr: float,
@@ -253,40 +257,10 @@ def expand_sequence(
     return seq
 
 
-class Solution(Record):
-    """The O(1) part of optimize(): the solved strategy without its turns.
-
-    ``theta`` has a0 = 4 cos^2 theta (NaN when a0 > 4); the turns
-    lambda * p_i(a0) are :func:`expand_sequence` of it.
-    """
-
-    __slots__ = (
-        "n", "mode", "theta", "a0", "cr", "cr_error_bound", "residual", "bracket_width",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        mode: str,
-        theta: float,
-        a0: float,
-        cr: float,
-        cr_error_bound: float,
-        residual: float,
-        bracket_width: float,
-    ) -> None:
-        set_field(self, "n", n)
-        set_field(self, "mode", mode)
-        set_field(self, "theta", theta)
-        set_field(self, "a0", a0)
-        set_field(self, "cr", cr)
-        set_field(self, "cr_error_bound", cr_error_bound)
-        set_field(self, "residual", residual)
-        set_field(self, "bracket_width", bracket_width)
-
-
-def solve_problem(problem: SearchProblem) -> Solution:
+def solve_problem(problem: SearchProblem) -> StrategyReport:
     """Pick n and solve for a0 and the exact competitive ratio, in O(1).
+
+    The report is :func:`optimize`'s without the turns: ``strategy`` is None.
 
     Dispatch: closed forms for n <= 3; the alpha_{n+2} limit approximation
     once n >= 7 eps^{-1/3} - 4 (ratio error below eps by construction);
@@ -312,15 +286,8 @@ def solve_problem(problem: SearchProblem) -> Solution:
     logger.info(
         "optimize rho=%.6g -> n=%d mode=%s a0=%.17g cr=%.17g", rho, n, sol.mode, sol.a0, cr
     )
-    return Solution(
-        n=n,
-        mode=sol.mode,
-        theta=sol.theta,
-        a0=sol.a0,
-        cr=cr,
-        cr_error_bound=bound,
-        residual=sol.residual,
-        bracket_width=sol.bracket_width,
+    return StrategyReport(
+        None, n, sol.a0, cr, sol.mode, bound, sol.residual, sol.bracket_width, sol.theta
     )
 
 
@@ -346,13 +313,6 @@ def optimize(problem: SearchProblem) -> StrategyReport:
         turns[i:] = [cap] * (len(turns) - i)
     strategy = Strategy(turns=turns, terminal=problem.Lambda, lambda_=problem.lambda_)
     return StrategyReport(
-        strategy=strategy,
-        n=sol.n,
-        a0=sol.a0,
-        cr=sol.cr,
-        mode=sol.mode,
-        cr_error_bound=sol.cr_error_bound,
-        residual=sol.residual,
-        bracket_width=sol.bracket_width,
-        theta=sol.theta,
+        strategy, sol.n, sol.a0, sol.cr, sol.mode, sol.cr_error_bound, sol.residual,
+        sol.bracket_width, sol.theta,
     )

@@ -3,8 +3,9 @@
 Inverting CR = 2 a0 + 1 gives a0 = (R - 1)/2 directly, the iteration count
 follows from which root bracket contains a0, and the reach is Lambda =
 p_n(a0) * lambda together with the witnessing strategy.  One pass of the
-turn recurrence gives p_0 .. p_n: the first n are the turn ratios and the
-last is the reach ratio.
+turn recurrence, run in absolute units, gives lambda p_0 .. lambda p_n: the
+first n are the turns and the last is the reach, finite wherever Lambda is
+even if p_n alone is not.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .polynomials import eval_p  # noqa: F401
 _EDGE_FUZZ = 8.0 * math.ulp(4.0)
 
 # In bracket n, p_n(a0) >= p_n(alpha_{n+1}) = (2 cos(pi/(n+3)))^(n+1) > 2^n, so
-# from n = 1024 on p_n leaves double range before lambda scales it.  Budgets
-# that far up are refused before the bracket search, which would otherwise
-# step through n one at a time (for ever once a0 is within the fuzz of 4).
-_FIRST_OVERFLOWING_A0 = alpha(1025) - _EDGE_FUZZ
+# from n = 2046 on lambda p_n > 2^-1022 2^2046 overflows for every normal
+# lambda.  Budgets that far up are refused before the bracket search, which
+# would otherwise step through n one at a time (for ever once a0 is within
+# the fuzz of 4).
+_FIRST_OVERFLOWING_A0 = alpha(2047) - _EDGE_FUZZ
 
 
 class UnboundedReachError(ValueError):
@@ -89,11 +91,11 @@ def maximal_reach(query: ReachQuery) -> ReachResult:
         raise _overflow()
     n = _iterations_for(a0)
     lam = query.lambda_
-    ratios = expand_sequence(a0, n + 1)  # p_0 .. p_n
-    Lambda = ratios.pop() * lam
+    turns = expand_sequence(a0, n + 1, scale=lam)  # lambda p_0 .. lambda p_n
+    Lambda = turns.pop()
     if not math.isfinite(Lambda):
         raise _overflow()
-    strategy = Strategy(turns=[r * lam for r in ratios], terminal=Lambda, lambda_=lam)
+    strategy = Strategy(turns=turns, terminal=Lambda, lambda_=lam)
     return ReachResult(Lambda=Lambda, n=n, strategy=strategy, a0=a0)
 
 

@@ -12,7 +12,7 @@ Each O(n) pass (validation, prefix sums, breakpoints, the grid points that
 open each run, the baselines' turns) is a few C-level passes: ``accumulate``,
 ``bisect``, ``map``/``zip`` and comprehensions, not a statement per turn.  At
 n = 995 on a 2-CPU machine (CPython 3.11) that puts ``worst_case_ratio`` at
-about 0.2-0.25 ms, plus about 0.1 ms if its per-interval table is read,
+about 0.2-0.25 ms, plus about 0.07 ms each time its per-interval table is read,
 ``grid_sweep_ratio`` at about 1 ms (one ``log`` and two ``exp`` per run), and
 each baseline at about 0.07-0.18 ms to build and 0.25 ms to price.  Where
 twice the sum of the reaches would overflow, both pricers work in units of an
@@ -38,55 +38,40 @@ class IncompleteStrategyError(ValueError):
 class RatioReport(Record):
     """Per-interval suprema of cost/distance and their overall maximum.
 
-    ``per_interval`` pairs each interval (lower end, upper end) with its
-    supremum.  :func:`worst_case_ratio` hands over the parts it is made of,
-    and the table is built on first read: a caller that reads only
-    ``sup_ratio`` or ``interval_sups`` never pays for its n pairs of pairs.
+    The intervals run from ``lam`` through each breakpoint to ``Lam``, and
+    ``interval_sups`` holds their suprema in order.  ``per_interval``
+    pairs each interval (lower end, upper end) with its supremum; it is
+    built from these fields each time it is read, so a caller that reads
+    only ``sup_ratio`` or ``interval_sups`` never pays for its n pairs of
+    pairs.
     """
 
-    __slots__ = ("sup_ratio", "argmax_interval", "per_interval")
+    __slots__ = ("sup_ratio", "argmax_interval", "interval_sups", "lam", "breakpoints", "Lam")
 
     def __init__(
         self,
         sup_ratio: float,
         argmax_interval: int,
-        per_interval: tuple[tuple[tuple[float, float], float], ...],
+        interval_sups: Sequence[float],
+        lam: float,
+        breakpoints: Sequence[float],
+        Lam: float,
     ) -> None:
         set_field(self, "sup_ratio", sup_ratio)
         set_field(self, "argmax_interval", argmax_interval)
-        _TABLE.__set__(self, per_interval)  # the table, or the _Intervals it is built from
+        set_field(self, "interval_sups", tuple(interval_sups))
+        set_field(self, "lam", lam)
+        set_field(self, "breakpoints", tuple(breakpoints))
+        set_field(self, "Lam", Lam)
 
     @property
-    def interval_sups(self) -> tuple[float, ...]:
-        """The suprema of ``per_interval`` in order, read without building it."""
-        table = _TABLE.__get__(self)
-        return tuple(table.sups if type(table) is _Intervals else [s for _, s in table])
-
-
-class _Intervals:
-    """The breakpoints in [lam, Lam) and the suprema a per-interval table pairs."""
-
-    __slots__ = ("lam", "breaks", "Lam", "sups")
-
-    def __init__(self, lam: float, breaks: Sequence[float], Lam: float, sups: list[float]) -> None:
-        self.lam, self.breaks, self.Lam, self.sups = lam, breaks, Lam, sups
-
-
-def _per_interval(report: RatioReport) -> tuple[tuple[tuple[float, float], float], ...]:
-    """((lower, upper), supremum) per interval, built on first read."""
-    parts = _TABLE.__get__(report)
-    if type(parts) is not _Intervals:
-        return parts
-    lam, breaks, ends = parts.lam, parts.breaks, [*parts.breaks, parts.Lam]
-    # A breakpoint on lam ends the first interval where the next one does.
-    first_hi = ends[1] if breaks and breaks[0] == lam else ends[0]
-    table = tuple(zip([(lam, first_hi), *zip(breaks, ends[1:])], parts.sups))
-    _TABLE.__set__(report, table)
-    return table
-
-
-_TABLE = RatioReport.per_interval  # the slot, which the property below reads and fills
-RatioReport.per_interval = property(_per_interval)
+    def per_interval(self) -> tuple[tuple[tuple[float, float], float], ...]:
+        """((lower, upper), supremum) per interval."""
+        lam, breaks = self.lam, self.breakpoints
+        ends = [*breaks, self.Lam]
+        # A breakpoint on lam ends the first interval where the next one does.
+        first_hi = ends[1] if breaks and breaks[0] == lam else ends[0]
+        return tuple(zip([(lam, first_hi), *zip(breaks, ends[1:])], self.interval_sups))
 
 
 def _checked_bounds(strategy: Strategy, lam: float | None, Lam: float | None) -> tuple[float, float]:
@@ -165,7 +150,7 @@ def worst_case_ratio(
         2.0 * s / (d * scale) + 1.0 for s, d in zip([sums[first], *served], [lam, *breaks])
     ]
     sup = max(ratios)
-    return RatioReport(sup, ratios.index(sup), _Intervals(lam, breaks, Lam, ratios))
+    return RatioReport(sup, ratios.index(sup), ratios, lam, breaks, Lam)
 
 
 class GeometricGrid(Sequence):

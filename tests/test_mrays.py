@@ -354,14 +354,17 @@ def test_fixed_point_all(m, n):
     assert limit_fixed_point(m, n)
 
 
-def test_multi_point_wrapper():
-    from linesearch.mrays import MultiPoint
+def test_multi_p_takes_plain_coordinates_and_the_table_checks_order(monkeypatch):
+    from linesearch import mrays
 
-    p = MultiPoint((1.5, 1.5))
-    assert p.is_ordered()
-    assert multi_p(4, p, 3) == pytest.approx(0.0, abs=1e-12)
-    assert not MultiPoint((2.0, 1.0)).is_ordered()
-    assert not MultiPoint((-0.5,)).is_ordered()
+    assert multi_p(4, (1.5, 1.5), 3) == pytest.approx(0.0, abs=1e-12)
+    assert multi_p(4, [1, 2], 3) == multi_p(4, (1.0, 2.0), 3)
+    # Each coordinate must be at least the one before it, the first at least 0.
+    for unordered in ((1.5, 1.0), (-0.5, 1.5)):
+        monkeypatch.setitem(mrays.ALPHA_TABLE, (3, 3), unordered)
+        assert not mrays.verify_alpha_table(3, 3)
+    monkeypatch.setitem(mrays.ALPHA_TABLE, (3, 3), (1.5, 1.5 - 1e-12))  # within tol
+    assert mrays.verify_alpha_table(3, 3, tol=1e-10)
 
 
 def test_multi_p_sum_identity():

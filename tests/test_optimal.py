@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -359,14 +360,22 @@ def test_printed_bound_holds_for_printed_turns():
     # exact rationals, the supremum is at most cr + cr_error_bound, up to the
     # rounding of cr itself (exact mode reports a bound of 0).
     rng = np.random.default_rng(20261018)
-    draws = zip(rng.uniform(0.0, 1000.0, 240), rng.choice([1e-12, 1e-9, 1e-6], 240))
+    draws = zip(rng.uniform(0.0, 1000.0, 240), repeat(1.0), rng.choice([1e-12, 1e-9, 1e-6], 240))
+    # And over the whole lambda range: lambda log-uniform over [2^-1022, 2^1000]
+    # and log2 rho up to the edge where Lambda = lambda rho stays finite.
+    wide = np.random.default_rng(20261020)
+    log2_lams = wide.uniform(-1022.0, 1000.0, 60)
+    wide_draws = zip(wide.uniform(0.0, 1.0, 60) * (1023.99 - log2_lams), 2.0**log2_lams,
+                     wide.choice([1e-12, 1e-9, 1e-6], 60))
     modes = set()
-    for log2_rho, eps in [(0.0, 1e-9), (1000.0, 1e-12), (1000.0, 1e-6), *draws]:
-        rep = optimize(SearchProblem.from_log2_rho(float(log2_rho), epsilon=float(eps)))
+    for log2_rho, lam, eps in [(0.0, 1.0, 1e-9), (1000.0, 1.0, 1e-12), (1000.0, 1.0, 1e-6),
+                               *draws, *wide_draws]:
+        problem = SearchProblem.from_log2_rho(float(log2_rho), float(lam), float(eps))
+        rep = optimize(problem)
         s = rep.strategy
         sup = exact_sup_ratio(s.turns, s.terminal, s.lambda_)
         allowed = Fraction(rep.cr) + Fraction(rep.cr_error_bound) + 8 * Fraction(math.ulp(rep.cr))
-        assert sup <= allowed, (log2_rho, eps, rep.n, rep.mode, float(sup - Fraction(rep.cr)))
+        assert sup <= allowed, (problem, rep.n, rep.mode, float(sup - Fraction(rep.cr)))
         modes.add(rep.mode)
     assert modes == {"exact", "numeric", "limit_approx"}
 
@@ -418,7 +427,7 @@ def test_solve_problem_is_optimize_without_the_turns():
         got = [getattr(sol, f) for f in fields]
         want = [getattr(rep, f) for f in fields]
         assert repr(got) == repr(want), problem  # bit for bit, NaN included
-        assert not hasattr(sol, "strategy")
+        assert sol.strategy is None and type(sol) is type(rep)
 
 
 def test_optimal_sweep_does_not_expand_turns(monkeypatch, capsys):

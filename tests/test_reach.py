@@ -100,10 +100,21 @@ def _log_uniform(rng, lo_exp, hi_exp):
     return 2.0 ** rng.uniform(lo_exp, hi_exp)
 
 
+def _reference_reach(n, a0, lam):
+    """The exponent-tracked p_n(a0) times lambda, rounded once; inf past double range."""
+    p = eval_p(n, a0)
+    try:
+        return math.ldexp(p.mantissa * lam, p.exp2)
+    except OverflowError:
+        return math.inf
+
+
 def test_reach_is_the_reference_p_n_times_lambda():
-    # Lambda is the exponent-tracked p_n(a0) times lambda, the turns the
-    # recurrence's p_i times lambda one by one, and the overflow boundary is
-    # where that product leaves double range.
+    # The turn recurrence runs in absolute units.  At lambda = 1 and at every
+    # power of two it scales exactly, so Lambda is bit for bit the reference
+    # and the reach is refused exactly where that leaves double range.  At
+    # other lambdas the recurrence's own roundings, seeded at lambda and
+    # a0 lambda, move Lambda by up to about n^3 ulps.
     rng = random.Random(10)
     overflowed = 0
     for k in range(600):
@@ -111,43 +122,60 @@ def test_reach_is_the_reference_p_n_times_lambda():
             ratio = 3.0 + 6.0 * rng.random()
         else:  # 9 - ratio log-uniform, n up to about 2 800
             ratio = 9.0 - 6.0 * 10.0 ** rng.uniform(-5.8, 0.0)
-        lam = _log_uniform(rng, -1022, 1023.9)
+        kind = rng.randrange(3)
+        lam = (1.0, 2.0 ** rng.randint(-1022, 1023), _log_uniform(rng, -1022, 1023.9))[kind]
         a0 = 0.5 * (ratio - 1.0)
         n = reach._iterations_for(a0)
-        want = eval_p(n, a0).to_float() * lam
-        if not math.isfinite(want):
-            overflowed += 1
-            with pytest.raises(OverflowError, match="exceeds double range"):
-                maximal_reach(ReachQuery(ratio, lam))
+        want = _reference_reach(n, a0, lam)
+        try:
+            res = maximal_reach(ReachQuery(ratio, lam))
+        except OverflowError:
+            res = None
+        if kind < 2:
+            if want == math.inf:
+                assert res is None, (ratio, lam)
+                overflowed += 1
+                continue
+            assert (res.n, res.a0, res.Lambda) == (n, a0, want), (ratio, lam)
+            ratios = expand_sequence(a0, n)
+            if all(map(math.isfinite, ratios)):
+                assert res.strategy.turns == tuple(r * lam for r in ratios), (ratio, lam)
             continue
-        res = maximal_reach(ReachQuery(ratio, lam))
-        assert (res.n, res.a0, res.Lambda) == (n, a0, want), (ratio, lam)
-        assert res.strategy.turns == tuple(r * lam for r in expand_sequence(a0, n)), (ratio, lam)
-        assert res.strategy.terminal == want
-    assert 20 < overflowed < 580
+        slack = 1e-15 * n**3
+        if want / (1.0 + slack) > sys.float_info.max:
+            assert res is None, (ratio, lam)
+            overflowed += 1
+        elif want * (1.0 + slack) < sys.float_info.max:
+            assert (res.n, res.a0) == (n, a0), (ratio, lam)
+            assert abs(res.Lambda - want) <= slack * want, (ratio, lam)
+    assert 20 < overflowed < 300
 
 
-def test_reach_overflows_from_n_1024_whatever_lambda():
-    # p_n(a0) > 2^n in bracket n, so from n = 1024 on no lambda keeps Lambda
-    # finite; at n = 1023 the top of the bracket already overflows.
+def test_reach_overflows_from_n_2046_whatever_lambda():
+    # p_n(a0) > 2^n in bracket n, so from n = 2046 on no normal lambda keeps
+    # Lambda finite.  At n = 2045 the top of the bracket already overflows at
+    # lambda = 2^-1022, as at n = 1023 with lambda = 1.
     seen = set()
-    for n in (1021, 1022, 1023, 1024, 1025, 1100):
+    for n in (1022, 1023, 1024, 2044, 2045, 2046, 2047, 2100):
         lo, hi = 4.0 * math.cos(math.pi / (n + 3)) ** 2, 4.0 * math.cos(math.pi / (n + 4)) ** 2
         for a0 in (lo, 0.5 * (lo + hi), math.nextafter(hi, 0.0)):
             ratio = 2.0 * a0 + 1.0
             a0 = 0.5 * (ratio - 1.0)
             n_here = reach._iterations_for(a0)
-            for lam in (sys.float_info.min, 1.0):
-                finite = math.isfinite(eval_p(n_here, a0).to_float() * lam)
-                assert finite or n_here >= 1023
-                assert not finite or n_here < 1024
-                seen.add((n_here, finite))
+            for lam, edge in ((sys.float_info.min, 2046), (1.0, 1024)):
+                want = _reference_reach(n_here, a0, lam)
+                finite = want < math.inf
+                assert finite or n_here >= edge - 1
+                assert not finite or n_here < edge
+                seen.add((lam, n_here, finite))
                 if finite:
-                    assert maximal_reach(ReachQuery(ratio, lam)).Lambda < math.inf
+                    assert maximal_reach(ReachQuery(ratio, lam)).Lambda == want
                 else:
                     with pytest.raises(OverflowError, match="exceeds double range"):
                         maximal_reach(ReachQuery(ratio, lam))
-    assert {(1023, True), (1023, False), (1024, False)} <= seen
+    tiny = sys.float_info.min
+    assert {(tiny, 2045, True), (tiny, 2045, False), (tiny, 2046, False),
+            (1.0, 1023, True), (1.0, 1023, False), (1.0, 1024, False)} <= seen
 
 
 @pytest.mark.parametrize(
@@ -187,3 +215,13 @@ def test_reach_witness_is_within_its_ratio_in_exact_arithmetic():
         excess = (sup - ratio) / math.ulp(ratio)
         assert excess <= 4, (ratio, lam, float(excess))
         priced += 1
+    # n from 1024 to 2045 at the smallest lambda: p_n alone is past double
+    # range, lambda p_n is not, and the recurrence is seeded at 2^-1022.
+    lam = sys.float_info.min
+    for _ in range(8):
+        ratio = 9.0 - 10.0 ** rng.uniform(-4.7, -4.15)
+        res = maximal_reach(ReachQuery(ratio, lam))
+        assert res.n >= 1024, ratio
+        sup = exact_sup_ratio(res.strategy.turns, res.strategy.terminal, lam)
+        excess = (sup - ratio) / math.ulp(ratio)
+        assert excess <= 4, (ratio, float(excess))

@@ -412,14 +412,14 @@ def test_each_branch_is_the_loop_reference(
 ):
     lo = s.lambda_ if lam is None else lam
     hi = s.terminal if Lam is None else Lam
-    want = RatioReport(*worst_case_ratio_loop(s.turns, s.terminal, lo, hi))
+    sup, best, table = worst_case_ratio_loop(s.turns, s.terminal, lo, hi)
     want_grid = grid_ratio_pointwise(s.turns, s.terminal, lo, hi, points)
     report = worst_case_ratio(s, lam, Lam)
     assert branches == wcr_branches
-    # The suprema come straight from the parts; the table is built on first read.
-    assert report.interval_sups == tuple(r for _, r in want.per_interval)
-    assert report.per_interval == want.per_interval
-    assert report == want and hash(report) == hash(want)
+    assert (report.sup_ratio, report.argmax_interval) == (sup, best)
+    assert report.interval_sups == tuple(r for _, r in table)
+    assert report.per_interval == table
+    assert (report.lam, report.Lam) == (lo, hi)
     branches.clear()
     assert grid_sweep_ratio(s, lam, Lam, points) == want_grid
     assert branches == grid_branches
@@ -434,8 +434,8 @@ def test_scaled_units_take_the_slice(branches):
     report = worst_case_ratio(s)
     assert (report.sup_ratio, report.argmax_interval) == (sup, best)
     assert report.interval_sups == tuple(r for _, r in entries)
-    assert report == RatioReport(
-        sup, best, tuple(((a * 2.0**16, b * 2.0**16), r) for (a, b), r in entries)
+    assert report.per_interval == tuple(
+        ((a * 2.0**16, b * 2.0**16), r) for (a, b), r in entries
     )
     assert grid_sweep_ratio(s, points=1000) == grid_ratio_pointwise(
         down.turns, down.terminal, down.lambda_, down.terminal, 1000
@@ -444,15 +444,18 @@ def test_scaled_units_take_the_slice(branches):
 
 
 def test_report_parts_and_tables_compare_alike():
+    # The table is built from the record's own fields on each read, so
+    # reading it changes nothing the record compares, hashes or prints by.
     s = optimize(SearchProblem(1.0, 1e6)).strategy
-    lazy, eager = worst_case_ratio(s), worst_case_ratio(s)
-    eager.per_interval  # noqa: B018 (built here, still lazy in the other)
-    assert lazy == eager and hash(lazy) == hash(eager)
-    assert lazy.interval_sups == eager.interval_sups
-    assert pickle.loads(pickle.dumps(worst_case_ratio(s))) == eager
-    assert repr(worst_case_ratio(s)) == repr(eager)
-    built = RatioReport(eager.sup_ratio, eager.argmax_interval, eager.per_interval)
-    assert built == lazy and built.interval_sups == lazy.interval_sups
+    fresh, read = worst_case_ratio(s), worst_case_ratio(s)
+    table = read.per_interval
+    assert fresh == read and hash(fresh) == hash(read) and repr(fresh) == repr(read)
+    assert pickle.loads(pickle.dumps(read)) == fresh
+    assert read.per_interval == table
+    assert read.interval_sups == tuple(r for _, r in table)
+    assert read.breakpoints == tuple(lo for (lo, _), _ in table[1:])
+    built = RatioReport(*(getattr(read, f) for f in RatioReport.__slots__))
+    assert built == fresh and built.per_interval == table
 
 
 # --- the grid pricer against the point-by-point oracle -------------------------

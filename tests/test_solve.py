@@ -44,6 +44,15 @@ def p_exact(n: int, x: float) -> Fraction:
     return Fraction(cur, den ** (n + 1))
 
 
+@pytest.mark.parametrize("n", [60, 300])
+def test_eval_p_error_near_a_root_is_within_its_stated_bound(n):
+    # One ulp above the largest root alpha_n the recurrence cancels terms of
+    # size about 2^(n+1): at n = 300 the error outweighs p_n itself.
+    x = math.nextafter(alpha(n), 4.0)
+    err = abs(Fraction(eval_p(n, x).to_float()) - p_exact(n, x))
+    assert err <= n * n * Fraction(2) ** (n + 1 - 52)
+
+
 def bracket_edges(n: int) -> tuple[float, float]:
     return 2.0 ** log2_p_at_alpha_next(n), 2.0 ** log2_p_at_alpha_next2(n)
 

@@ -87,7 +87,7 @@ def test_names_outside_the_public_surface_import_from_their_submodules():
     import linesearch
 
     moved = {
-        "mrays": ("ALPHA_TABLE", "MultiPoint", "breakpoint_ratios", "feasible_b_interval",
+        "mrays": ("ALPHA_TABLE", "breakpoint_ratios", "feasible_b_interval",
                   "mray_breakpoint_ratios", "multi_p", "verify_alpha_table"),
         "optimal": ("expand_sequence", "optimal_n"),
         "polynomials": ("PolyEval", "alpha", "eval_p"),
@@ -131,29 +131,31 @@ def test_records_are_immutable_values():
 import copy, math, pickle
 from linesearch import (
     RatioReport, RayFamilyParams, ReachQuery, ReachResult, SearchProblem, Strategy,
-    StrategyReport, maximal_reach, optimize,
+    StrategyReport, maximal_reach, optimize, worst_case_ratio,
 )
-from linesearch.mrays import MultiPoint
+from linesearch.optimal import solve_problem
 from linesearch.polynomials import PolyEval
 from linesearch.solve import SolveResult
 def twice(make):
     return make(), make()
 report = optimize(SearchProblem(1.0, 1e6))
+turnless = solve_problem(SearchProblem(1.0, 1e6))
 pairs = [
     twice(lambda: PolyEval(1.5, 3)),
     twice(lambda: SolveResult(2.5, "numeric", 0.0, 1e-16, 0.5)),
     twice(lambda: SearchProblem(1.0, 10.0)),
     twice(lambda: Strategy([2.0, 4.0], 10.0, 1.0)),
     (report, optimize(SearchProblem(1.0, 1e6))),
+    (turnless, solve_problem(SearchProblem(1.0, 1e6))),
     twice(lambda: ReachQuery(7.0)),
     twice(lambda: maximal_reach(ReachQuery(7.0))),
-    twice(lambda: RatioReport(7.0, 1, (((1.0, 2.0), 7.0),))),
-    twice(lambda: MultiPoint([1, 2])),
+    twice(lambda: RatioReport(7.0, 1, [5.0, 7.0], 1.0, [2.0], 4.0)),
+    twice(lambda: worst_case_ratio(report.strategy)),
     twice(lambda: RayFamilyParams(3, 0.0, 1.0)),
 ]
 assert {type(a).__name__ for a, _ in pairs} == {
     "PolyEval", "SolveResult", "SearchProblem", "Strategy", "StrategyReport", "ReachQuery",
-    "ReachResult", "RatioReport", "MultiPoint", "RayFamilyParams"}
+    "ReachResult", "RatioReport", "RayFamilyParams"}
 for a, b in pairs:
     assert a is not b and a == b and hash(a) == hash(b) and not (a != b), a
     # As for a frozen dataclass: the hash of the tuple of all fields.
@@ -171,7 +173,9 @@ for a, b in pairs:
 assert PolyEval(1.5, 3) != PolyEval(1.5, 4) and PolyEval(1.0, 0) != (1.0, 0)
 assert SearchProblem(1.0, 10.0, 1e-6) != SearchProblem(1.0, 10.0)
 assert Strategy([2.0], 3.0, 1.0).turns == (2.0,)
-assert MultiPoint([1, 2]).coords == (1.0, 2.0)
+assert RatioReport(7.0, 1, [5.0, 7.0], 1.0, [2.0], 4.0).per_interval == (
+    ((1.0, 2.0), 5.0), ((2.0, 4.0), 7.0))
+assert turnless.strategy is None and turnless.theta == report.theta
 assert repr(PolyEval(1.5, 3)) == "PolyEval(mantissa=1.5, exp2=3)"
 assert repr(SearchProblem(1.0, 10.0)) == "SearchProblem(lambda_=1.0, Lambda=10.0, epsilon=1e-09)"
 assert repr(report.strategy) in repr(report) and 0.0 < report.theta < math.pi / (report.n + 2)
