@@ -9,7 +9,7 @@ Subcommands::
     linesearch verify  --sweep --rho-min 2 --rho-max 1e4 --points 20
     linesearch mray    --m 3 --a 0 --b 1 [--horizon 200]
 
-Results go to stdout as a single JSON document (``schema_version`` "1") or,
+Results go to stdout as a single JSON document (``schema_version`` "2") or,
 for sweeps and ``--format csv``, as delimited rows.  Every float is printed
 with 17 significant digits so parsed values reproduce the computed doubles
 bit for bit.  Diagnostics go to stderr; the level is taken from the
@@ -31,10 +31,10 @@ import math
 import sys
 
 from ._base import configure_from_env
-from .optimal import SearchProblem, Strategy, StrategyReport, optimize, solve_problem
+from .optimal import SearchProblem, StrategyReport, optimize, solve_problem
 from .solve import MODE_LIMIT
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 # JSON's names for the values '.16e' spells nan, inf and -inf.
@@ -133,17 +133,16 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
         print(",".join(fr.get(k, "") for k in keys))
 
 
-def _turn_fields(strategy: Strategy) -> dict:
-    turns = list(strategy.turns)
-    return {"sequence": turns + [strategy.terminal], "turns": turns, "terminal": strategy.terminal}
-
-
 def _report_payload(report: StrategyReport) -> tuple[dict, dict]:
-    results = {"n": report.n, "a0": report.a0, "cr": report.cr, **_turn_fields(report.strategy)}
+    strategy = report.strategy
+    results = {
+        "n": report.n, "a0": report.a0, "cr": report.cr,
+        "turns": strategy.turns, "terminal": strategy.terminal,
+    }
     diagnostics = {
         "mode": report.mode,
         "cr_error_bound": report.cr_error_bound,
-        "residual": report.residual,
+        "log2_residual": report.log2_residual,
         "bracket_width": report.bracket_width,
     }
     return results, diagnostics
@@ -171,7 +170,9 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _problem_from(args: argparse.Namespace) -> SearchProblem:
-    if getattr(args, "log2_rho", None) is not None:
+    if args.log2_rho is not None:
+        if args.Lambda is not None:
+            raise ValueError("give --Lambda or --log2-rho, not both")
         return SearchProblem.from_log2_rho(
             args.log2_rho, lambda_=args.lambda_, epsilon=args.eps
         )
@@ -184,9 +185,9 @@ def _cmd_reach(args: argparse.Namespace) -> int:
     from . import reach
 
     result = reach.maximal_reach(reach.ReachQuery(ratio=args.ratio, lambda_=args.lambda_))
-    results = {
-        "Lambda": result.Lambda, "n": result.n, "a0": result.a0, **_turn_fields(result.strategy),
-    }
+    # The strategy's terminal is the reach itself, printed once as Lambda.
+    results = {"Lambda": result.Lambda, "n": result.n, "a0": result.a0,
+               "turns": result.strategy.turns}
     inputs = {"ratio": args.ratio, "lambda": args.lambda_}
     _emit(_record("reach", inputs, results, {"mode": "exact_inverse"}), args.format or "json")
     return 0
@@ -206,7 +207,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     grid = simulate.grid_sweep_ratio(strategy, problem.lambda_, problem.Lambda, grid_points)
     sups = wcr.interval_sups
     base_ratios = {}
-    for name in ("power_of_two", "f_infinity", "los_sqrt", "single_shot"):
+    for name in simulate.BASELINES:
         b = simulate.baselines(name, problem.lambda_, problem.Lambda)
         base_ratios[name] = simulate.worst_case_ratio(b).sup_ratio
 
@@ -243,7 +244,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     diagnostics = {
         "mode": report.mode,
         "cr_error_bound": report.cr_error_bound,
-        "residual": report.residual,
+        "log2_residual": report.log2_residual,
     }
     return results, diagnostics, passed
 
@@ -266,6 +267,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _sweep(args: argparse.Namespace, verify: bool) -> int:
     if args.rho_min is None or args.rho_max is None:
         raise ValueError("sweep mode needs --rho-min and --rho-max")
+    if args.Lambda is not None or args.log2_rho is not None:
+        raise ValueError("sweep mode reads rho from --rho-min and --rho-max, "
+                         "not --Lambda or --log2-rho")
     if not (1.0 <= args.rho_min <= args.rho_max):
         raise ValueError("need 1 <= rho-min <= rho-max")
     if args.points < 1:
@@ -301,7 +305,7 @@ def _sweep(args: argparse.Namespace, verify: bool) -> int:
                     "cr": sol.cr,
                     "mode": sol.mode,
                     "cr_error_bound": sol.cr_error_bound,
-                    "residual": sol.residual,
+                    "log2_residual": sol.log2_residual,
                 }
             )
     _emit_rows(rows, args.format or "csv")

@@ -159,13 +159,13 @@ class Strategy(Record):
 class StrategyReport(Record):
     """Everything optimize() knows about the strategy it produced; a0 = 4 cos^2 theta.
 
-    :func:`solve_problem` returns the same record without the turns, with
-    ``strategy`` None.
+    ``log2_residual`` is |log2 p_n(a0) - log2 rho|.  :func:`solve_problem`
+    returns the same record without the turns, with ``strategy`` None.
     """
 
     __slots__ = (
         "strategy", "n", "a0", "cr", "mode", "cr_error_bound",
-        "residual", "bracket_width", "theta",
+        "log2_residual", "bracket_width", "theta",
     )
 
     def __init__(
@@ -176,7 +176,7 @@ class StrategyReport(Record):
         cr: float,
         mode: str,
         cr_error_bound: float,
-        residual: float = math.nan,
+        log2_residual: float = math.nan,
         bracket_width: float = 0.0,
         theta: float = math.nan,
     ) -> None:
@@ -186,7 +186,7 @@ class StrategyReport(Record):
         set_field(self, "cr", cr)
         set_field(self, "mode", mode)
         set_field(self, "cr_error_bound", cr_error_bound)
-        set_field(self, "residual", residual)
+        set_field(self, "log2_residual", log2_residual)
         set_field(self, "bracket_width", bracket_width)
         set_field(self, "theta", theta)
 
@@ -274,7 +274,7 @@ def solve_problem(problem: SearchProblem) -> StrategyReport:
         sol = _solve.solve_exact(n, rho)
         bound = 0.0
     elif n >= limit_mode_threshold(eps):
-        sol = _solve.solve_limit(n, rho)
+        sol = _solve.solve_limit(n)
         bound = cr_error_bound_limit(n)
     elif math.isfinite(rho):
         sol = _solve.solve_numeric(n, rho)
@@ -286,8 +286,9 @@ def solve_problem(problem: SearchProblem) -> StrategyReport:
     logger.info(
         "optimize rho=%.6g -> n=%d mode=%s a0=%.17g cr=%.17g", rho, n, sol.mode, sol.a0, cr
     )
+    residual = _solve.log2_residual(n, sol.a0, rho, problem.log2_rho)
     return StrategyReport(
-        None, n, sol.a0, cr, sol.mode, bound, sol.residual, sol.bracket_width, sol.theta
+        None, n, sol.a0, cr, sol.mode, bound, residual, sol.bracket_width, sol.theta
     )
 
 
@@ -313,6 +314,6 @@ def optimize(problem: SearchProblem) -> StrategyReport:
         turns[i:] = [cap] * (len(turns) - i)
     strategy = Strategy(turns=turns, terminal=problem.Lambda, lambda_=problem.lambda_)
     return StrategyReport(
-        strategy, sol.n, sol.a0, sol.cr, sol.mode, sol.cr_error_bound, sol.residual,
+        strategy, sol.n, sol.a0, sol.cr, sol.mode, sol.cr_error_bound, sol.log2_residual,
         sol.bracket_width, sol.theta,
     )

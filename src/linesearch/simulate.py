@@ -274,7 +274,7 @@ def grid_sweep_ratio(
     return max(priced, default=-math.inf)
 
 
-_BASELINES = ("power_of_two", "f_infinity", "los_sqrt", "single_shot")
+BASELINES = ("power_of_two", "f_infinity", "los_sqrt", "single_shot")
 
 
 def baselines(name: str, lam: float, Lam: float) -> Strategy:
@@ -291,8 +291,8 @@ def baselines(name: str, lam: float, Lam: float) -> Strategy:
         raise ValueError(f"need 0 < lambda <= Lambda < inf, got {lam}, {Lam}")
     if name == "single_shot":
         return Strategy(turns=(), terminal=Lam, lambda_=lam)
-    if name not in _BASELINES:
-        raise ValueError(f"unknown baseline {name!r}; expected one of {_BASELINES}")
+    if name not in BASELINES:
+        raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")
     # 2^(i+1) lam >= Lam from i = count - 1 on, read off the two exponents.
     (m_lam, e_lam), (m_Lam, e_Lam) = math.frexp(lam), math.frexp(Lam)
     count = max(e_Lam - e_lam + (m_Lam > m_lam), 1)

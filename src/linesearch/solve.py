@@ -15,9 +15,9 @@ Three routes, matching how hard the equation is:
   n >= 7 eps^{-1/3} - 4; the induced competitive-ratio error is at most
   7^3 (n+4)^-3.
 
-The residual |p_n(a0) - rho| comes from the theta form the Newton solve
-evaluates, at theta(a0), wherever alpha_n < a0 < 4; in exact mode and for
-roots at or above 4 it comes from the exponent-tracked :func:`eval_p`.
+:func:`log2_residual` prices a root against its rho as |log2 p_n(a0) -
+log2 rho|, a relative residual that stays readable at any scale, past double
+range included.
 """
 
 from __future__ import annotations
@@ -47,20 +47,17 @@ MODE_LIMIT = "limit_approx"
 
 
 class SolveResult(Record):
-    """Root report: a0 with how it was obtained and how good it is.
+    """Root report: a0 with how it was obtained and how tightly it is bracketed.
 
-    ``residual`` is |p_n(a0) - rho|, NaN when rho was not supplied;
-    ``theta`` has a0 = 4 cos^2(theta), NaN when a0 > 4.
+    ``theta`` has a0 = 4 cos^2(theta), NaN when a0 > 4.  The residual is not
+    held here: :func:`log2_residual` prices a0 against the caller's rho.
     """
 
-    __slots__ = ("a0", "mode", "residual", "bracket_width", "theta")
+    __slots__ = ("a0", "mode", "bracket_width", "theta")
 
-    def __init__(
-        self, a0: float, mode: str, residual: float, bracket_width: float, theta: float
-    ) -> None:
+    def __init__(self, a0: float, mode: str, bracket_width: float, theta: float) -> None:
         set_field(self, "a0", a0)
         set_field(self, "mode", mode)
-        set_field(self, "residual", residual)
         set_field(self, "bracket_width", bracket_width)
         set_field(self, "theta", theta)
 
@@ -73,34 +70,28 @@ def _theta_or_nan(a0: float) -> float:
     return theta_of_x(a0) if 0.0 <= a0 <= 4.0 else math.nan
 
 
-def _residual_exact(n: int, a0: float, rho: float) -> float:
-    val = eval_p(n, a0).to_float()
-    if math.isinf(val):
-        return math.inf
-    return abs(val - rho)
-
-
-def _residual(n: int, a0: float, rho: float | None) -> float:
-    """|p_n(a0) - rho|, in O(1) from the theta form where alpha_n < a0 < 4."""
-    if rho is None:
-        return math.nan
-    if not math.isfinite(rho):
-        return math.inf
-    try:
-        excess = log2_p_theta_excess(n, theta_of_x(a0))
-    except ValueError:  # a0 >= 4, or rounded onto or below alpha_n: p_n(a0) <= 0
-        return _residual_exact(n, a0, rho)
-    m, e = math.frexp(2.0**excess)
-    e += n + 1
-    if e > 1024:  # p_n(a0) >= 2^1024
-        return math.inf
-    return abs(math.ldexp(m, e) - rho)
-
-
 def _log2_excess(n: int, rho: float) -> float:
     """log2(rho / 2^{n+1}), exact up to the rounding of log2 of the mantissa."""
     m, e = math.frexp(rho)
     return (e - n - 1) + math.log2(m)
+
+
+def log2_residual(n: int, a0: float, rho: float, log2_rho: float) -> float:
+    """|log2 p_n(a0) - log2 rho|: how far a0 is from solving p_n(a0) = rho.
+
+    Both sides are taken relative to 2^{n+1}, so the difference keeps its
+    precision whatever n is.  rho's side comes from its exponent and
+    mantissa, and from log2_rho only where rho overflows to inf.  p_n's
+    comes from the theta form wherever alpha_n < a0 < 4, and from the
+    exponent-tracked :func:`eval_p` elsewhere.
+    """
+    target = _log2_excess(n, rho) if rho < math.inf else log2_rho - (n + 1)
+    try:
+        excess = log2_p_theta_excess(n, theta_of_x(a0))
+    except ValueError:  # a0 >= 4, or rounded onto or below alpha_n
+        p = eval_p(n, a0)
+        excess = (p.exp2 - n - 1) + math.log2(p.mantissa)
+    return abs(excess - target)
 
 
 def _theta_objective(n: int, target: float):
@@ -241,13 +232,7 @@ def solve_exact(n: int, rho: float) -> SolveResult:
         a0 = _largest_root_quartic_n3(rho)
     if n >= 2:
         a0 = _polish(n, a0, rho, alpha(n) * (1.0 + 1e-12), 8.0 + rho)
-    return SolveResult(
-        a0=a0,
-        mode=MODE_EXACT,
-        residual=_residual_exact(n, a0, rho),
-        bracket_width=0.0,
-        theta=_theta_or_nan(a0),
-    )
+    return SolveResult(a0=a0, mode=MODE_EXACT, bracket_width=0.0, theta=_theta_or_nan(a0))
 
 
 def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = None) -> SolveResult:
@@ -268,7 +253,6 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
         l2rho = math.log2(rho)
         target = _log2_excess(n, rho)
     else:
-        rho = 2.0**log2_rho if log2_rho < 1024.0 else math.inf
         l2rho = log2_rho
         target = log2_rho - (n + 1)
 
@@ -298,12 +282,11 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
         theta = lo
     a0 = x_of_theta(theta)
     width = x_of_theta(lo) - x_of_theta(hi)
-    res = _residual(n, a0, rho)
     logger.debug("solve_numeric n=%d log2rho=%.6f theta=%.17g a0=%.17g", n, l2rho, theta, a0)
-    return SolveResult(a0=a0, mode=MODE_NUMERIC, residual=res, bracket_width=width, theta=theta)
+    return SolveResult(a0=a0, mode=MODE_NUMERIC, bracket_width=width, theta=theta)
 
 
-def solve_limit(n: int, rho: float | None = None) -> SolveResult:
+def solve_limit(n: int) -> SolveResult:
     """Approximation theta = pi/(n+4), a0 = alpha_{n+2}; apt once n >= 7 eps^{-1/3} - 4.
 
     The resulting strategy's competitive ratio is within 7^3 (n+4)^-3 of
@@ -312,11 +295,7 @@ def solve_limit(n: int, rho: float | None = None) -> SolveResult:
     theta = math.pi / (n + 4)
     a0 = x_of_theta(theta)
     return SolveResult(
-        a0=a0,
-        mode=MODE_LIMIT,
-        residual=_residual(n, a0, rho),
-        bracket_width=alpha(n + 2) - alpha(n + 1),
-        theta=theta,
+        a0=a0, mode=MODE_LIMIT, bracket_width=alpha(n + 2) - alpha(n + 1), theta=theta
     )
 
 
@@ -346,8 +325,7 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     if rho < 1.0:
         raise ValueError(f"rho must be at least 1, got {rho}")
     if n == 0:
-        return SolveResult(a0=rho, mode=MODE_NUMERIC, residual=0.0, bracket_width=0.0,
-                           theta=_theta_or_nan(rho))
+        return SolveResult(a0=rho, mode=MODE_NUMERIC, bracket_width=0.0, theta=_theta_or_nan(rho))
     target = _log2_excess(n, rho)
     if target < math.log2(n + 2):  # below p_n(4) = (n+2) 2^{n+1}
         top = math.pi / (n + 2)
@@ -366,5 +344,4 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
         width = (2.0 * math.sinh(hi)) ** 2 - (2.0 * math.sinh(lo)) ** 2
         a0 = _polish(n, a0, rho, 4.0, math.inf)
         theta = math.nan
-    return SolveResult(a0=a0, mode=MODE_NUMERIC, residual=_residual(n, a0, rho),
-                       bracket_width=width, theta=theta)
+    return SolveResult(a0=a0, mode=MODE_NUMERIC, bracket_width=width, theta=theta)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import subprocess
 import sys
@@ -5,9 +7,12 @@ import time
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 from linesearch.cli import dumps_record, main, parse_record
 from linesearch.optimal import SearchProblem, optimize
+
+from _oracles import p_recurrence_mp
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +70,54 @@ def test_list_text_is_pinned():
     )
 
 
+# --- record schema ---------------------------------------------------------------
+
+# The exact results and diagnostics keys each command prints, in order; no
+# key repeats another's values (reach's terminal is its Lambda).
+SCHEMA = {
+    ("optimal", "--Lambda", "10"): (
+        ["n", "a0", "cr", "turns", "terminal"],
+        ["mode", "cr_error_bound", "log2_residual", "bracket_width"],
+    ),
+    ("reach", "--ratio", "7"): (["Lambda", "n", "a0", "turns"], ["mode"]),
+    ("verify", "--Lambda", "10", "--grid-points", "1000"): (
+        ["n", "a0", "cr", "worst_case_ratio", "grid_sweep_ratio", "interval_sups",
+         "baseline_ratios", "checks"],
+        ["mode", "cr_error_bound", "log2_residual"],
+    ),
+    ("mray", "--m", "3", "--a", "0", "--b", "1"): (
+        ["feasible", "b_interval", "worst_ratio", "bound_upper", "bound_lower", "gap_to_bound",
+         "first_turns"],
+        [],
+    ),
+    ("mray", "--m", "2", "--a", "0", "--b", "5"): (
+        ["feasible", "b_interval", "bound_upper", "bound_lower"],
+        ["error"],
+    ),
+}
+SWEEP_HEADERS = {
+    "optimal": ["rho", "n", "a0", "cr", "mode", "cr_error_bound", "log2_residual"],
+    "verify": ["rho", "n", "a0", "cr", "worst_case_ratio", "grid_sweep_ratio", "passed"],
+}
+
+
+@pytest.mark.parametrize("argv", list(SCHEMA), ids=" ".join)
+def test_record_keys_are_the_schema(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv)
+    rec = parse_record(out)
+    assert list(rec) == ["schema_version", "command", "inputs", "results", "diagnostics"]
+    assert rec["schema_version"] == "2" and rec["command"] == argv[0]
+    assert (list(rec["results"]), list(rec["diagnostics"])) == SCHEMA[argv]
+
+
+@pytest.mark.parametrize("command", list(SWEEP_HEADERS))
+def test_sweep_header_is_the_schema(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--sweep", "--rho-min", "2", "--rho-max", "100",
+                           "--points", "2")
+    assert code == 0
+    assert out.splitlines()[0].split(",") == SWEEP_HEADERS[command]
+
+
 # --- optimal -------------------------------------------------------------------
 
 
@@ -72,12 +125,12 @@ def test_optimal_rho_ten(capsys):
     code, out, _ = run_cli(capsys, "optimal", "--lambda", "1", "--Lambda", "10", "--eps", "1e-9")
     assert code == 0
     rec = parse_record(out)
-    assert rec["schema_version"] == "1"
+    assert rec["schema_version"] == "2"
     assert rec["command"] == "optimal"
     assert rec["results"]["n"] == 3
     assert rec["results"]["cr"] == pytest.approx(7.0592, abs=1e-4)
-    assert rec["results"]["sequence"][-1] == 10.0
-    assert rec["results"]["sequence"][:-1] == pytest.approx([3.0296, 6.149, 9.451], abs=2e-3)
+    assert rec["results"]["terminal"] == 10.0
+    assert rec["results"]["turns"] == pytest.approx([3.0296, 6.149, 9.451], abs=2e-3)
     # Printed doubles reproduce the library's values exactly.
     rep = optimize(SearchProblem(1.0, 10.0, 1e-9))
     assert rec["results"]["a0"] == rep.a0
@@ -89,7 +142,7 @@ def test_optimal_known_distance(capsys):
     rec = parse_record(out)
     assert code == 0
     assert rec["results"]["cr"] == 3.0
-    assert rec["results"]["sequence"] == [1.0]
+    assert rec["results"]["turns"] == [] and rec["results"]["terminal"] == 1.0
 
 
 def test_optimal_scaled(capsys):
@@ -284,15 +337,67 @@ def test_log2_rho_past_double_range_is_one_error_line(capsys, command):
     assert err == "error: Lambda exceeds double range; turn distances cannot be materialized\n"
 
 
-@pytest.mark.parametrize("eps,mode", [("1e-15", "numeric"), ("1e-3", "limit_approx")])
-def test_rho_past_double_range_has_an_infinite_residual_in_every_mode(capsys, eps, mode):
+def log2_residual_mp(n: int, a0: float, lam: float, Lam: float) -> mpf:
+    """|log2 p_n(a0) - log2(Lambda/lambda)| in 50-digit arithmetic."""
+    with mp.workdps(50):
+        return abs(mp.log(p_recurrence_mp(n, a0), 2) - mp.log(mpf(Lam) / mpf(lam), 2))
+
+
+def assert_log2_residual_exact(rec: dict) -> None:
+    inputs, results = rec["inputs"], rec["results"]
+    got = rec["diagnostics"]["log2_residual"]
+    want = log2_residual_mp(results["n"], results["a0"], inputs["lambda"], inputs["Lambda"])
+    assert math.isfinite(got) and abs(mpf(got) - want) <= 1e-12, (got, want)
+
+
+@pytest.mark.parametrize("eps,mode", [
+    ("1e-15", "numeric"), ("1e-9", "numeric"), ("1e-3", "limit_approx"),
+])
+def test_rho_past_double_range_has_a_finite_log2_residual_in_every_mode(capsys, eps, mode):
     # Lambda = 2^1030 lambda is finite but rho = 2^1030 is not, and neither is
-    # p_n(a0) near it: |p_n(a0) - rho| is infinite, not unknown.
-    code, out, err = run_cli(capsys, "optimal", "--log2-rho", "1030", "--lambda", "0.01",
-                             "--eps", eps)
+    # p_n(a0) near it; their ratio is, and its log2 is what the record prints.
+    for lam in ("0.01", "1e-10"):
+        code, out, err = run_cli(capsys, "optimal", "--log2-rho", "1030", "--lambda", lam,
+                                 "--eps", eps)
+        assert code == 0, err
+        rec = parse_record(out)
+        assert rec["diagnostics"]["mode"] == mode
+        assert_log2_residual_exact(rec)
+
+
+@pytest.mark.parametrize("log2_rho", ["0", "10", "1000"])
+def test_log2_residual_is_exact_at_any_scale(capsys, log2_rho):
+    code, out, err = run_cli(capsys, "optimal", "--log2-rho", log2_rho)
     assert code == 0, err
-    diagnostics = parse_record(out)["diagnostics"]
-    assert diagnostics["mode"] == mode and diagnostics["residual"] == math.inf
+    assert_log2_residual_exact(parse_record(out))
+
+
+def test_optimal_sweep_log2_residual_is_exact_on_every_row(capsys):
+    code, out, err = run_cli(
+        capsys, "optimal", "--sweep", "--rho-min", "1", "--rho-max", "1e300", "--points", "40"
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 40
+    for row in rows:
+        n, a0, rho = int(row["n"]), float(row["a0"]), float(row["rho"])
+        got = float(row["log2_residual"])
+        want = log2_residual_mp(n, a0, 1.0, rho)
+        assert math.isfinite(got) and abs(mpf(got) - want) <= 1e-12, (row, want)
+
+
+@pytest.mark.parametrize("command", ["optimal", "verify"])
+@pytest.mark.parametrize("argv, message", [
+    (("--Lambda", "10", "--log2-rho", "5"), "give --Lambda or --log2-rho, not both"),
+    (("--sweep", "--rho-min", "2", "--rho-max", "10", "--Lambda", "10"),
+     "sweep mode reads rho from --rho-min and --rho-max, not --Lambda or --log2-rho"),
+    (("--sweep", "--rho-min", "2", "--rho-max", "10", "--log2-rho", "3"),
+     "sweep mode reads rho from --rho-min and --rho-max, not --Lambda or --log2-rho"),
+])
+def test_conflicting_problem_options_are_one_error_line(capsys, command, argv, message):
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_sweep_to_the_top_of_double_range(capsys):

@@ -421,7 +421,7 @@ def test_solve_problem_is_optimize_without_the_turns():
         SearchProblem.from_log2_rho(1000.0, epsilon=1e-6),
         SearchProblem.from_log2_rho(1023.5),
     ]
-    fields = ("n", "a0", "cr", "mode", "cr_error_bound", "residual", "bracket_width", "theta")
+    fields = ("n", "a0", "cr", "mode", "cr_error_bound", "log2_residual", "bracket_width", "theta")
     for problem in problems:
         sol, rep = solve_problem(problem), optimize(problem)
         got = [getattr(sol, f) for f in fields]

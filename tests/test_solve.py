@@ -20,6 +20,7 @@ from linesearch.solve import (
     BracketError,
     cr_error_bound_limit,
     limit_mode_threshold,
+    log2_residual,
     real_roots_cubic,
     solve_beyond_alpha,
     solve_exact,
@@ -82,7 +83,9 @@ def test_cubic_triple_root():
 
 def test_exact_n0():
     res = solve_exact(0, 1.5)
-    assert res.a0 == 1.5 and res.mode == "exact" and res.residual == 0.0
+    assert res.a0 == 1.5 and res.mode == "exact"
+    # p_0(a0) = rho exactly; the theta form prices it to a few ulps of 1.
+    assert log2_residual(0, res.a0, 1.5, math.log2(1.5)) <= 4 * math.ulp(1.0)
 
 
 def test_exact_n1_boundary():
@@ -101,7 +104,7 @@ def test_exact_n2_vs_oracle():
     for rho in (4.5, 5.0, 6.7, 8.0, 2.0 + math.sqrt(5.0)):
         res = solve_exact(2, rho)
         assert res.a0 == pytest.approx(oracle_root(2, rho, 2.0, 5.0), abs=1e-12)
-        assert res.residual <= 1e-12 * rho
+        assert log2_residual(2, res.a0, rho, math.log2(rho)) <= 1e-12
 
 
 def test_exact_n2_closed_point():
@@ -113,14 +116,14 @@ def test_exact_n2_closed_point():
 def test_exact_n3_closed_point():
     res = solve_exact(3, 9.0)
     assert res.a0 == pytest.approx(3.0, rel=1e-14)
-    assert res.residual <= 1e-12 * 9.0
+    assert log2_residual(3, res.a0, 9.0, math.log2(9.0)) <= 1e-12
 
 
 def test_exact_n3_vs_oracle():
     for rho in (9.0, 10.0, 13.3, 17.9, 18.99):
         res = solve_exact(3, rho)
         assert res.a0 == pytest.approx(oracle_root(3, rho, 2.7, 4.0), abs=1e-12)
-        assert res.residual <= 1e-12 * rho
+        assert log2_residual(3, res.a0, rho, math.log2(rho)) <= 1e-12
 
 
 def test_exact_rejects():
@@ -236,10 +239,11 @@ def test_numeric_and_limit_do_no_recurrence_work(monkeypatch):
     monkeypatch.setattr(solve_module, "eval_p", forbidden)
     monkeypatch.setattr(solve_module, "eval_p_and_derivative", forbidden)
     res = solve_numeric(999, 2.0**1000)
-    assert res.residual < 1e-8 * 2.0**1000
+    assert log2_residual(999, res.a0, 2.0**1000, 1000.0) < 1e-8
     assert solve_numeric(999, log2_rho=1000.0).a0 == res.a0
-    lim = solve_limit(999, 2.0**1000)
-    assert lim.theta == math.pi / 1003 and math.isfinite(lim.residual)
+    lim = solve_limit(999)
+    assert lim.theta == math.pi / 1003
+    assert math.isfinite(log2_residual(999, lim.a0, 2.0**1000, 1000.0))
 
 
 def test_numeric_tolerance_contract():
@@ -262,7 +266,7 @@ def test_limit_values():
     assert res.mode == "limit_approx"
     assert res.bracket_width == pytest.approx(alpha(12) - alpha(11), rel=1e-12)
     assert solve_limit(6996).a0 == pytest.approx(4.0 * math.cos(math.pi / 7000.0) ** 2, rel=1e-15)
-    assert res.theta == math.pi / 14.0 and math.isnan(res.residual)
+    assert res.theta == math.pi / 14.0 and not hasattr(res, "residual")
 
 
 def test_limit_error_bound_values():
@@ -329,33 +333,40 @@ def test_beyond_alpha_root_within_ulps_of_alpha(n):
 # --- residual ---------------------------------------------------------------
 
 
-def assert_residual_exact(n: int, res, rho: float) -> None:
-    exact = abs(p_exact(n, res.a0) - Fraction(rho))
-    scale = max(Fraction(rho), Fraction(2) ** (n + 1))
-    assert abs(Fraction(res.residual) - exact) <= Fraction(1e-12) * scale, (n, rho, res)
+def assert_log2_residual_exact(n: int, a0: float, rho: float, log2_rho: float) -> None:
+    p = p_exact(n, a0)
+    with mp.workdps(50):
+        # Past double range rho is known by its logarithm alone.
+        want = mpf(log2_rho) if math.isinf(rho) else mp.log(mpf(rho), 2)
+        exact = abs(mp.log(mpf(p.numerator) / p.denominator, 2) - want)
+    got = log2_residual(n, a0, rho, log2_rho)
+    assert abs(mpf(got) - exact) <= 1e-12, (n, a0, rho, got, exact)
 
 
 def test_residual_matches_exact_value():
-    # Roots below 4 take the residual from the theta form, exact mode and
-    # roots above 4 from the recurrence; each is checked against p_n(a0) in
-    # exact rational arithmetic, up to the top of double range.
+    # Roots below 4 take the residual from the theta form, roots above 4
+    # from the recurrence; each is checked against log2 p_n(a0) in exact
+    # rational arithmetic, rounded once to 50 digits, up to the top of
+    # double range and past it, where rho is known by its logarithm alone.
     rng = random.Random(14)
     log2_rhos = [5.0, 1023.9] + [rng.uniform(5.0, 1023.9) for _ in range(40)]
     for log2_rho in log2_rhos:
         rho = 2.0**log2_rho
         n = optimal_n(rho)
         by_log2 = solve_numeric(n, log2_rho=log2_rho)
-        for res in (solve_numeric(n, rho), solve_limit(n, rho), by_log2):
-            assert_residual_exact(n, res, rho)
+        for res in (solve_numeric(n, rho), solve_limit(n), by_log2):
+            assert_log2_residual_exact(n, res.a0, rho, log2_rho)
+    for log2_rho in (1024.0, 1030.0, 2000.5):
+        n = optimal_n(log2_rho=log2_rho)
+        for res in (solve_numeric(n, log2_rho=log2_rho), solve_limit(n)):
+            assert_log2_residual_exact(n, res.a0, math.inf, log2_rho)
     for rho in (1.0, 2.5, 17.0):
         n = optimal_n(rho)
-        assert_residual_exact(n, solve_exact(n, rho), rho)
+        assert_log2_residual_exact(n, solve_exact(n, rho).a0, rho, math.log2(rho))
     for n, rho in [(1, 100.0), (3, 500.0), (1, 1e300), (50, 1e300), (400, 2.0**1000)]:
         res = solve_beyond_alpha(n, rho)
         assert res.a0 > 4.0
-        assert_residual_exact(n, res, rho)
-    for n in (60, 300, 1000):
-        assert_residual_exact(n, solve_beyond_alpha(n, 1.0), 1.0)
+        assert_log2_residual_exact(n, res.a0, rho, math.log2(rho))
 
 
 @settings(max_examples=80, deadline=None)

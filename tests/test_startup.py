@@ -92,8 +92,8 @@ def test_names_outside_the_public_surface_import_from_their_submodules():
         "optimal": ("expand_sequence", "optimal_n"),
         "polynomials": ("PolyEval", "alpha", "eval_p"),
         "simulate": ("baselines",),
-        "solve": ("BracketError", "SolveResult", "cr_error_bound_limit", "solve_beyond_alpha",
-                  "solve_exact", "solve_limit", "solve_numeric"),
+        "solve": ("BracketError", "SolveResult", "cr_error_bound_limit", "log2_residual",
+                  "solve_beyond_alpha", "solve_exact", "solve_limit", "solve_numeric"),
     }
     for module, names in moved.items():
         submodule = getattr(linesearch, module)
@@ -142,7 +142,7 @@ report = optimize(SearchProblem(1.0, 1e6))
 turnless = solve_problem(SearchProblem(1.0, 1e6))
 pairs = [
     twice(lambda: PolyEval(1.5, 3)),
-    twice(lambda: SolveResult(2.5, "numeric", 0.0, 1e-16, 0.5)),
+    twice(lambda: SolveResult(2.5, "numeric", 1e-16, 0.5)),
     twice(lambda: SearchProblem(1.0, 10.0)),
     twice(lambda: Strategy([2.0, 4.0], 10.0, 1.0)),
     (report, optimize(SearchProblem(1.0, 1e6))),
@@ -180,7 +180,7 @@ assert repr(PolyEval(1.5, 3)) == "PolyEval(mantissa=1.5, exp2=3)"
 assert repr(SearchProblem(1.0, 10.0)) == "SearchProblem(lambda_=1.0, Lambda=10.0, epsilon=1e-09)"
 assert repr(report.strategy) in repr(report) and 0.0 < report.theta < math.pi / (report.n + 2)
 bare = StrategyReport(report.strategy, 1, 2.0, 5.0, "exact", 0.0)
-assert math.isnan(bare.residual) and bare.bracket_width == 0.0 and math.isnan(bare.theta)
+assert math.isnan(bare.log2_residual) and bare.bracket_width == 0.0 and math.isnan(bare.theta)
 print("ok")
 """
     assert run_python("-c", script).stdout.strip() == "ok"
