@@ -206,10 +206,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     wcr = simulate.worst_case_ratio(strategy, problem.lambda_, problem.Lambda)
     grid = simulate.grid_sweep_ratio(strategy, problem.lambda_, problem.Lambda, grid_points)
     sups = wcr.interval_sups
-    base_ratios = {}
-    for name in simulate.BASELINES:
-        b = simulate.baselines(name, problem.lambda_, problem.Lambda)
-        base_ratios[name] = simulate.worst_case_ratio(b).sup_ratio
+    base_ratios = simulate.baseline_ratios(problem.lambda_, problem.Lambda)
 
     rel = 1e-9 * report.cr
     if report.mode == MODE_LIMIT:

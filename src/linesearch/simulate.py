@@ -13,22 +13,29 @@ open each run, the baselines' turns) is a few C-level passes: ``accumulate``,
 ``bisect``, ``map``/``zip`` and comprehensions, not a statement per turn.  At
 n = 995 on a 2-CPU machine (CPython 3.11) that puts ``worst_case_ratio`` at
 about 0.2-0.25 ms, plus about 0.07 ms each time its per-interval table is read,
-``grid_sweep_ratio`` at about 1 ms (one ``log`` and two ``exp`` per run), and
-each baseline at about 0.07-0.18 ms to build and 0.25 ms to price.  Where
-twice the sum of the reaches would overflow, both pricers work in units of an
-exact power of two.
+``grid_sweep_ratio`` at about 0.75-1 ms (one ``log`` and two ``exp`` per run),
+and a baseline built by ``baselines`` and priced at about 0.3-0.45 ms.
+``baseline_ratios`` prices all four in about 0.015 ms from per-lambda tables
+of the baselines' turns; building a lambda's tables costs about what pricing
+the strategies does.  Where twice the sum of the reaches would overflow, both
+pricers price the late sums in units of an exact power of two.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
-from itertools import accumulate, repeat
-from operator import le, lt, mul
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate, count, islice, repeat
+from operator import le, lt, mul, truediv
 
 from ._base import Record, set_field
 from .optimal import Strategy
+
+
+# Twice a double overflows exactly where the double exceeds this.
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 class IncompleteStrategyError(ValueError):
@@ -87,30 +94,32 @@ def _checked_bounds(strategy: Strategy, lam: float | None, Lam: float | None) ->
     return lam, Lam
 
 
-def _reach_sums(strategy: Strategy, lam: float) -> tuple[list[float], float]:
-    """Running sums of the reaches f(0), f(1), ... through the terminal, and their scale.
+def _reach_sums(strategy: Strategy) -> tuple[list[float], list[float]]:
+    """Running sums of the reaches f(0), f(1), ... through the terminal, and the unit of each.
 
-    The sums are in the caller's units (scale 1) unless twice the total
-    overflows.  Then they are the sums of ``strategy.scaled(scale)`` for a
-    power of two chosen from the largest reach and the number of reaches, so
-    that twice the total stays finite, though never so small that lam leaves
-    the normal range.  A power of two scales exactly, so 2 S / (d scale)
-    equals 2 S / d wherever the latter was finite.
+    The sums are in the caller's units (unit 1) up to the last one whose
+    double is finite.  Where twice the total overflows, the later sums are
+    those of the reaches scaled by a power of two chosen from the largest
+    reach and the number of reaches, so that twice the total stays finite,
+    and their unit is that power.  The earlier reaches are never scaled, so
+    none of them leaves the normal range however small lam is.  A ratio is
+    2 S / d / unit: the quotient of a late sum by a breakpoint is a normal
+    double, and a power of two scales it exactly, so every ratio that was
+    finite unscaled is bit for bit unchanged.
     """
     reach = [*strategy.turns, strategy.terminal]
     sums = list(accumulate(reach))
     if 2.0 * sums[-1] < math.inf:
-        return sums, 1.0
+        return sums, [1.0] * len(sums)
     # Each reach is below 2^top, so their sum is below 2^(top + bits) and,
-    # scaled by 2^-e, twice it is at most 2^1023.
+    # in units of 2^(top + bits - 1022), twice it is at most 2^1023.
     top = math.frexp(max(reach))[1]
-    e = min(top + len(reach).bit_length() - 1022,
-            math.frexp(min(lam, strategy.lambda_))[1] + 1021)
-    if e <= 0:
-        return sums, 1.0
-    scale = math.ldexp(1.0, -e)
-    scaled = strategy.scaled(scale)
-    return list(accumulate([*scaled.turns, scaled.terminal])), scale
+    scale = math.ldexp(1.0, 1022 - top - len(reach).bit_length())
+    cut = bisect_right(sums, _HALF_MAX)  # 2 sums[j] overflows from j = cut on
+    carried = sums[cut - 1 : cut]  # the last sum in the caller's units, if any
+    late = accumulate([x * scale for x in (*carried, *reach[cut:])])
+    sums[cut:] = islice(late, len(carried), None)
+    return sums, [1.0] * cut + [scale] * (len(sums) - cut)
 
 
 def worst_case_ratio(
@@ -133,22 +142,20 @@ def worst_case_ratio(
     maximum, about 0.4-0.6 ms more than the slice at n = 995.
     """
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    sums, scale = _reach_sums(strategy, lam)
+    sums, units = _reach_sums(strategy)
     turns = strategy.turns
     # On any tuple, turns[hi - 1] < Lam <= turns[hi] where those exist.
     hi = bisect_left(turns, Lam)
     head = turns[:hi]
     if all(map(lt, head, head[1:])) and min(turns[hi:], default=Lam) >= Lam:
         lo = bisect_left(head, lam)
-        first, breaks, served = lo, head[lo:], sums[lo + 1 : hi + 1]
+        breaks, priced, unit = head[lo:], sums[lo : hi + 1], units[lo : hi + 1]
     else:
         breaks = sorted({t for t in turns if lam <= t < Lam})
         peaks = list(accumulate(turns, max))
-        first = bisect_left(peaks, lam)
-        served = [sums[bisect_right(peaks, b)] for b in breaks]
-    ratios = [
-        2.0 * s / (d * scale) + 1.0 for s, d in zip([sums[first], *served], [lam, *breaks])
-    ]
+        served = [bisect_left(peaks, lam), *(bisect_right(peaks, b) for b in breaks)]
+        priced, unit = [sums[j] for j in served], [units[j] for j in served]
+    ratios = [2.0 * s / d / u + 1.0 for s, d, u in zip(priced, [lam, *breaks], unit)]
     sup = max(ratios)
     return RatioReport(sup, ratios.index(sup), ratios, lam, breaks, Lam)
 
@@ -258,7 +265,7 @@ def grid_sweep_ratio(
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    sums, scale = _reach_sums(strategy, lam)
+    sums, units = _reach_sums(strategy)
     turns = strategy.turns
     reach = [*turns, strategy.terminal]
     # Run j's first point lies above every earlier reach: above the turn
@@ -268,13 +275,52 @@ def grid_sweep_ratio(
     else:
         peaks = [-math.inf, *accumulate(turns, max)]
     firsts = _first_points_above(GeometricGrid(lam, Lam, points), peaks)
-    priced = [2.0 * s / (d * scale) + 1.0 for s, d, r in zip(sums, firsts, reach) if d <= r]
+    priced = [2.0 * s / d / u + 1.0 for s, u, d, r in zip(sums, units, firsts, reach) if d <= r]
     if len(firsts) == len(reach):  # the terminal serves every point past it
-        priced.append(2.0 * sums[-1] / (firsts[-1] * scale) + 1.0)
+        priced.append(2.0 * sums[-1] / firsts[-1] / units[-1] + 1.0)
     return max(priced, default=-math.inf)
 
 
 BASELINES = ("power_of_two", "f_infinity", "los_sqrt", "single_shot")
+
+# How many (baseline, lambda) tables baseline_ratios keeps, the least
+# recently used going first; each holds at most 2 098 turns.
+_TABLE_CACHE_SIZE = 24
+_TABLES: dict[tuple[str, float], tuple[list[float], list[float], list[float]]] = {}
+
+
+def _check_baseline_bounds(lam: float, Lam: float) -> None:
+    if not 0.0 < lam <= Lam < math.inf:
+        raise ValueError(f"need 0 < lambda <= Lambda < inf, got {lam}, {Lam}")
+
+
+def _power_count(lam: float, Lam: float) -> int:
+    """How many powers 2^i lam run up to the first whose double reaches Lam.
+
+    Read off the two exponents: 2^(i+1) lam >= Lam from i = count - 1 on.
+    The powers below the count are below Lam, so none leaves double range.
+    """
+    (m_lam, e_lam), (m_Lam, e_Lam) = math.frexp(lam), math.frexp(Lam)
+    return max(e_Lam - e_lam + (m_Lam > m_lam), 1)
+
+
+def _turns(name: str, lam: float) -> Iterator[float]:
+    """factor(i) 2^i lam for i = 0, 1, ...: a baseline's turns before truncation.
+
+    power_of_two: factor 1.  f_infinity: 2i + 4.  los_sqrt: sqrt(1 + i/2).
+    The powers double from lam and the factors are exact sums (or the root
+    of one), so turn i does not depend on how many turns are taken.  The
+    factors grow, so the turns increase, up to inf past double range.
+    """
+    powers = accumulate(repeat(2.0), mul, initial=float(lam))
+    if name == "power_of_two":
+        return powers
+    factors = (
+        map(float, count(4, 2))
+        if name == "f_infinity"
+        else map(math.sqrt, accumulate(repeat(0.5), initial=1.0))
+    )
+    return map(mul, factors, powers)
 
 
 def baselines(name: str, lam: float, Lam: float) -> Strategy:
@@ -287,24 +333,64 @@ def baselines(name: str, lam: float, Lam: float) -> Strategy:
     range.  A turn past double range is inf, which ends the strategy like
     any turn at or above Lam.
     """
-    if not 0.0 < lam <= Lam < math.inf:
-        raise ValueError(f"need 0 < lambda <= Lambda < inf, got {lam}, {Lam}")
+    _check_baseline_bounds(lam, Lam)
     if name == "single_shot":
         return Strategy(turns=(), terminal=Lam, lambda_=lam)
     if name not in BASELINES:
         raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")
-    # 2^(i+1) lam >= Lam from i = count - 1 on, read off the two exponents.
-    (m_lam, e_lam), (m_Lam, e_Lam) = math.frexp(lam), math.frexp(Lam)
-    count = max(e_Lam - e_lam + (m_Lam > m_lam), 1)
-    powers = list(accumulate(repeat(2.0, count - 1), mul, initial=float(lam)))
-    if name == "power_of_two":
-        turns = powers
-    else:  # factor(i) for i = 0, 1, ...: 2i + 4, or the root of 1 + i/2, both exact sums
-        factors = (
-            map(float, range(4, 2 * count + 4, 2))
-            if name == "f_infinity"
-            else map(math.sqrt, accumulate(repeat(0.5, count - 1), initial=1.0))
-        )
-        turns = list(map(mul, factors, powers))
-    # The factors grow, so the turns increase: the ones below Lam are a prefix.
+    turns = list(islice(_turns(name, lam), _power_count(lam, Lam)))
+    # The turns increase, so the ones below Lam are a prefix.
     return Strategy(turns=tuple(turns[: bisect_left(turns, Lam)]), terminal=Lam, lambda_=lam)
+
+
+def _table(name: str, lam: float, size: int) -> tuple[list[float], list[float], list[float]]:
+    """At least ``size`` of a baseline's turns t_j at lam, with their sums and peaks.
+
+    S_j = t_0 + ... + t_j, accumulated left to right as ``_reach_sums`` does,
+    and peaks[j] = max over i <= j of S_{i+1} / t_i.  None of them depends on
+    Lambda.  A table is never changed once stored, only replaced: one too
+    short is rebuilt at twice its length, or at ``size`` if that is more, so
+    a first call pays only for the turns it needs and a run of growing calls
+    rebuilds O(log n) times.  No table runs past the last power 2^i lam that
+    is a double.
+    """
+    key = (name, lam)
+    table = _TABLES.pop(key, None)
+    have = len(table[0]) if table else 0
+    if have < size:
+        size = max(size, min(2 * have, _power_count(lam, sys.float_info.max)))
+        turns = list(islice(_turns(name, lam), size))
+        sums = list(accumulate(turns))
+        table = turns, sums, list(accumulate(map(truediv, sums[1:], turns), max))
+    _TABLES[key] = table  # the most recently used last
+    if len(_TABLES) > _TABLE_CACHE_SIZE:
+        _TABLES.pop(next(iter(_TABLES)), None)
+    return table
+
+
+def baseline_ratios(lam: float, Lam: float) -> dict[str, float]:
+    """``worst_case_ratio(baselines(name, lam, Lam)).sup_ratio`` for each name in BASELINES.
+
+    With k turns t_0 < ... < t_{k-1} below Lam, a baseline's ratios are
+    2 S_0 / lam + 1 at lam, 2 S_{j+1} / t_j + 1 at each turn but the last,
+    and 2 (S_{k-1} + Lam) / t_{k-1} + 1 at the last, where the terminal
+    serves.  Only the last reads Lam, so the maximum is read off a table per
+    (baseline, lam) in O(log k), bit for bit the generic pricing: doubling
+    is exact and rounding keeps order, so 2 peaks[k-2] + 1 is the largest
+    of the middle ratios.  The generic pricing itself serves single_shot, a
+    Lam at or below the first turn (k = 0), and a Lam where twice
+    S_{k-1} + Lam overflows.
+    """
+    _check_baseline_bounds(lam, Lam)
+    size = _power_count(lam, Lam)
+    ratios = {}
+    for name in BASELINES:
+        if name != "single_shot":
+            turns, sums, peaks = _table(name, lam, size)
+            k = bisect_left(turns, Lam)
+            if k and 2.0 * (last := sums[k - 1] + Lam) < math.inf:
+                ends = max(2.0 * sums[0] / lam + 1.0, 2.0 * last / turns[k - 1] + 1.0)
+                ratios[name] = max(ends, 2.0 * peaks[k - 2] + 1.0) if k > 1 else ends
+                continue
+        ratios[name] = worst_case_ratio(baselines(name, lam, Lam)).sup_ratio
+    return ratios

@@ -317,6 +317,22 @@ def test_verify_at_the_top_of_double_range_prints_a_record(capsys, bound):
     assert all(rec["results"]["checks"].values())
 
 
+@pytest.mark.parametrize("lam", ["2.2250738585072014e-308", "3e-308", "1e-307"])
+def test_verify_at_the_smallest_lambda_and_the_top_of_double_range(capsys, lam):
+    # rho is near 2^2046 (n = 2044 at lam = 2^-1022).  Only the sums whose
+    # double overflows are priced in units of a power of two, so lam and the
+    # early turns stay normal and every check passes.
+    code, out, err = run_cli(capsys, "verify", "--lambda", lam, "--Lambda", "1.7e308")
+    assert code == 0, err
+    rec = parse_record(out)
+    assert rec["results"]["n"] >= 2040
+    assert math.isfinite(rec["results"]["worst_case_ratio"])
+    baselines = rec["results"]["baseline_ratios"]
+    assert all(math.isfinite(baselines[name]) for name in ("power_of_two", "f_infinity", "los_sqrt"))
+    assert baselines["single_shot"] == math.inf
+    assert all(rec["results"]["checks"].values())
+
+
 @pytest.mark.parametrize("log2_rho", ["1023.9", "1023.99"])
 def test_log2_rho_up_to_double_range_prints_a_record(capsys, log2_rho):
     # Lambda = 2^log2_rho is finite, so both commands print a record.
@@ -491,6 +507,41 @@ def test_module_entry_point_and_logging():
     rec = parse_record(proc.stdout)  # stdout stays clean JSON
     assert rec["results"]["n"] == 3
     assert "optimize" in proc.stderr  # diagnostics went to stderr
+
+
+# Each verify reads the baseline tables of its lambda; the warm-up below
+# grows, shrinks past and evicts them first.
+CACHE_ARGVS = [
+    ["verify", "--Lambda", "1e20"],
+    ["verify", "--lambda", "3.7", "--Lambda", "1e100", "--grid-points", "1000"],
+    ["verify", "--lambda", "1e-300", "--Lambda", "1e308", "--grid-points", "1000"],
+    ["verify", "--sweep", "--lambda", "2", "--rho-min", "2", "--rho-max", "1e50", "--points", "5"],
+]
+
+
+def test_verify_prints_the_same_cold_and_warm(capsys):
+    from linesearch import simulate
+
+    repo_root = Path(__file__).resolve().parent.parent
+    cold = []
+    for argv in CACHE_ARGVS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "linesearch", *argv],
+            capture_output=True,
+            text=True,
+            env={"PATH": "", "PYTHONPATH": str(repo_root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+            cwd=repo_root,
+        )
+        cold.append((proc.returncode, proc.stdout, proc.stderr))
+    for lam in (1.0, 3.7, 1e-300, 2.0):
+        for Lam in (lam * 10.0, lam * 1e250, lam * 5.0):
+            simulate.baseline_ratios(lam, Lam)
+    for k in range(simulate._TABLE_CACHE_SIZE):
+        simulate.baseline_ratios(1.0 + k / 7.0, 1e30)
+    run_cli(capsys, "verify", "--Lambda", "1e300")
+    pairs = list(zip(CACHE_ARGVS, cold))
+    for argv, want in pairs + pairs[::-1]:
+        assert run_cli(capsys, *argv) == want, argv
 
 
 def test_runtime_never_imports_numpy():

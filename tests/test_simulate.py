@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from linesearch import simulate
 from linesearch.optimal import SearchProblem, Strategy, optimize
 from linesearch.simulate import (
+    BASELINES,
     GeometricGrid,
     IncompleteStrategyError,
     RatioReport,
+    baseline_ratios,
     baselines,
     grid_sweep_ratio,
     worst_case_ratio,
@@ -352,6 +354,26 @@ def test_top_of_double_range_prices_in_scaled_units(bound):
         )
 
 
+@pytest.mark.parametrize("lam", [2.0**-1022, 3e-308, 1e-307])
+def test_only_the_late_sums_are_scaled(lam):
+    # rho is near 2^2046: scaling every reach down would take lam and the
+    # early turns below the normal range.  The early ratios are the loop
+    # reference's unscaled ones, and the ratios it gives as inf are those of
+    # the strategy scaled down by 2^-16, where the late turns stay normal.
+    rep = optimize(SearchProblem(lam, 1.7e308))
+    s = rep.strategy
+    assert rep.n > 2040
+    report = worst_case_ratio(s)
+    assert abs(report.sup_ratio - rep.cr) <= rep.cr_error_bound
+    _, _, unscaled = worst_case_ratio_loop(s.turns, s.terminal, s.lambda_, s.terminal)
+    down = s.scaled(2.0**-16)
+    _, _, late = worst_case_ratio_loop(down.turns, down.terminal, down.lambda_, down.terminal)
+    want = [u if math.isfinite(u) else d for (_, u), (_, d) in zip(unscaled, late)]
+    assert math.inf in [u for _, u in unscaled] and math.isfinite(max(want))
+    assert list(report.interval_sups) == want
+    assert rep.cr - 1e-3 <= grid_sweep_ratio(s, points=1000) <= report.sup_ratio
+
+
 @pytest.fixture
 def branches(monkeypatch):
     """The slow branches a pricing call takes, read off helpers only they call.
@@ -603,6 +625,59 @@ def test_baseline_unknown():
 def test_baselines_need_a_finite_Lambda(lam, Lam):
     with pytest.raises(ValueError, match="Lambda"):
         baselines("power_of_two", lam, Lam)
+    with pytest.raises(ValueError, match="Lambda"):
+        baseline_ratios(lam, Lam)
+
+
+def generic_baseline_ratios(lam, Lam):
+    return {name: worst_case_ratio(baselines(name, lam, Lam)).sup_ratio for name in BASELINES}
+
+
+def assert_bitwise_equal(got, want, case):
+    assert list(got) == list(want), case
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], case
+
+
+def test_baseline_ratios_are_the_generic_pricing(monkeypatch):
+    monkeypatch.setattr(simulate, "_TABLES", {})
+    rng = random.Random(17)
+    top = 1.7976931348623157e308
+    # lam log-uniform over the normal range, an int among them; the last
+    # lambdas come back after more distinct ones than the cache holds.
+    lams = [math.exp(rng.uniform(math.log(2.2250738585072014e-308), math.log(1e300)))
+            for _ in range(simulate._TABLE_CACHE_SIZE)]
+    lams = [2.0**-1022, 1.0, 3, 3.7, *lams, 1e300, 3.7, 1.0, 2.0**-1022]
+    checked = 0
+    for lam in lams:
+        first_turns = baselines("f_infinity", lam, top).turns
+        on_turn = first_turns[len(first_turns) // 2] if first_turns else lam
+        # Lambda = lam, on the second power_of_two turn (k = 1), below f_infinity's
+        # first turn 4 lam (k = 0), between its first two (k = 1), on a turn.
+        Lams = [lam, lam * 2.0, lam * 3.0, lam * 6.0, on_turn, top, top / 1.5]
+        Lams += [min(lam * math.exp(rng.uniform(0.0, math.log(top / lam))), top) for _ in range(6)]
+        # Growing, shrinking and growing again: tables grow between calls.
+        for Lam in (*sorted(Lams), *sorted(Lams, reverse=True), *Lams):
+            assert_bitwise_equal(baseline_ratios(lam, Lam), generic_baseline_ratios(lam, Lam),
+                                 (lam, Lam))
+            checked += 1
+    assert checked == len(lams) * 39
+    assert len(simulate._TABLES) == simulate._TABLE_CACHE_SIZE
+
+
+def test_a_first_call_builds_only_the_turns_it_needs(monkeypatch):
+    monkeypatch.setattr(simulate, "_TABLES", {})
+    baseline_ratios(1.0, 1e20)
+    for name in ("power_of_two", "f_infinity", "los_sqrt"):
+        needed = len(baselines(name, 1.0, 1e20).turns)  # the turns below Lambda
+        turns, sums, peaks = simulate._TABLES[(name, 1.0)]
+        assert needed <= len(turns) <= 2 * needed, name
+        assert len(sums) == len(turns) == len(peaks) + 1
+    # A smaller Lambda reads the same table; a larger one grows it.
+    before = simulate._TABLES[("f_infinity", 1.0)]
+    baseline_ratios(1.0, 1e10)
+    assert simulate._TABLES[("f_infinity", 1.0)] is before
+    baseline_ratios(1.0, 1e300)
+    assert len(simulate._TABLES[("f_infinity", 1.0)][0]) >= len(baselines("f_infinity", 1.0, 1e300).turns)
 
 
 # --- property-based -------------------------------------------------------------
