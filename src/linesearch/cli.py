@@ -9,12 +9,14 @@ Subcommands::
     linesearch verify  --sweep --rho-min 2 --rho-max 1e4 --points 20
     linesearch mray    --m 3 --a 0 --b 1 [--horizon 200]
 
-Results go to stdout as a single JSON document (``schema_version`` "2") or,
-for sweeps and ``--format csv``, as delimited rows.  Every float is printed
-with 17 significant digits so parsed values reproduce the computed doubles
-bit for bit.  Diagnostics go to stderr; the level is taken from the
-LINESEARCH_LOG environment variable (error, info or debug).  The exit code
-is 0 only if every requested computation and self-check succeeded.
+Each subcommand returns its output and whether every requested computation
+and self-check succeeded; :func:`main` prints the output once, on stdout,
+and exits 0 only if they did.  A record prints as one JSON document
+(``schema_version`` "2"), a sweep's list of rows as CSV, unless ``--format``
+says otherwise.  Every float is printed with 17 significant digits so parsed
+values reproduce the computed doubles bit for bit.  Diagnostics go to
+stderr; the level is taken from the LINESEARCH_LOG environment variable
+(error, info or debug).
 
 A launch imports only what its subcommand uses: ``reach``, ``mrays`` and
 ``simulate`` are imported inside the functions that call them, and the
@@ -113,60 +115,35 @@ def _flatten(obj: object, prefix: str = "") -> dict[str, str]:
     return out
 
 
-def _emit(record: dict, fmt: str) -> None:
+def _emit(output: dict | list[dict], fmt: str) -> None:
+    """Print a record, or a sweep's rows, as one JSON document or as CSV rows.
+
+    The CSV header is the key paths of the first row; a sweep's rows share them.
+    """
     if fmt == "json":
-        print(dumps_record(record))
-    else:
-        _emit_rows([record], "csv")
-
-
-def _emit_rows(rows: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        print(dumps_record(rows))
+        print(dumps_record(output))
         return
-    if not rows:
-        return
-    flat_rows = [_flatten(r) for r in rows]
-    keys = list(flat_rows[0].keys())
-    print(",".join(keys))
-    for fr in flat_rows:
-        print(",".join(fr.get(k, "") for k in keys))
+    rows = [_flatten(r) for r in (output if isinstance(output, list) else [output])]
+    print("\n".join([",".join(rows[0]), *(",".join(r.values()) for r in rows)]))
 
 
-def _report_payload(report: StrategyReport) -> tuple[dict, dict]:
-    strategy = report.strategy
-    results = {
-        "n": report.n, "a0": report.a0, "cr": report.cr,
-        "turns": strategy.turns, "terminal": strategy.terminal,
-    }
-    diagnostics = {
-        "mode": report.mode,
-        "cr_error_bound": report.cr_error_bound,
-        "log2_residual": report.log2_residual,
-        "bracket_width": report.bracket_width,
-    }
-    return results, diagnostics
+def _record(command: str, inputs: dict, results: dict, diagnostics: dict) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "command": command, "inputs": inputs,
+            "results": results, "diagnostics": diagnostics}
 
 
-def _record(command: str, inputs: dict, results: object, diagnostics: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "diagnostics": diagnostics,
-    }
+# The fields that records and sweep rows share, each formed here only.
+def _problem_inputs(problem: SearchProblem) -> dict:
+    return {"lambda": problem.lambda_, "Lambda": problem.Lambda, "eps": problem.epsilon}
 
 
-def _cmd_optimal(args: argparse.Namespace) -> int:
-    if args.sweep:
-        return _sweep(args, verify=False)
-    problem = _problem_from(args)
-    report = optimize(problem)
-    results, diagnostics = _report_payload(report)
-    inputs = {"lambda": problem.lambda_, "Lambda": problem.Lambda, "eps": problem.epsilon}
-    _emit(_record("optimal", inputs, results, diagnostics), args.format or "json")
-    return 0
+def _solution_fields(report: StrategyReport) -> dict:
+    return {"n": report.n, "a0": report.a0, "cr": report.cr}
+
+
+def _solve_diagnostics(report: StrategyReport) -> dict:
+    return {"mode": report.mode, "cr_error_bound": report.cr_error_bound,
+            "log2_residual": report.log2_residual}
 
 
 def _problem_from(args: argparse.Namespace) -> SearchProblem:
@@ -181,7 +158,18 @@ def _problem_from(args: argparse.Namespace) -> SearchProblem:
     return SearchProblem(lambda_=args.lambda_, Lambda=args.Lambda, epsilon=args.eps)
 
 
-def _cmd_reach(args: argparse.Namespace) -> int:
+def _cmd_optimal(args: argparse.Namespace) -> tuple[dict | list[dict], bool]:
+    if args.sweep:
+        return _sweep(args, verify=False)
+    problem = _problem_from(args)
+    report = optimize(problem)
+    strategy = report.strategy
+    results = {**_solution_fields(report), "turns": strategy.turns, "terminal": strategy.terminal}
+    diagnostics = {**_solve_diagnostics(report), "bracket_width": report.bracket_width}
+    return _record("optimal", _problem_inputs(problem), results, diagnostics), True
+
+
+def _cmd_reach(args: argparse.Namespace) -> tuple[dict, bool]:
     from . import reach
 
     result = reach.maximal_reach(reach.ReachQuery(ratio=args.ratio, lambda_=args.lambda_))
@@ -189,8 +177,7 @@ def _cmd_reach(args: argparse.Namespace) -> int:
     results = {"Lambda": result.Lambda, "n": result.n, "a0": result.a0,
                "turns": result.strategy.turns}
     inputs = {"ratio": args.ratio, "lambda": args.lambda_}
-    _emit(_record("reach", inputs, results, {"mode": "exact_inverse"}), args.format or "json")
-    return 0
+    return _record("reach", inputs, results, {"mode": "exact_inverse"}), True
 
 
 def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, bool]:
@@ -224,9 +211,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     passed = equalized and consistent and grid_ok and dominant
 
     results = {
-        "n": report.n,
-        "a0": report.a0,
-        "cr": report.cr,
+        **_solution_fields(report),
         "worst_case_ratio": wcr.sup_ratio,
         "grid_sweep_ratio": grid,
         "interval_sups": sups,
@@ -238,30 +223,24 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
             "dominates_baselines": dominant,
         },
     }
-    diagnostics = {
-        "mode": report.mode,
-        "cr_error_bound": report.cr_error_bound,
-        "log2_residual": report.log2_residual,
-    }
-    return results, diagnostics, passed
+    return results, _solve_diagnostics(report), passed
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict | list[dict], bool]:
     if args.sweep:
         return _sweep(args, verify=True)
     problem = _problem_from(args)
     results, diagnostics, passed = _verify_one(problem, args.grid_points)
-    inputs = {
-        "lambda": problem.lambda_,
-        "Lambda": problem.Lambda,
-        "eps": problem.epsilon,
-        "grid_points": args.grid_points,
-    }
-    _emit(_record("verify", inputs, results, diagnostics), args.format or "json")
-    return 0 if passed else 1
+    inputs = {**_problem_inputs(problem), "grid_points": args.grid_points}
+    return _record("verify", inputs, results, diagnostics), passed
 
 
-def _sweep(args: argparse.Namespace, verify: bool) -> int:
+# The fields of _verify_one's results that a verify sweep row prints.
+_VERIFY_ROW = ("n", "a0", "cr", "worst_case_ratio", "grid_sweep_ratio")
+
+
+def _sweep(args: argparse.Namespace, verify: bool) -> tuple[list[dict], bool]:
+    """One row per rho of the grid; each row prints the rho solved, Lambda/lambda."""
     if args.rho_min is None or args.rho_max is None:
         raise ValueError("sweep mode needs --rho-min and --rho-max")
     if args.Lambda is not None or args.log2_rho is not None:
@@ -273,72 +252,38 @@ def _sweep(args: argparse.Namespace, verify: bool) -> int:
         raise ValueError("need at least one sweep point")
     from . import simulate
 
-    rhos = simulate.GeometricGrid(args.rho_min, args.rho_max, args.points)
     rows = []
     all_ok = True
-    for rho in rhos:
+    for rho in simulate.GeometricGrid(args.rho_min, args.rho_max, args.points):
         problem = SearchProblem(lambda_=args.lambda_, Lambda=rho * args.lambda_, epsilon=args.eps)
         if verify:
             results, _, passed = _verify_one(problem, args.grid_points)
             all_ok &= passed
-            rows.append(
-                {
-                    "rho": rho,
-                    "n": results["n"],
-                    "a0": results["a0"],
-                    "cr": results["cr"],
-                    "worst_case_ratio": results["worst_case_ratio"],
-                    "grid_sweep_ratio": results["grid_sweep_ratio"],
-                    "passed": passed,
-                }
-            )
+            row = {k: results[k] for k in _VERIFY_ROW}
+            rows.append({"rho": problem.rho, **row, "passed": passed})
         else:
             sol = solve_problem(problem)  # the rows print no turns
-            rows.append(
-                {
-                    "rho": rho,
-                    "n": sol.n,
-                    "a0": sol.a0,
-                    "cr": sol.cr,
-                    "mode": sol.mode,
-                    "cr_error_bound": sol.cr_error_bound,
-                    "log2_residual": sol.log2_residual,
-                }
-            )
-    _emit_rows(rows, args.format or "csv")
-    return 0 if all_ok else 1
+            rows.append({"rho": problem.rho, **_solution_fields(sol), **_solve_diagnostics(sol)})
+    return rows, all_ok
 
 
-def _cmd_mray(args: argparse.Namespace) -> int:
+def _cmd_mray(args: argparse.Namespace) -> tuple[dict, bool]:
     from . import mrays
 
     inputs = {"m": args.m, "a": args.a, "b": args.b, "lambda": args.lambda_, "horizon": args.horizon}
-    lo, hi = mrays.feasible_b_interval(args.m, args.a)
+    b_interval = list(mrays.feasible_b_interval(args.m, args.a))
     bound_upper = 1.0 + 2.0 * mrays.optimal_cost_coefficient(args.m)
-    bound_lower = 1.0 + 2.0 * (args.m - 1.0)
+    bounds = {"bound_upper": bound_upper, "bound_lower": 1.0 + 2.0 * (args.m - 1.0)}
     try:
         params = mrays.RayFamilyParams(m=args.m, a=args.a, b=args.b, lambda_=args.lambda_)
     except mrays.InfeasibleParamsError as exc:
-        results = {
-            "feasible": False,
-            "b_interval": list(exc.interval),
-            "bound_upper": bound_upper,
-            "bound_lower": bound_lower,
-        }
-        _emit(_record("mray", inputs, results, {"error": str(exc)}), args.format or "json")
-        return 1
+        results = {"feasible": False, "b_interval": b_interval, **bounds}
+        return _record("mray", inputs, results, {"error": str(exc)}), False
     ratio = mrays.mray_worst_ratio(params, args.horizon)
-    results = {
-        "feasible": True,
-        "b_interval": [lo, hi],
-        "worst_ratio": ratio,
-        "bound_upper": bound_upper,
-        "bound_lower": bound_lower,
-        "gap_to_bound": bound_upper - ratio,
-        "first_turns": params.turns(min(8, args.horizon)),
-    }
-    _emit(_record("mray", inputs, results, {}), args.format or "json")
-    return 0
+    results = {"feasible": True, "b_interval": b_interval, "worst_ratio": ratio, **bounds,
+               "gap_to_bound": bound_upper - ratio,
+               "first_turns": params.turns(min(8, args.horizon))}
+    return _record("mray", inputs, results, {}), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,10 +348,12 @@ def main(argv: list[str] | None = None) -> int:
     configure_from_env()
     args = _main_parser().parse_args(argv)
     try:
-        return args.func(args)
+        output, ok = args.func(args)
     except (ValueError, OverflowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(output, args.format or ("csv" if isinstance(output, list) else "json"))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

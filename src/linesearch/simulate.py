@@ -15,10 +15,11 @@ n = 995 on a 2-CPU machine (CPython 3.11) that puts ``worst_case_ratio`` at
 about 0.2-0.25 ms, plus about 0.07 ms each time its per-interval table is read,
 ``grid_sweep_ratio`` at about 0.75-1 ms (one ``log`` and two ``exp`` per run),
 and a baseline built by ``baselines`` and priced at about 0.3-0.45 ms.
-``baseline_ratios`` prices all four in about 0.015 ms from per-lambda tables
-of the baselines' turns; building a lambda's tables costs about what pricing
-the strategies does.  Where twice the sum of the reaches would overflow, both
-pricers price the late sums in units of an exact power of two.
+``baseline_ratios`` prices all four in about 0.005-0.01 ms from per-lambda
+tables of the baselines' turns, and single_shot from a closed form; building
+a lambda's tables costs about what pricing the strategies does.  Where twice
+the sum of the reaches would overflow, both pricers price the late sums in
+units of an exact power of two.
 """
 
 from __future__ import annotations
@@ -269,7 +270,9 @@ def grid_sweep_ratio(
     turns = strategy.turns
     reach = [*turns, strategy.terminal]
     # Run j's first point lies above every earlier reach: above the turn
-    # before it, when the turns do not decrease.
+    # before it, when the turns do not decrease.  Both forms give the same
+    # peaks then, but the check and the copy cost a sixth to a third of
+    # accumulate(turns, max): 7 against 32 us at n = 165 (CPython 3.11).
     if all(map(le, turns, turns[1:])):
         peaks = [-math.inf, *turns]
     else:
@@ -377,20 +380,26 @@ def baseline_ratios(lam: float, Lam: float) -> dict[str, float]:
     serves.  Only the last reads Lam, so the maximum is read off a table per
     (baseline, lam) in O(log k), bit for bit the generic pricing: doubling
     is exact and rounding keeps order, so 2 peaks[k-2] + 1 is the largest
-    of the middle ratios.  The generic pricing itself serves single_shot, a
-    Lam at or below the first turn (k = 0), and a Lam where twice
-    S_{k-1} + Lam overflows.
+    of the middle ratios.  With no turn below Lam (single_shot, or k = 0)
+    the one ratio is 2 (Lam / lam) + 1, again bit for bit: the generic
+    pricing's 2 Lam / lam, in units of a power of two where 2 Lam
+    overflows, rounds to the double of Lam / lam or overflows with it.  The
+    generic pricing itself serves only a Lam where twice S_{k-1} + Lam
+    overflows.
     """
     _check_baseline_bounds(lam, Lam)
     size = _power_count(lam, Lam)
     ratios = {}
     for name in BASELINES:
+        k = 0
         if name != "single_shot":
             turns, sums, peaks = _table(name, lam, size)
             k = bisect_left(turns, Lam)
-            if k and 2.0 * (last := sums[k - 1] + Lam) < math.inf:
-                ends = max(2.0 * sums[0] / lam + 1.0, 2.0 * last / turns[k - 1] + 1.0)
-                ratios[name] = max(ends, 2.0 * peaks[k - 2] + 1.0) if k > 1 else ends
-                continue
-        ratios[name] = worst_case_ratio(baselines(name, lam, Lam)).sup_ratio
+        if not k:
+            ratios[name] = 2.0 * (Lam / lam) + 1.0
+        elif 2.0 * (last := sums[k - 1] + Lam) < math.inf:
+            ends = max(2.0 * sums[0] / lam + 1.0, 2.0 * last / turns[k - 1] + 1.0)
+            ratios[name] = max(ends, 2.0 * peaks[k - 2] + 1.0) if k > 1 else ends
+        else:
+            ratios[name] = worst_case_ratio(baselines(name, lam, Lam)).sup_ratio
     return ratios

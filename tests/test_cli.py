@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import shlex
 import subprocess
 import sys
 import time
@@ -118,6 +119,56 @@ def test_sweep_header_is_the_schema(capsys, command):
     assert out.splitlines()[0].split(",") == SWEEP_HEADERS[command]
 
 
+def key_paths(obj: object, prefix: str = "") -> list[tuple[str, object]]:
+    """(dotted key path, value) for each leaf of a parsed record, in order."""
+    if not isinstance(obj, dict):
+        return [(prefix, obj)]
+    return [pair for k, v in obj.items() for pair in key_paths(v, f"{prefix}.{k}" if prefix else k)]
+
+
+def parse_cell(text: str, like: object) -> object:
+    """A CSV cell read back as the JSON value ``like`` has the type of."""
+    if isinstance(like, bool):
+        return {"true": True, "false": False}[text]
+    if isinstance(like, list):
+        return [parse_cell(t, v) for t, v in zip(text.split(";"), like, strict=True)] if like else []
+    return type(like)(text)
+
+
+FORMAT_ARGVS = [
+    ("verify", "--Lambda", "10", "--grid-points", "1000"),
+    ("reach", "--ratio", "7"),
+    ("mray", "--m", "3", "--a", "0", "--b", "1"),
+    pytest.param(
+        ("mray", "--m", "2", "--a", "0", "--b", "5"),
+        marks=pytest.mark.xfail(strict=True, reason="the error cell's commas are not quoted"),
+        id="mray --m 2 --a 0 --b 5",
+    ),
+    ("optimal", "--sweep", "--rho-min", "2", "--rho-max", "1e30", "--points", "4"),
+    ("verify", "--sweep", "--rho-min", "2", "--rho-max", "1e30", "--points", "3",
+     "--grid-points", "1000"),
+]
+
+
+@pytest.mark.parametrize("argv", FORMAT_ARGVS, ids=" ".join)
+def test_csv_rows_are_the_json_flattened(capsys, argv):
+    # A record defaults to JSON and a sweep to CSV; the other format prints
+    # the same values, its header being the JSON key paths in order.
+    sweep = "--sweep" in argv
+    as_json = run_cli(capsys, *argv, "--format", "json")
+    as_csv = run_cli(capsys, *argv, "--format", "csv")
+    assert run_cli(capsys, *argv) == (as_csv if sweep else as_json)
+    assert as_json[0] == as_csv[0] and as_json[2] == as_csv[2] == ""
+    parsed = parse_record(as_json[1])
+    rows = [key_paths(r) for r in (parsed if sweep else [parsed])]
+    header, *lines = csv.reader(io.StringIO(as_csv[1]))
+    assert header == [k for k, _ in rows[0]]
+    assert len(lines) == len(rows)
+    for line, pairs in zip(lines, rows):
+        assert len(line) == len(pairs)
+        assert [parse_cell(t, v) for t, (_, v) in zip(line, pairs)] == [v for _, v in pairs]
+
+
 # --- optimal -------------------------------------------------------------------
 
 
@@ -192,6 +243,22 @@ def test_optimal_sweep_csv(capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 1.0
     assert float(first[3]) == 3.0
+
+
+@pytest.mark.parametrize("command", ["optimal", "verify"])
+def test_sweep_rows_print_the_rho_solved(capsys, command):
+    # At lambda = 0.1 the grid's rho = 3 asks for Lambda = 0.30000000000000004,
+    # so the rho solved is Lambda/lambda = 3.0000000000000004.
+    code, out, err = run_cli(capsys, command, "--sweep", "--rho-min", "3", "--rho-max", "3",
+                             "--points", "1", "--lambda", "0.1")
+    assert code == 0, err
+    (row,) = csv.DictReader(io.StringIO(out))
+    Lam = 3.0 * 0.1
+    assert float(row["rho"]) == Lam / 0.1 == 3.0000000000000004
+    _, out, _ = run_cli(capsys, "optimal", "--lambda", "0.1", "--Lambda", repr(Lam))
+    results = parse_record(out)["results"]
+    assert (int(row["n"]), float(row["a0"]), float(row["cr"])) == (
+        results["n"], results["a0"], results["cr"])
 
 
 def test_optimal_sweep_needs_range(capsys):
@@ -569,3 +636,26 @@ print("numpy" in sys.modules)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The ``linesearch ...`` lines of the README's CLI block, comments removed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("linesearch ")]
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in readme_cli_examples()} == {"optimal", "reach", "verify", "mray"}
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_run(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "", err
+    if out.startswith("{"):
+        assert parse_record(out)["command"] == argv[0]
+    else:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)

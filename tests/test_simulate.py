@@ -662,6 +662,25 @@ def test_baseline_ratios_are_the_generic_pricing(monkeypatch):
             checked += 1
     assert checked == len(lams) * 39
     assert len(simulate._TABLES) == simulate._TABLE_CACHE_SIZE
+    # No turn below Lambda (k = 0): Lambda = lam, or below f_infinity's first
+    # turn 4 lam, and lambdas so large that 4 lam, 2 lam or 2 Lambda overflow.
+    half_up = math.nextafter(top / 2.0, math.inf)
+    no_turns = [(1.0, 1.0), (1.0, math.nextafter(4.0, 0.0)), (2.0**-1022, 3.0 * 2.0**-1022),
+                (half_up, half_up), (top / 3.0, top), (top / 4.0, top), (top / 1.5, top),
+                (top, top), (0.3 * top, 0.9 * top)]
+    for _ in range(200):
+        lam = math.exp(rng.uniform(math.log(2.2250738585072014e-308), math.log(top)))
+        no_turns.append((lam, min(lam * rng.uniform(1.0, 4.0), top)))
+    for lam, Lam in no_turns:
+        assert baselines("f_infinity", lam, Lam).turns == ()
+        want = generic_baseline_ratios(lam, Lam)
+        assert want["single_shot"] == want["f_infinity"] == 2.0 * (Lam / lam) + 1.0
+        assert_bitwise_equal(baseline_ratios(lam, Lam), want, (lam, Lam))
+    # Lambda above max/2 with turns below it: twice S_{k-1} + Lambda overflows.
+    for lam in (2.0**-1022, 1.0, 1e300, top / 5.0):
+        for Lam in (half_up, math.nextafter(top, 0.0), top):
+            assert_bitwise_equal(baseline_ratios(lam, Lam), generic_baseline_ratios(lam, Lam),
+                                 (lam, Lam))
 
 
 def test_a_first_call_builds_only_the_turns_it_needs(monkeypatch):
