@@ -115,6 +115,13 @@ def _flatten(obj: object, prefix: str = "") -> dict[str, str]:
     return out
 
 
+def _csv_cell(text: str) -> str:
+    """text as one RFC 4180 field: quoted, quotes doubled, if it holds , " CR or LF."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit(output: dict | list[dict], fmt: str) -> None:
     """Print a record, or a sweep's rows, as one JSON document or as CSV rows.
 
@@ -124,7 +131,8 @@ def _emit(output: dict | list[dict], fmt: str) -> None:
         print(dumps_record(output))
         return
     rows = [_flatten(r) for r in (output if isinstance(output, list) else [output])]
-    print("\n".join([",".join(rows[0]), *(",".join(r.values()) for r in rows)]))
+    lines = [rows[0], *(r.values() for r in rows)]
+    print("\n".join(",".join(map(_csv_cell, cells)) for cells in lines))
 
 
 def _record(command: str, inputs: dict, results: dict, diagnostics: dict) -> dict:

@@ -125,13 +125,14 @@ class Strategy(Record):
         )
 
     def validate(self) -> None:
-        """Check finiteness, monotonicity, the lower bound on turns, and the terminal.
+        """Check finiteness, positivity, monotonicity, the lower bound on turns, and the terminal.
 
         Each turn may fall short of the one before it by _REL_TOL * terminal,
-        and the first short of lambda_ by that plus _REL_TOL * lambda_.
-        Nondecreasing turns pass in one C-level pass; the turn-by-turn loop
-        runs only where they do not, to allow dips within the slack or to
-        name the offending turn.
+        and the first short of lambda_ by that plus _REL_TOL * lambda_, but
+        no turn may be 0 or less, however large that slack is.  Nondecreasing
+        turns pass in one C-level pass; the turn-by-turn loop runs only where
+        they do not, to allow dips within the slack or to name the offending
+        turn.
         """
         lam, terminal, turns = self.lambda_, self.terminal, self.turns
         if not (math.isfinite(lam) and math.isfinite(terminal)):
@@ -143,12 +144,15 @@ class Strategy(Record):
         if not turns or (
             all(map(le, turns, turns[1:]))
             and turns[0] >= prev - slack
+            and turns[0] > 0.0
             and turns[-1] <= terminal + slack
         ):
             return
         for i, t in enumerate(turns):
             if not math.isfinite(t):
                 raise ValueError(f"turn {i} is not finite: {t}")
+            if t <= 0.0:
+                raise ValueError(f"turn {i} is not positive: {t}")
             if t < prev - slack:
                 raise ValueError(f"turn {i} breaks monotonicity: {t} < {prev}")
             prev = t

@@ -10,16 +10,26 @@ carry that run's largest ratio.
 
 Each O(n) pass (validation, prefix sums, breakpoints, the grid points that
 open each run, the baselines' turns) is a few C-level passes: ``accumulate``,
-``bisect``, ``map``/``zip`` and comprehensions, not a statement per turn.  At
+``bisect``, ``map``/``zip`` and comprehensions, not a statement per turn.  Both
+pricers validate a strategy and sum its reaches once while they are handed
+the same object: the last strategy, its sums and their units are kept in one
+entry, so ``verify``'s grid reuses what its ``worst_case_ratio`` built.
+
+The grid bounds each run's ratio by 2 S / max(peak, lam) / unit + 1, from
+the largest reach before the run, and finds the first point (one ``log`` and
+two ``exp``) only of the runs whose bound beats the ratio at lam.  At
 n = 995 on a 2-CPU machine (CPython 3.11) that puts ``worst_case_ratio`` at
-about 0.2-0.25 ms, plus about 0.07 ms each time its per-interval table is read,
-``grid_sweep_ratio`` at about 0.75-1 ms (one ``log`` and two ``exp`` per run),
-and a baseline built by ``baselines`` and priced at about 0.3-0.45 ms.
-``baseline_ratios`` prices all four in about 0.005-0.01 ms from per-lambda
-tables of the baselines' turns, and single_shot from a closed form; building
-a lambda's tables costs about what pricing the strategies does.  Where twice
-the sum of the reaches would overflow, both pricers price the late sums in
-units of an exact power of two.
+about 0.2-0.25 ms on a new object and 0.15 ms on the last one, plus about
+0.07 ms each time its per-interval table is read, ``grid_sweep_ratio`` at
+about 0.3-0.35 ms on the last object priced and 0.4 ms on a new one for the
+optimum, whose equalized ratios leave few runs to find, and at about
+0.85-0.9 ms on ``power_of_two``, which leaves nearly all; a baseline built
+by ``baselines`` and priced costs about 0.3 ms.  ``baseline_ratios``
+prices all four in about 0.005-0.01 ms from per-lambda tables of the
+baselines' turns, and single_shot from a closed form; building a lambda's
+tables costs about what pricing the strategies does.  Where twice the sum
+of the reaches would overflow, both pricers price the late sums in units of
+an exact power of two.
 """
 
 from __future__ import annotations
@@ -91,8 +101,28 @@ def _checked_bounds(strategy: Strategy, lam: float | None, Lam: float | None) ->
         raise IncompleteStrategyError(
             f"terminal {strategy.terminal} does not cover Lambda = {Lam}"
         )
-    strategy.validate()
     return lam, Lam
+
+
+# The last strategy validated, with its reach sums and their units.  A
+# Strategy is immutable and the entry holds a reference to it, so while the
+# same object comes back the entry is its own.  The entry is one tuple, read
+# and bound in one step each, so a concurrent caller never reads a mixed
+# one; a race costs at most a second build.
+_LAST: tuple[Strategy | None, list[float], list[float]] = (None, [], [])
+
+
+def _validated_sums(strategy: Strategy) -> tuple[list[float], list[float]]:
+    """``strategy.validate()``, then ``_reach_sums(strategy)``; once per object in a row.
+
+    Every caller shares the lists returned, and none changes them.
+    """
+    global _LAST
+    entry = _LAST
+    if entry[0] is not strategy:
+        strategy.validate()
+        entry = _LAST = (strategy, *_reach_sums(strategy))
+    return entry[1], entry[2]
 
 
 def _reach_sums(strategy: Strategy) -> tuple[list[float], list[float]]:
@@ -143,7 +173,7 @@ def worst_case_ratio(
     maximum, about 0.4-0.6 ms more than the slice at n = 995.
     """
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    sums, units = _reach_sums(strategy)
+    sums, units = _validated_sums(strategy)
     turns = strategy.turns
     # On any tuple, turns[hi - 1] < Lam <= turns[hi] where those exist.
     hi = bisect_left(turns, Lam)
@@ -262,13 +292,24 @@ def grid_sweep_ratio(
     has the largest ratio.  Pricing that point alone gives the same maximum
     as pricing every point, in O(n) work whatever ``points`` is.  Converges
     to the exact supremum as points grow.
+
+    Finding a run's first point costs a ``log`` and two ``exp``, so only
+    the runs that can beat the point lam are found.  Every point of run j
+    lies above its peak, the largest earlier reach, and at or above lam, so
+    none prices above 2 S_j / max(peak, lam) / u_j + 1: rounding keeps the
+    order of each step.  At lam that bound is lam's own ratio, the best so
+    far, and a run whose bound does not beat it is skipped.  On a strategy
+    that equalizes its intervals' ratios, as the optimum does, lam already
+    holds the maximum or ties it within ulps, and most runs are skipped;
+    on one that does not, such as ``power_of_two``, few are, and the bounds
+    are an O(n) pass spent for nothing.  Either way the result is that of
+    pricing every run's first point, bit for bit.
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    sums, units = _reach_sums(strategy)
+    sums, units = _validated_sums(strategy)
     turns = strategy.turns
-    reach = [*turns, strategy.terminal]
     # Run j's first point lies above every earlier reach: above the turn
     # before it, when the turns do not decrease.  Both forms give the same
     # peaks then, but the check and the copy cost a sixth to a third of
@@ -277,11 +318,17 @@ def grid_sweep_ratio(
         peaks = [-math.inf, *turns]
     else:
         peaks = [-math.inf, *accumulate(turns, max)]
-    firsts = _first_points_above(GeometricGrid(lam, Lam, points), peaks)
-    priced = [2.0 * s / d / u + 1.0 for s, u, d, r in zip(sums, units, firsts, reach) if d <= r]
-    if len(firsts) == len(reach):  # the terminal serves every point past it
-        priced.append(2.0 * sums[-1] / firsts[-1] / units[-1] + 1.0)
-    return max(priced, default=-math.inf)
+    # Run `first` holds lam, and the runs before it end below lam: no point
+    # of theirs is on the grid.  Past it every peak is at least lam.
+    first = bisect_left(peaks, lam) - 1
+    best = 2.0 * sums[first] / lam / units[first] + 1.0
+    tail = slice(first + 1, None)
+    keep = [j for j, s, p, u in zip(count(first + 1), sums[tail], peaks[tail], units[tail])
+            if 2.0 * s / p / u + 1.0 > best]
+    firsts = _first_points_above(GeometricGrid(lam, Lam, points), [peaks[j] for j in keep])
+    ends = [*turns, math.inf]  # the terminal serves every point past the turns
+    return max([best, *(2.0 * sums[j] / d / units[j] + 1.0
+                        for j, d in zip(keep, firsts) if d <= ends[j])])
 
 
 BASELINES = ("power_of_two", "f_infinity", "los_sqrt", "single_shot")

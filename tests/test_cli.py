@@ -139,11 +139,7 @@ FORMAT_ARGVS = [
     ("verify", "--Lambda", "10", "--grid-points", "1000"),
     ("reach", "--ratio", "7"),
     ("mray", "--m", "3", "--a", "0", "--b", "1"),
-    pytest.param(
-        ("mray", "--m", "2", "--a", "0", "--b", "5"),
-        marks=pytest.mark.xfail(strict=True, reason="the error cell's commas are not quoted"),
-        id="mray --m 2 --a 0 --b 5",
-    ),
+    ("mray", "--m", "2", "--a", "0", "--b", "5"),
     ("optimal", "--sweep", "--rho-min", "2", "--rho-max", "1e30", "--points", "4"),
     ("verify", "--sweep", "--rho-min", "2", "--rho-max", "1e30", "--points", "3",
      "--grid-points", "1000"),

@@ -1,6 +1,9 @@
 import math
 import pickle
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -210,6 +213,26 @@ def test_validate_refuses_non_finite_distances(turns, terminal, lam, where):
         assert where in str(err.value) and "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "turns, terminal, lam, where",
+    [
+        # At lambda = 1e-3 and terminal 1e9 the first turn's slack, 1e-9 of
+        # the terminal, is 1: more than lambda, yet no turn may be 0 or less.
+        ((0.0, 5.0), 1e9, 1e-3, "turn 0"),
+        ((-0.5, 5.0), 1e9, 1e-3, "turn 0"),
+        # A dip within the slack of the turn before it.
+        ((1e-10, -1e-10, 0.5), 1.0, 1e-10, "turn 1"),
+    ],
+)
+def test_validate_refuses_a_non_positive_turn(turns, terminal, lam, where):
+    s = Strategy(turns=turns, terminal=terminal, lambda_=lam)
+    for check in (s.validate, lambda: worst_case_ratio(s),
+                  lambda: grid_sweep_ratio(s, points=1000)):
+        with pytest.raises(ValueError, match="not positive") as err:
+            check()
+        assert where in str(err.value) and "\n" not in str(err.value)
+
+
 def test_grid_needs_two_points():
     with pytest.raises(ValueError):
         grid_sweep_ratio(pot(), points=1)
@@ -245,32 +268,45 @@ def test_optimal_cases_cover_every_mode_and_a_capped_tail():
         assert (rep.strategy.turns[-1:] == (rep.strategy.terminal,)) == capped
 
 
+# Dips inside validate()'s slack (1e-9 of the terminal): below lambda, and
+# below the turn before, also down to an earlier turn's value.
+DIPS = Strategy(
+    turns=(1.0 - 5e-9, 2.0, 2.0 + 5e-9, 2.0, 3.0, 3.0 - 5e-9, 6.0, 6.0, 6.0 - 1e-9, 9.0),
+    terminal=10.0,
+    lambda_=1.0,
+)
+
+# Strategies whose grid maximum sits at lam, with every later run pruned
+# (2 * 10 + 1 = 21 at lam = 1, each later bound at most 2 * 30 / 10 + 1 = 7),
+# or just past it.  validate()'s slack (1e-9 of the terminal, here 1) admits a
+# first turn below lambda: the next run holds lam.  BY_AN_ULP's first turn
+# lies a double below point 408 of the 1000 from 1 to 30, and its second
+# makes that point price one ulp above the ratio at lam, 2 t_0 + 1: the
+# run's bound beats that ratio by two ulps.
+ALL_PRUNED = Strategy(turns=(10.0, 20.0, 40.0, 80.0), terminal=160.0, lambda_=1.0)
+FIRST_BELOW_LAM = Strategy(turns=(5e-4, 5.0), terminal=1e9, lambda_=1e-3)
+BY_AN_ULP = Strategy(turns=(4.0111485001551275, 12.078163790141607), terminal=30.0, lambda_=1.0)
+
+
 def _pricing_cases():
     """(label, strategy, lam, Lam) for the bit-for-bit comparisons."""
     cases = []
     for log2_rho, lam, eps, _, _ in OPTIMAL_CASES:
         s = _optimal_report(log2_rho, lam, eps).strategy
         cases.append((f"optimal({log2_rho}, {lam}, {eps})", s, s.lambda_, s.terminal))
-    for lam, Lam in ((1.0, 10.0), (1.0, 1e300), (3.0, 3.0 * 2.0**40), (1e-300, 1e-10)):
+    for lam, Lam in ((1.0, 10.0), (1.0, 1e6), (1.0, 1e300), (3.0, 3.0 * 2.0**40), (1e-300, 1e-10)):
         for name in ("power_of_two", "f_infinity", "los_sqrt", "single_shot"):
             cases.append((f"{name}({lam}, {Lam})", baselines(name, lam, Lam), lam, Lam))
     runs = Strategy(turns=(2.0, 2.0, 5.0, 5.0, 5.0, 7.0), terminal=8.0, lambda_=1.0)
-    # Dips inside validate()'s slack (1e-9 of the terminal): below lambda,
-    # and below the turn before, also down to an earlier turn's value.
-    dips = Strategy(
-        turns=(1.0 - 5e-9, 2.0, 2.0 + 5e-9, 2.0, 3.0, 3.0 - 5e-9, 6.0, 6.0, 6.0 - 1e-9, 9.0),
-        terminal=10.0,
-        lambda_=1.0,
-    )
     on_lambda = Strategy(turns=(1.0, 3.0), terminal=6.0, lambda_=1.0)
     on_big_lambda = Strategy(turns=(2.0, 6.0), terminal=6.0, lambda_=1.0)
     long_tail = Strategy(turns=(1.5, 2.0, 4.0, 8.0, 12.0), terminal=20.0, lambda_=1.0)
     cases += [
         ("equal-turn runs", runs, 1.0, 8.0),
         ("equal-turn runs, lam on a run", runs, 5.0, 8.0),
-        ("dips", dips, 1.0, 10.0),
-        ("dips, lam inside", dips, 2.5, 10.0),
-        ("dips, lam inside a dip", dips, 2.0 + 2e-9, 10.0),
+        ("dips", DIPS, 1.0, 10.0),
+        ("dips, lam inside", DIPS, 2.5, 10.0),
+        ("dips, lam inside a dip", DIPS, 2.0 + 2e-9, 10.0),
         # The next turn is served past the dip, not from lam inside it.
         ("a dip under lam", Strategy(turns=(4.0 + 5e-9, 4.0, 8.0), terminal=8.0, lambda_=1.0),
          4.0 + 2e-9, 8.0),
@@ -280,6 +316,9 @@ def _pricing_cases():
         ("lam on a later turn", long_tail, 4.0, 20.0),
         ("Lam below the terminal", long_tail, 1.0, 10.0),
         ("lam = Lam", long_tail, 3.0, 3.0),
+        ("every later grid run pruned", ALL_PRUNED, 1.0, 160.0),
+        ("a first turn in (0, lambda)", FIRST_BELOW_LAM, 1e-3, 1e9),
+        ("a grid run beats lam by an ulp", BY_AN_ULP, 1.0, 30.0),
         ("no turns", baselines("single_shot", 1.0, 7.0), 1.0, 7.0),
         ("no turns, lam = Lam", baselines("single_shot", 2.0, 2.0), 2.0, 2.0),
     ]
@@ -296,15 +335,19 @@ def test_worst_case_ratio_is_the_loop_reference(label, s, lam, Lam):
     assert (report.sup_ratio, report.argmax_interval, report.per_interval) == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+# Walks of turns from lambda = 1 that rise, repeat and dip within the slack,
+# priced over a range [lam, Lam] anywhere inside [lambda, terminal].
+WALKS = dict(
     head=st.floats(min_value=1.0 - 5e-10, max_value=3.0),
     moves=st.lists(st.sampled_from(["same", "dip", "up", "up", "up"]), max_size=25),
     steps=st.lists(st.floats(min_value=1.0, max_value=3.0), min_size=25, max_size=25),
     lo=st.floats(min_value=0.0, max_value=1.0),
     hi=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_worst_case_ratio_is_the_loop_reference_property(head, moves, steps, lo, hi):
+
+
+def walk(head, moves, steps, lo, hi):
+    """(strategy, lam, Lam) for one draw of WALKS."""
     turns, t = [], head
     for move, step in zip(moves, steps):
         turns.append(t)
@@ -314,9 +357,13 @@ def test_worst_case_ratio_is_the_loop_reference_property(head, moves, steps, lo,
             t *= step
     terminal = max([*turns, 1.0]) * 3.0
     s = Strategy(turns=tuple(turns), terminal=terminal, lambda_=1.0)
-    # A pricing range [lam, Lam] anywhere inside [lambda, terminal].
-    lam = terminal ** min(lo, hi)
-    Lam = terminal ** max(lo, hi)
+    return s, terminal ** min(lo, hi), terminal ** max(lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**WALKS)
+def test_worst_case_ratio_is_the_loop_reference_property(head, moves, steps, lo, hi):
+    s, lam, Lam = walk(head, moves, steps, lo, hi)
     report = worst_case_ratio(s, lam, Lam)
     want = worst_case_ratio_loop(s.turns, s.terminal, lam, Lam)
     assert (report.sup_ratio, report.argmax_interval, report.per_interval) == want
@@ -542,6 +589,155 @@ def test_grid_is_pointwise_on_edges():
                 if turn >= 1.0:
                     t = Strategy(turns=(turn,), terminal=1e3, lambda_=1.0)
                     assert_grid_is_pointwise(t, 1.0, 8.0, (p,))
+
+
+# --- the pruned grid -------------------------------------------------------------
+#
+# The grid prices lam first and finds a first point only for the runs whose
+# bound 2 S / max(peak, lam) / u + 1 beats it.
+
+
+def ratio_at(s, d):
+    """The grid's ratio at the one point d, from the oracle."""
+    return grid_ratio_pointwise(s.turns, s.terminal, d, d, 2)
+
+
+@pytest.mark.parametrize(
+    "label, s, lam, Lam, past_lam",
+    [
+        ("a turn on a grid point", Strategy(turns=(_ON_GRID,), terminal=1e3, lambda_=1.0),
+         1.0, 8.0, True),
+        ("power_of_two", pot(1.0, 1e6), 1.0, 1e6, True),
+        ("by an ulp", BY_AN_ULP, 1.0, 30.0, True),
+        ("a first turn in (0, lambda)", FIRST_BELOW_LAM, 1e-3, 1e9, True),
+        ("dips", DIPS, 1.0, 10.0, True),
+        ("every later run pruned", ALL_PRUNED, 1.0, 160.0, False),
+    ],
+)
+def test_the_pruning_cases_hold_their_maximum_where_they_say(label, s, lam, Lam, past_lam):
+    # Each is one of PRICING_CASES or BRANCH_CASES, checked against the
+    # point-by-point oracle there; here a run past lam beats it, or none does.
+    got = grid_sweep_ratio(s, lam, Lam, 1000)
+    assert got == grid_ratio_pointwise(s.turns, s.terminal, lam, Lam, 1000)
+    assert (got > ratio_at(s, lam)) == past_lam
+
+
+def test_pruned_grid_is_pointwise_on_random_strategies():
+    rng = random.Random(19)
+    past_lam = 0
+    for _ in range(200):
+        lam = 10.0 ** rng.uniform(-3.0, 3.0)
+        turns, t = [], lam * rng.uniform(1.0 - 1e-10, 3.0)
+        for _ in range(rng.randint(0, 30)):
+            turns.append(t)
+            move = rng.random()
+            if move < 0.1:
+                t -= 1e-10 * t  # a dip inside the slack
+            elif move > 0.2:
+                t *= rng.uniform(1.0, 4.0)
+        s = Strategy(turns=tuple(turns), terminal=t * rng.uniform(1.0, 3.0), lambda_=lam)
+        lo = lam * (s.terminal / lam) ** rng.choice([0.0, rng.random()])
+        points = rng.choice([2, 3, 10, 1000])
+        got = grid_sweep_ratio(s, lo, s.terminal, points)
+        assert got == grid_ratio_pointwise(s.turns, s.terminal, lo, s.terminal, points)
+        past_lam += got > ratio_at(s, lo)
+    assert 20 <= past_lam <= 180  # both outcomes of the pruning are drawn
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.sampled_from([2, 3, 1000]), **WALKS)
+def test_pruned_grid_is_pointwise_property(head, moves, steps, lo, hi, points):
+    s, lam, Lam = walk(head, moves, steps, lo, hi)
+    assert grid_sweep_ratio(s, lam, Lam, points) == grid_ratio_pointwise(
+        s.turns, s.terminal, lam, Lam, points
+    )
+
+
+@pytest.fixture
+def bounds_searched(monkeypatch):
+    """The peaks each grid_sweep_ratio call hands to _first_points_above."""
+    seen = []
+    search = simulate._first_points_above
+    monkeypatch.setattr(simulate, "_first_points_above",
+                        lambda grid, bounds: seen.append(list(bounds)) or search(grid, bounds))
+    return seen
+
+
+def test_pruning_finds_no_point_where_lam_holds_the_maximum(bounds_searched):
+    assert grid_sweep_ratio(ALL_PRUNED, points=1000) == 21.0
+    assert sum(map(len, bounds_searched)) == 0
+
+
+def test_pruning_searches_every_run_of_power_of_two(bounds_searched):
+    # Its ratios grow run by run from 3 at lam towards 9: nothing to prune.
+    s = pot(1.0, 1e6)
+    grid_sweep_ratio(s, points=1000)
+    assert bounds_searched == [list(s.turns)]
+
+
+# --- one validation and one set of sums per strategy --------------------------------
+
+
+def copy_of(s):
+    return Strategy(turns=s.turns, terminal=s.terminal, lambda_=s.lambda_)
+
+
+def test_pricing_one_strategy_after_another_is_pricing_fresh_copies():
+    a = optimize(SearchProblem(1.0, 1e40)).strategy
+    b = optimize(SearchProblem(1.0, 1e308)).strategy  # its late sums are scaled
+    calls = [
+        (worst_case_ratio, a, ()), (worst_case_ratio, b, ()), (grid_sweep_ratio, a, ()),
+        (grid_sweep_ratio, a, (2.0, 1e30, 1000)), (worst_case_ratio, a, (3.0, 1e20)),
+        (grid_sweep_ratio, b, (1.0, 1e300, 1000)), (worst_case_ratio, b, ()),
+    ]
+    for price, s, args in calls:
+        assert price(s, *args) == price(copy_of(s), *args), (price.__name__, args)
+
+
+def test_an_invalid_strategy_raises_on_every_call():
+    good = pot()
+    bad = Strategy(turns=(5.0, 2.0), terminal=8.0, lambda_=1.0)
+    for _ in range(2):
+        for price in (worst_case_ratio, grid_sweep_ratio):
+            price(good)
+            with pytest.raises(ValueError, match="monotonicity"):
+                price(bad)
+            with pytest.raises(ValueError, match="monotonicity"):
+                price(bad)
+
+
+def test_threads_pricing_different_strategies_agree_with_one_thread(monkeypatch):
+    # More threads than a 2-CPU machine has cores; each prices its own
+    # strategy and, in between, one they all share.
+    own = [optimize(SearchProblem(1.0, 1e20)).strategy, pot(1.0, 1e30), DIPS]
+    shared = Strategy(turns=(1.5, 3.0, 3.0 - 5e-9, 6.0), terminal=8.0, lambda_=1.0)
+
+    def prices(s):
+        return worst_case_ratio(s), grid_sweep_ratio(s, points=1000)
+
+    want = [[prices(s), prices(shared)] * 200 for s in own]
+    got = [[] for _ in own]
+
+    def work(k):
+        for _ in range(200):
+            got[k] += [prices(own[k]), prices(shared)]
+
+    # Hand another thread its turn while the sums are being built, and
+    # switch threads as often as the interpreter can.
+    reach_sums = simulate._reach_sums
+    monkeypatch.setattr(simulate, "_reach_sums", lambda s: time.sleep(0) or reach_sums(s))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(own))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 def test_geometric_grid_points():
