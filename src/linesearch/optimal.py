@@ -22,7 +22,6 @@ from ._base import Emitter, Record, set_field
 from .polynomials import log2_p_at_alpha_next, log2_p_at_alpha_next2, p_theta_terms
 from .solve import (
     MODE_EXACT,
-    MODE_LIMIT,
     cr_error_bound_limit,
     limit_mode_threshold,
 )
@@ -90,17 +89,14 @@ class SearchProblem(Record):
         return cls(lambda_=lambda_, Lambda=Lambda, epsilon=epsilon)
 
 
-# Relative slack Strategy.validate allows on monotonicity and the bounds.
-_REL_TOL = 1e-9
-
-
 class Strategy(Record):
     """Turn distances of a periodic monotone strategy.
 
     ``turns`` holds f(0..n-1) in absolute distance units; every later
     iteration goes to ``terminal`` (= Lambda), so a consumer wanting the
     two closing passes at Lambda applies the tail rule f(i) = terminal
-    for i >= n.
+    for i >= n.  :meth:`validate` checks the one chain
+    0 < lambda_ <= f(0) <= ... <= f(n-1) <= terminal.
     """
 
     __slots__ = ("turns", "terminal", "lambda_")
@@ -125,39 +121,27 @@ class Strategy(Record):
         )
 
     def validate(self) -> None:
-        """Check finiteness, positivity, monotonicity, the lower bound on turns, and the terminal.
+        """Check that lambda_ and the terminal are finite and that the chain holds.
 
-        Each turn may fall short of the one before it by _REL_TOL * terminal,
-        and the first short of lambda_ by that plus _REL_TOL * lambda_, but
-        no turn may be 0 or less, however large that slack is.  Nondecreasing
-        turns pass in one C-level pass; the turn-by-turn loop runs only where
-        they do not, to allow dips within the slack or to name the offending
-        turn.
+        The chain passes in one C-level pass; the turn-by-turn loop runs only
+        where it breaks, to name the broken link in one line.
         """
         lam, terminal, turns = self.lambda_, self.terminal, self.turns
-        if not (math.isfinite(lam) and math.isfinite(terminal)):
-            raise ValueError(f"lambda and terminal must be finite, got {lam} and {terminal}")
-        slack = _REL_TOL * terminal
-        prev = lam - _REL_TOL * lam
-        # A NaN fails the pass, and an inf turn makes every later one inf,
-        # the last included, which then exceeds the terminal.
-        if not turns or (
-            all(map(le, turns, turns[1:]))
-            and turns[0] >= prev - slack
-            and turns[0] > 0.0
-            and turns[-1] <= terminal + slack
-        ):
+        if not (0.0 < lam < math.inf and math.isfinite(terminal)):
+            raise ValueError(f"need a finite lambda > 0 and terminal, got {lam}, {terminal}")
+        # A NaN breaks the chain, and an inf turn its last link.
+        chain = [lam, *turns, terminal]
+        if all(map(le, chain, chain[1:])):
             return
+        prev = lam
         for i, t in enumerate(turns):
             if not math.isfinite(t):
                 raise ValueError(f"turn {i} is not finite: {t}")
-            if t <= 0.0:
-                raise ValueError(f"turn {i} is not positive: {t}")
-            if t < prev - slack:
-                raise ValueError(f"turn {i} breaks monotonicity: {t} < {prev}")
+            if t < prev:
+                broken = "breaks monotonicity" if i else "is below lambda"
+                raise ValueError(f"turn {i} {broken}: {t} < {prev}")
             prev = t
-        if turns[-1] > terminal + slack:
-            raise ValueError("last turn exceeds the terminal distance")
+        raise ValueError(f"the terminal is below the last turn or lambda: {terminal} < {prev}")
 
 
 class StrategyReport(Record):
@@ -305,19 +289,37 @@ def optimize(problem: SearchProblem) -> StrategyReport:
     """
     sol = solve_problem(problem)
     theta = None if sol.mode == MODE_EXACT else sol.theta
-    turns = expand_sequence(sol.a0, sol.n, scale=problem.lambda_, theta=theta)
-    if sol.mode == MODE_LIMIT:
-        # The limit point can overshoot rho in its top turns; capping them at
-        # Lambda keeps the strategy monotone and inside [lambda, Lambda]
-        # while only reducing travel, so the reported ratio bound holds.
-        # The turns increase, so only a tail can exceed Lambda.
-        cap = problem.Lambda
-        i = len(turns)
-        while i and turns[i - 1] > cap:
-            i -= 1
-        turns[i:] = [cap] * (len(turns) - i)
+    turns = _capped_turns(sol.a0, sol.n, theta, problem.lambda_, problem.Lambda)
     strategy = Strategy(turns=turns, terminal=problem.Lambda, lambda_=problem.lambda_)
     return StrategyReport(
         strategy, sol.n, sol.a0, sol.cr, sol.mode, sol.cr_error_bound, sol.log2_residual,
         sol.bracket_width, sol.theta,
     )
+
+
+def _capped_turns(a0: float, n: int, theta: float | None, lam: float, Lam: float) -> list[float]:
+    """The turns at scale lam, with the tail above Lam capped at Lam.
+
+    The limit point's top turns overshoot Lambda by up to about half of it.
+    At a bracket's lower edge p_{n+1}(a0) is about 0, so in every mode the
+    last turn lam p_{n-1} is Lambda = lam p_n give or take a few ulps.
+    Capping keeps the chain and only reduces travel, so the ratio bound
+    holds.  Where the overshoot passes double range (``p_theta_terms``
+    raises), the turns are expanded at lam/2, capped at Lam/2 and doubled:
+    exact steps, as each turn is at least lam a0 / 2 >= lam, unless lam/2
+    rounds below 2^-1022, which moves the turns by a relative 2^-52 at most.
+    """
+    try:
+        turns, unit = expand_sequence(a0, n, scale=lam, theta=theta), 1.0
+    except OverflowError:
+        turns, unit = expand_sequence(a0, n, scale=lam / 2.0, theta=theta), 2.0
+    _cap_tail(turns, Lam / unit)
+    return turns if unit == 1.0 else [t * unit for t in turns]
+
+
+def _cap_tail(turns: list[float], cap: float) -> None:
+    """Cap the nondecreasing turns at cap, in place: only a tail can exceed it."""
+    i = len(turns)
+    while i and turns[i - 1] > cap:
+        i -= 1
+    turns[i:] = [cap] * (len(turns) - i)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._base import Record, set_field
-from .optimal import Strategy, check_lambda, expand_sequence
+from .optimal import Strategy, _cap_tail, check_lambda, expand_sequence
 from .polynomials import alpha
 # Unused: kept so bench/tracing.py's ("reach", "eval_p") site resolves.  That
 # site records nothing (p_n comes from the turn recurrence); drop both together.
@@ -95,6 +95,7 @@ def maximal_reach(query: ReachQuery) -> ReachResult:
     Lambda = turns.pop()
     if not math.isfinite(Lambda):
         raise _overflow()
+    _cap_tail(turns, Lambda)  # in the fuzz below alpha_{n+1}, p_{n+1}(a0) < 0
     strategy = Strategy(turns=turns, terminal=Lambda, lambda_=lam)
     return ReachResult(Lambda=Lambda, n=n, strategy=strategy, a0=a0)
 

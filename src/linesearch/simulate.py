@@ -16,7 +16,7 @@ the same object: the last strategy, its sums and their units are kept in one
 entry, so ``verify``'s grid reuses what its ``worst_case_ratio`` built.
 
 The grid bounds each run's ratio by 2 S / max(peak, lam) / unit + 1, from
-the largest reach before the run, and finds the first point (one ``log`` and
+the reach before the run, and finds the first point (one ``log`` and
 two ``exp``) only of the runs whose bound beats the ratio at lam.  At
 n = 995 on a 2-CPU machine (CPython 3.11) that puts ``worst_case_ratio`` at
 about 0.2-0.25 ms on a new object and 0.15 ms on the last one, plus about
@@ -38,7 +38,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import le, lt, mul, truediv
 
 from ._base import Record, set_field
@@ -164,28 +164,24 @@ def worst_case_ratio(
     The breakpoints are the distinct turns in [lam, Lam), and the first turn
     above b serves every D just above it, at cost 2 S + D with S the sum of
     the reaches through that turn.  These closed forms make the verifier
-    exact.  Where the turns below Lam strictly increase and none after them
-    falls below Lam (every strategy the package builds), the breakpoints
-    are one slice of the turns and each is served by the next turn, so
-    pricing is a few C-level passes.  Otherwise (equal turns below Lam, or
-    turns that dip within ``validate``'s slack) the breakpoints are sorted
-    out of the turns and each is served by a bisection of their running
-    maximum, about 0.4-0.6 ms more than the slice at n = 995.
+    exact.  The turns do not decrease, so the breakpoints are one slice of
+    them, each served by the turn after its last copy: where the slice
+    strictly increases (every strategy the package builds), by the next
+    turn, and pricing is a few C-level passes.
     """
     lam, Lam = _checked_bounds(strategy, lam, Lam)
     sums, units = _validated_sums(strategy)
     turns = strategy.turns
-    # On any tuple, turns[hi - 1] < Lam <= turns[hi] where those exist.
-    hi = bisect_left(turns, Lam)
-    head = turns[:hi]
-    if all(map(lt, head, head[1:])) and min(turns[hi:], default=Lam) >= Lam:
-        lo = bisect_left(head, lam)
-        breaks, priced, unit = head[lo:], sums[lo : hi + 1], units[lo : hi + 1]
-    else:
-        breaks = sorted({t for t in turns if lam <= t < Lam})
-        peaks = list(accumulate(turns, max))
-        served = [bisect_left(peaks, lam), *(bisect_right(peaks, b) for b in breaks)]
-        priced, unit = [sums[j] for j in served], [units[j] for j in served]
+    # turns[lo - 1] < lam <= turns[lo] and turns[hi - 1] < Lam <= turns[hi], where those exist.
+    lo, hi = bisect_left(turns, lam), bisect_left(turns, Lam)
+    breaks, priced, unit = turns[lo:hi], sums[lo : hi + 1], units[lo : hi + 1]
+    if not all(map(lt, breaks, breaks[1:])):
+        # Equal turns: keep each breakpoint's last copy and the sum through
+        # the turn after it, behind lam's sum.
+        last = [*map(lt, breaks, breaks[1:]), True]
+        breaks = tuple(compress(breaks, last))
+        priced = list(compress(priced, [True, *last]))
+        unit = list(compress(unit, [True, *last]))
     ratios = [2.0 * s / d / u + 1.0 for s, d, u in zip(priced, [lam, *breaks], unit)]
     sup = max(ratios)
     return RatioReport(sup, ratios.index(sup), ratios, lam, breaks, Lam)
@@ -287,15 +283,15 @@ def grid_sweep_ratio(
     The grid is :class:`GeometricGrid` from lam to Lam, geometric because
     ratio extrema cluster at breakpoints whose spacing is multiplicative.
     Each grid point D is served by the first reach >= D (the terminal serves
-    any point past it), so the points in (max of the earlier reaches,
-    reach[j]] all pay the prefix sum through reach[j], and the first of them
-    has the largest ratio.  Pricing that point alone gives the same maximum
+    any point past it), so the points in (reach[j-1], reach[j]] all pay the
+    prefix sum through reach[j], and the first of them has the largest
+    ratio.  Pricing that point alone gives the same maximum
     as pricing every point, in O(n) work whatever ``points`` is.  Converges
     to the exact supremum as points grow.
 
     Finding a run's first point costs a ``log`` and two ``exp``, so only
     the runs that can beat the point lam are found.  Every point of run j
-    lies above its peak, the largest earlier reach, and at or above lam, so
+    lies above its peak, the reach before it, and at or above lam, so
     none prices above 2 S_j / max(peak, lam) / u_j + 1: rounding keeps the
     order of each step.  At lam that bound is lam's own ratio, the best so
     far, and a run whose bound does not beat it is skipped.  On a strategy
@@ -311,13 +307,8 @@ def grid_sweep_ratio(
     sums, units = _validated_sums(strategy)
     turns = strategy.turns
     # Run j's first point lies above every earlier reach: above the turn
-    # before it, when the turns do not decrease.  Both forms give the same
-    # peaks then, but the check and the copy cost a sixth to a third of
-    # accumulate(turns, max): 7 against 32 us at n = 165 (CPython 3.11).
-    if all(map(le, turns, turns[1:])):
-        peaks = [-math.inf, *turns]
-    else:
-        peaks = [-math.inf, *accumulate(turns, max)]
+    # before it, as the turns do not decrease.
+    peaks = [-math.inf, *turns]
     # Run `first` holds lam, and the runs before it end below lam: no point
     # of theirs is on the grid.  Past it every peak is at least lam.
     first = bisect_left(peaks, lam) - 1
@@ -414,7 +405,10 @@ def _table(name: str, lam: float, size: int) -> tuple[list[float], list[float], 
         table = turns, sums, list(accumulate(map(truediv, sums[1:], turns), max))
     _TABLES[key] = table  # the most recently used last
     if len(_TABLES) > _TABLE_CACHE_SIZE:
-        _TABLES.pop(next(iter(_TABLES)), None)
+        # Evict from a snapshot of the keys, taken in one C call: another
+        # thread may change the dict meanwhile, and iterating it would raise.
+        for old in list(_TABLES)[:-_TABLE_CACHE_SIZE]:
+            _TABLES.pop(old, None)
     return table
 
 

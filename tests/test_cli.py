@@ -5,15 +5,16 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
 from linesearch.cli import dumps_record, main, parse_record
-from linesearch.optimal import SearchProblem, optimize
+from linesearch.optimal import SearchProblem, Strategy, optimize
 
-from _oracles import p_recurrence_mp
+from _oracles import exact_sup_ratio, p_recurrence_mp
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +210,45 @@ def test_optimal_log2_rho(capsys):
     assert rec["results"]["cr"] < 9.0
     assert rec["results"]["n"] == 999
     assert len(rec["results"]["turns"]) == 999
+
+
+def test_optimal_in_limit_mode_at_the_top_of_double_range(capsys):
+    # The limit point's top turns pass double range before the cap at Lambda.
+    code, out, err = run_cli(capsys, "optimal", "--lambda", "5.239937487811896e+57",
+                             "--Lambda", "1.7e308", "--eps", "1e-6")
+    assert (code, err) == (0, "")
+    rec = parse_record(out)
+    res, diag = rec["results"], rec["diagnostics"]
+    assert diag["mode"] == "limit_approx" and res["turns"][-1] == 1.7e308
+    s = Strategy(turns=res["turns"], terminal=res["terminal"], lambda_=rec["inputs"]["lambda"])
+    s.validate()
+    sup = exact_sup_ratio(s.turns, s.terminal, s.lambda_)
+    cr = res["cr"]
+    assert sup <= Fraction(cr) + Fraction(diag["cr_error_bound"]) + 8 * Fraction(math.ulp(cr))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n = 3 at rho = 9 (1 - 1e-12): a0 is 2.7e-13 below alpha_4 = 3, and
+        # the uncapped last turn is 2 700 ulps above Lambda.
+        ("verify", "--lambda", "1", "--Lambda", "8.999999999991"),
+        ("optimal", "--lambda", "1", "--Lambda", "8.999999999991"),
+        # a0 is 5e-15 below alpha_4, inside the reach's bracket fuzz.
+        ("reach", "--ratio", repr(7.0 - 1e-14)),
+    ],
+)
+def test_a_bracket_edge_gives_a_strategy_inside_Lambda(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    rec = parse_record(out)
+    res = rec["results"]
+    if argv[0] == "verify":
+        assert res["n"] == 3 and all(res["checks"].values())
+        return
+    Lam = res["Lambda"] if argv[0] == "reach" else rec["inputs"]["Lambda"]
+    assert res["n"] == 3 and res["turns"][-1] == Lam
+    Strategy(turns=res["turns"], terminal=Lam, lambda_=1.0).validate()
 
 
 def test_optimal_invalid_flags(capsys):

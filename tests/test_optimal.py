@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -16,6 +17,8 @@ from linesearch.optimal import (
     optimize,
     solve_problem,
 )
+from linesearch.reach import ReachQuery, maximal_reach
+from linesearch.simulate import baselines, grid_sweep_ratio, worst_case_ratio
 from linesearch.polynomials import eval_p, log2_p_at_alpha_next, log2_p_at_alpha_next2
 from linesearch.solve import solve_beyond_alpha, solve_exact
 
@@ -410,6 +413,110 @@ def test_limit_mode_caps_only_the_tail_at_Lambda():
         limit += 1
         capped += raw[-1] > problem.Lambda
     assert limit > 10 and capped > 0
+
+
+@pytest.mark.parametrize(
+    "n, eps, mode",
+    [
+        (2, 1e-9, "exact"),
+        (3, 1e-9, "exact"),
+        (5, 1e-9, "numeric"),
+        (40, 1e-9, "numeric"),
+        (200, 1e-15, "numeric"),
+        (100, 1e-3, "limit_approx"),
+    ],
+)
+@pytest.mark.parametrize("lam", [1.0, 3.7])
+def test_strategies_at_a_bracket_edge_satisfy_the_exact_chain(n, eps, mode, lam):
+    # At rho = p_n(alpha_{n+1}) the last turn lam p_{n-1} equals Lambda =
+    # lam p_n, since p_{n+1} = 0 there.  Within 40 ulps of that rho,
+    # rounding and an a0 just below alpha_{n+1} lift it a few ulps past
+    # Lambda in every mode; optimize caps it there, and the strategy keeps
+    # its ratio bound.
+    edge = lam * 2.0 ** log2_p_at_alpha_next(n)
+    capped = 0
+    for k in range(-40, 41):
+        problem = SearchProblem(lam, edge * (1.0 + k * 2.0**-52), eps)
+        rep = optimize(problem)
+        assert (rep.n, rep.mode) == (n, mode), k
+        theta = None if mode == "exact" else rep.theta
+        raw = expand_sequence(rep.a0, n, scale=lam, theta=theta)
+        assert rep.strategy.turns == tuple(min(t, problem.Lambda) for t in raw), k
+        capped += raw[-1] > problem.Lambda
+        s = rep.strategy
+        s.validate()
+        allowed = Fraction(rep.cr) + Fraction(rep.cr_error_bound) + 8 * Fraction(math.ulp(rep.cr))
+        assert exact_sup_ratio(s.turns, s.terminal, lam) <= allowed, k
+        assert worst_case_ratio(s).sup_ratio <= allowed, k
+        assert grid_sweep_ratio(s, points=1000) <= allowed, k
+    assert capped >= 20
+
+
+@pytest.mark.parametrize(
+    "lam, Lam, eps",
+    [
+        (5.239937487811896e57, 1.7e308, 1e-6),
+        (1.0, sys.float_info.max, 1e-3),
+        (1e-300, 1.7e308, 1e-6),
+        (2.0**-1022, sys.float_info.max, 1e-6),
+        (math.nextafter(2.0**-1022, 1.0), sys.float_info.max, 1e-6),  # lam / 2 rounds
+    ],
+)
+def test_limit_mode_caps_top_turns_past_double_range(lam, Lam, eps):
+    # The limit point's top turns overshoot Lambda by up to about half of
+    # it, here past double range; they are capped at Lambda all the same.
+    rep = optimize(SearchProblem(lam, Lam, eps))
+    assert rep.mode == "limit_approx"
+    with pytest.raises(OverflowError):
+        expand_sequence(rep.a0, rep.n, scale=lam, theta=rep.theta)
+    s = rep.strategy
+    s.validate()
+    assert s.turns[-1] == Lam and s.turns[0] >= lam
+    sup = exact_sup_ratio(s.turns, s.terminal, s.lambda_)
+    allowed = Fraction(rep.cr) + Fraction(rep.cr_error_bound) + 8 * Fraction(math.ulp(rep.cr))
+    assert sup <= allowed, float(sup - Fraction(rep.cr))
+
+
+def test_the_package_strategies_satisfy_the_exact_chain():
+    # validate() allows no slack, so everything the package builds must
+    # satisfy lambda <= t_0 <= ... <= terminal exactly.
+    rng = random.Random(20261019)
+    top = 1.7e308
+
+    def bounds():
+        """lambda log-uniform over the normal range, Lambda = 2^u lambda up to top."""
+        log2_lam = rng.uniform(-1022.0, 1023.0)
+        u = rng.choice([rng.uniform(0.0, 4.0), rng.uniform(0.0, 2046.0)])
+        return 2.0**log2_lam, 2.0 ** min(log2_lam + u, math.log2(top))
+
+    modes = set()
+    for eps in (1e-15, 1e-9, 1e-6, 1e-3):
+        for _ in range(60):
+            lam, Lam = bounds()
+            for problem in (SearchProblem(lam, Lam, eps), SearchProblem(lam, top, eps)):
+                rep = optimize(problem)
+                rep.strategy.validate()
+                modes.add(rep.mode)
+                # Scaled by a power of two that keeps every distance normal.
+                low = -1021 - math.frexp(lam)[1]
+                high = 1024 - math.frexp(problem.Lambda)[1]
+                scale = 2.0 ** rng.randint(max(low, -1074), min(high, 1023))
+                rep.strategy.scaled(scale).validate()
+    assert modes == {"exact", "numeric", "limit_approx"}
+    reached = 0
+    for _ in range(200):
+        lam = 2.0 ** rng.uniform(-1022.0, 0.0)
+        try:
+            res = maximal_reach(ReachQuery(rng.uniform(3.0, 9.0), lam))
+        except OverflowError:
+            continue
+        res.strategy.validate()
+        reached += 1
+    assert reached > 150
+    for _ in range(200):
+        lam, Lam = bounds()
+        for name in ("power_of_two", "f_infinity", "los_sqrt"):
+            baselines(name, lam, Lam).validate()
 
 
 def test_solve_problem_is_optimize_without_the_turns():

@@ -7,7 +7,7 @@ import pytest
 
 from linesearch import reach
 from linesearch.optimal import SearchProblem, expand_sequence, optimize
-from linesearch.polynomials import eval_p
+from linesearch.polynomials import alpha, eval_p
 from linesearch.reach import (
     InfeasibleRatioError,
     ReachQuery,
@@ -225,3 +225,25 @@ def test_reach_witness_is_within_its_ratio_in_exact_arithmetic():
         sup = exact_sup_ratio(res.strategy.turns, res.strategy.terminal, lam)
         excess = (sup - ratio) / math.ulp(ratio)
         assert excess <= 4, (ratio, float(excess))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 50, 294])
+@pytest.mark.parametrize("lam", [1.0, 3.7, sys.float_info.min])
+def test_reach_witness_at_a_bracket_edge_satisfies_the_exact_chain(n, lam):
+    # Within the fuzz below alpha_{n+1}, the budget is given bracket n while
+    # p_{n+1}(a0) < 0, so the uncapped last turn lam p_{n-1} passes Lambda =
+    # lam p_n (by more than 1e-9 of it at n = 294).  The witness caps it.
+    edge = 1.0 + 2.0 * alpha(n + 1)
+    ratios = [7.0 - 1e-14, edge, *(edge + k * 2.0**-50 for k in range(-60, 61, 3))]
+    capped = 0
+    for ratio in ratios:
+        res = maximal_reach(ReachQuery(ratio, lam))
+        s = res.strategy
+        raw = expand_sequence(res.a0, res.n, scale=lam)
+        assert s.turns == tuple(min(t, res.Lambda) for t in raw), ratio
+        capped += bool(raw) and raw[-1] > res.Lambda
+        s.validate()
+        assert worst_case_ratio(s).sup_ratio <= ratio + 4 * math.ulp(ratio), ratio
+        excess = (exact_sup_ratio(s.turns, s.terminal, lam) - ratio) / math.ulp(ratio)
+        assert excess <= 4, (ratio, float(excess))
+    assert capped >= 5

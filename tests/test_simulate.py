@@ -216,21 +216,77 @@ def test_validate_refuses_non_finite_distances(turns, terminal, lam, where):
 @pytest.mark.parametrize(
     "turns, terminal, lam, where",
     [
-        # At lambda = 1e-3 and terminal 1e9 the first turn's slack, 1e-9 of
-        # the terminal, is 1: more than lambda, yet no turn may be 0 or less.
+        # A first turn at or below 0 lies below lambda, however large the terminal.
         ((0.0, 5.0), 1e9, 1e-3, "turn 0"),
         ((-0.5, 5.0), 1e9, 1e-3, "turn 0"),
-        # A dip within the slack of the turn before it.
+        # A turn at or below 0 after a positive one breaks monotonicity.
         ((1e-10, -1e-10, 0.5), 1.0, 1e-10, "turn 1"),
     ],
 )
 def test_validate_refuses_a_non_positive_turn(turns, terminal, lam, where):
     s = Strategy(turns=turns, terminal=terminal, lambda_=lam)
-    for check in (s.validate, lambda: worst_case_ratio(s),
-                  lambda: grid_sweep_ratio(s, points=1000)):
-        with pytest.raises(ValueError, match="not positive") as err:
+    assert_refused(s, lam, terminal, where, match="below lambda|monotonicity")
+
+
+def assert_refused(s, lam, Lam, where, match=None):
+    """validate and both pricers raise one line that names the broken link."""
+    for check in (s.validate, lambda: worst_case_ratio(s, lam, Lam),
+                  lambda: grid_sweep_ratio(s, lam, Lam, 1000)):
+        with pytest.raises(ValueError, match=match) as err:
             check()
         assert where in str(err.value) and "\n" not in str(err.value)
+
+
+# Turns that dip: below lambda, and below the turn before, also down to an
+# earlier turn's value, each by 5e-9 or less.
+DIPS = Strategy(
+    turns=(1.0 - 5e-9, 2.0, 2.0 + 5e-9, 2.0, 3.0, 3.0 - 5e-9, 6.0, 6.0, 6.0 - 1e-9, 9.0),
+    terminal=10.0,
+    lambda_=1.0,
+)
+
+# DIPS with each turn raised to lambda and to every turn before it: the
+# nearest chain, with an equal-turn run where DIPS dips.
+RAISED_DIPS = Strategy(
+    turns=(1.0, 2.0, 2.0 + 5e-9, 2.0 + 5e-9, 3.0, 3.0, 6.0, 6.0, 6.0, 9.0),
+    terminal=10.0,
+    lambda_=1.0,
+)
+
+# (label, strategy, lam, Lam, the link named): every strategy that breaks the
+# chain 0 < lambda <= t_0 <= ... <= terminal, by however little, is refused.
+BROKEN_CHAINS = [
+    ("a 60% dip at terminal 1e10",
+     Strategy(turns=(5.0, 2.0, 40.0), terminal=1e10, lambda_=1.0), 1.0, 1e10, "turn 1"),
+    ("a dip at terminal 1e300",
+     Strategy(turns=(1.5e291, 0.6e291, 2e291), terminal=1e300, lambda_=1.0), 1.0, 1e300, "turn 1"),
+    ("a turn below lambda", Strategy(turns=(0.5, 2.0), terminal=8.0, lambda_=1.0), 1.0, 8.0,
+     "turn 0"),
+    ("a turn an ulp below lambda",
+     Strategy(turns=(math.nextafter(3.0, 0.0), 5.0), terminal=8.0, lambda_=3.0), 3.0, 8.0,
+     "turn 0"),
+    ("lambda = 0", Strategy(turns=(2.0,), terminal=8.0, lambda_=0.0), 1.0, 8.0, "lambda"),
+    ("lambda < 0", Strategy(turns=(), terminal=8.0, lambda_=-1.0), 1.0, 8.0, "lambda"),
+    ("a terminal below the last turn", Strategy(turns=(2.0, 9.0), terminal=8.0, lambda_=1.0),
+     1.0, 8.0, "terminal"),
+    ("a terminal below lambda", Strategy(turns=(), terminal=8.0, lambda_=9.0), 1.0, 8.0,
+     "terminal"),
+    ("dips", DIPS, 1.0, 10.0, "turn 0"),
+    ("dips, lam inside", DIPS, 2.5, 10.0, "turn 0"),
+    ("dips, lam inside a dip", DIPS, 2.0 + 2e-9, 10.0, "turn 0"),
+    ("a dip under lam", Strategy(turns=(4.0 + 5e-9, 4.0, 8.0), terminal=8.0, lambda_=1.0),
+     4.0 + 2e-9, 8.0, "turn 1"),
+    ("a dip below Lam", Strategy(turns=(1.5, 3.0, 3.0 - 5e-9, 6.0), terminal=8.0, lambda_=1.0),
+     1.0, 8.0, "turn 2"),
+    ("a dip after Lam", Strategy(turns=(2.0, 5.0, 8.0, 8.0 - 5e-9), terminal=8.0, lambda_=1.0),
+     1.0, 8.0, "turn 3"),
+]
+
+
+@pytest.mark.parametrize("label, s, lam, Lam, where", BROKEN_CHAINS,
+                         ids=[c[0] for c in BROKEN_CHAINS])
+def test_validate_refuses_a_broken_chain(label, s, lam, Lam, where):
+    assert_refused(s, lam, Lam, where)
 
 
 def test_grid_needs_two_points():
@@ -268,23 +324,15 @@ def test_optimal_cases_cover_every_mode_and_a_capped_tail():
         assert (rep.strategy.turns[-1:] == (rep.strategy.terminal,)) == capped
 
 
-# Dips inside validate()'s slack (1e-9 of the terminal): below lambda, and
-# below the turn before, also down to an earlier turn's value.
-DIPS = Strategy(
-    turns=(1.0 - 5e-9, 2.0, 2.0 + 5e-9, 2.0, 3.0, 3.0 - 5e-9, 6.0, 6.0, 6.0 - 1e-9, 9.0),
-    terminal=10.0,
-    lambda_=1.0,
-)
-
 # Strategies whose grid maximum sits at lam, with every later run pruned
 # (2 * 10 + 1 = 21 at lam = 1, each later bound at most 2 * 30 / 10 + 1 = 7),
-# or just past it.  validate()'s slack (1e-9 of the terminal, here 1) admits a
-# first turn below lambda: the next run holds lam.  BY_AN_ULP's first turn
+# or just past it.  FIRST_BELOW_LAM is priced from lam = 1e-3, above its
+# lambda and its first turn: the next run holds lam.  BY_AN_ULP's first turn
 # lies a double below point 408 of the 1000 from 1 to 30, and its second
 # makes that point price one ulp above the ratio at lam, 2 t_0 + 1: the
 # run's bound beats that ratio by two ulps.
 ALL_PRUNED = Strategy(turns=(10.0, 20.0, 40.0, 80.0), terminal=160.0, lambda_=1.0)
-FIRST_BELOW_LAM = Strategy(turns=(5e-4, 5.0), terminal=1e9, lambda_=1e-3)
+FIRST_BELOW_LAM = Strategy(turns=(5e-4, 5.0), terminal=1e9, lambda_=5e-4)
 BY_AN_ULP = Strategy(turns=(4.0111485001551275, 12.078163790141607), terminal=30.0, lambda_=1.0)
 
 
@@ -304,12 +352,13 @@ def _pricing_cases():
     cases += [
         ("equal-turn runs", runs, 1.0, 8.0),
         ("equal-turn runs, lam on a run", runs, 5.0, 8.0),
-        ("dips", DIPS, 1.0, 10.0),
-        ("dips, lam inside", DIPS, 2.5, 10.0),
-        ("dips, lam inside a dip", DIPS, 2.0 + 2e-9, 10.0),
-        # The next turn is served past the dip, not from lam inside it.
-        ("a dip under lam", Strategy(turns=(4.0 + 5e-9, 4.0, 8.0), terminal=8.0, lambda_=1.0),
-         4.0 + 2e-9, 8.0),
+        # The dip cases, raised onto the chain (each dipping one is refused).
+        ("dips", RAISED_DIPS, 1.0, 10.0),
+        ("dips, lam inside", RAISED_DIPS, 2.5, 10.0),
+        ("dips, lam inside a dip", RAISED_DIPS, 2.0 + 2e-9, 10.0),
+        # The next turn is served past the equal copy, not from lam below it.
+        ("a dip under lam",
+         Strategy(turns=(4.0 + 5e-9, 4.0 + 5e-9, 8.0), terminal=8.0, lambda_=1.0), 4.0 + 2e-9, 8.0),
         ("lambda on a turn", on_lambda, 1.0, 6.0),
         ("Lambda on a turn", on_big_lambda, 1.0, 6.0),
         ("lam above the first turn", long_tail, 2.5, 20.0),
@@ -335,11 +384,11 @@ def test_worst_case_ratio_is_the_loop_reference(label, s, lam, Lam):
     assert (report.sup_ratio, report.argmax_interval, report.per_interval) == want
 
 
-# Walks of turns from lambda = 1 that rise, repeat and dip within the slack,
-# priced over a range [lam, Lam] anywhere inside [lambda, terminal].
+# Walks of turns from lambda = 1 that rise and repeat, priced over a range
+# [lam, Lam] anywhere inside [lambda, terminal].
 WALKS = dict(
-    head=st.floats(min_value=1.0 - 5e-10, max_value=3.0),
-    moves=st.lists(st.sampled_from(["same", "dip", "up", "up", "up"]), max_size=25),
+    head=st.floats(min_value=1.0, max_value=3.0),
+    moves=st.lists(st.sampled_from(["same", "up", "up", "up"]), max_size=25),
     steps=st.lists(st.floats(min_value=1.0, max_value=3.0), min_size=25, max_size=25),
     lo=st.floats(min_value=0.0, max_value=1.0),
     hi=st.floats(min_value=0.0, max_value=1.0),
@@ -351,9 +400,7 @@ def walk(head, moves, steps, lo, hi):
     turns, t = [], head
     for move, step in zip(moves, steps):
         turns.append(t)
-        if move == "dip":
-            t -= 1e-9 * step  # inside the slack of a terminal >= 3 * head
-        elif move == "up":
+        if move == "up":
             t *= step
     terminal = max([*turns, 1.0]) * 3.0
     s = Strategy(turns=tuple(turns), terminal=terminal, lambda_=1.0)
@@ -425,19 +472,12 @@ def test_only_the_late_sums_are_scaled(lam):
 def branches(monkeypatch):
     """The slow branches a pricing call takes, read off helpers only they call.
 
-    "running max": a pricer takes the running maximum of the turns, as
-    worst_case_ratio does off its slice and grid_sweep_ratio for dipping turns.
+    "compress": worst_case_ratio keeps the last copy of equal turns in its slice.
     "first_above": the grid settles a run's first point point by point.
     """
     seen = set()
-    accumulate = simulate.accumulate
-
-    def spy(*args, **kwargs):
-        if max in args[1:2] or kwargs.get("func") is max:
-            seen.add("running max")
-        return accumulate(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "accumulate", spy)
+    compress = simulate.compress
+    monkeypatch.setattr(simulate, "compress", lambda *args: seen.add("compress") or compress(*args))
     first_above = GeometricGrid.first_above
     monkeypatch.setattr(
         GeometricGrid, "first_above", lambda grid, b: seen.add("first_above") or first_above(grid, b)
@@ -460,13 +500,7 @@ BRANCH_CASES = [
      1.0, 6.0, 1000, set(), set()),
     ("an equal-turn run below Lam",
      Strategy(turns=(1.5, 3.0, 3.0, 6.0), terminal=8.0, lambda_=1.0), 1.0, 8.0, 1000,
-     {"running max"}, set()),
-    ("a dip below Lam",
-     Strategy(turns=(1.5, 3.0, 3.0 - 5e-9, 6.0), terminal=8.0, lambda_=1.0), 1.0, 8.0, 1000,
-     {"running max"}, {"running max"}),
-    ("a dip after Lam",
-     Strategy(turns=(2.0, 5.0, 8.0, 8.0 - 5e-9), terminal=8.0, lambda_=1.0), 1.0, 8.0, 1000,
-     {"running max"}, {"running max"}),
+     {"compress"}, set()),
     ("a turn on a grid point", Strategy(turns=(_ON_GRID,), terminal=1e3, lambda_=1.0),
      1.0, 8.0, 1000, set(), {"first_above"}),
 ]
@@ -610,7 +644,7 @@ def ratio_at(s, d):
         ("power_of_two", pot(1.0, 1e6), 1.0, 1e6, True),
         ("by an ulp", BY_AN_ULP, 1.0, 30.0, True),
         ("a first turn in (0, lambda)", FIRST_BELOW_LAM, 1e-3, 1e9, True),
-        ("dips", DIPS, 1.0, 10.0, True),
+        ("dips", RAISED_DIPS, 1.0, 10.0, True),
         ("every later run pruned", ALL_PRUNED, 1.0, 160.0, False),
     ],
 )
@@ -627,13 +661,10 @@ def test_pruned_grid_is_pointwise_on_random_strategies():
     past_lam = 0
     for _ in range(200):
         lam = 10.0 ** rng.uniform(-3.0, 3.0)
-        turns, t = [], lam * rng.uniform(1.0 - 1e-10, 3.0)
+        turns, t = [], lam * rng.uniform(1.0, 3.0)
         for _ in range(rng.randint(0, 30)):
             turns.append(t)
-            move = rng.random()
-            if move < 0.1:
-                t -= 1e-10 * t  # a dip inside the slack
-            elif move > 0.2:
+            if rng.random() > 0.2:  # or repeat the turn
                 t *= rng.uniform(1.0, 4.0)
         s = Strategy(turns=tuple(turns), terminal=t * rng.uniform(1.0, 3.0), lambda_=lam)
         lo = lam * (s.terminal / lam) ** rng.choice([0.0, rng.random()])
@@ -709,8 +740,9 @@ def test_an_invalid_strategy_raises_on_every_call():
 def test_threads_pricing_different_strategies_agree_with_one_thread(monkeypatch):
     # More threads than a 2-CPU machine has cores; each prices its own
     # strategy and, in between, one they all share.
-    own = [optimize(SearchProblem(1.0, 1e20)).strategy, pot(1.0, 1e30), DIPS]
-    shared = Strategy(turns=(1.5, 3.0, 3.0 - 5e-9, 6.0), terminal=8.0, lambda_=1.0)
+    own = [optimize(SearchProblem(1.0, 1e20)).strategy, pot(1.0, 1e30),
+           baselines("f_infinity", 1.0, 1e30)]
+    shared = Strategy(turns=(1.5, 3.0, 3.0, 6.0), terminal=8.0, lambda_=1.0)
 
     def prices(s):
         return worst_case_ratio(s), grid_sweep_ratio(s, points=1000)
@@ -893,6 +925,44 @@ def test_a_first_call_builds_only_the_turns_it_needs(monkeypatch):
     assert simulate._TABLES[("f_infinity", 1.0)] is before
     baseline_ratios(1.0, 1e300)
     assert len(simulate._TABLES[("f_infinity", 1.0)][0]) >= len(baselines("f_infinity", 1.0, 1e300).turns)
+
+
+def test_threads_pricing_baselines_at_many_lambdas_agree_with_one_thread(monkeypatch):
+    # More distinct lambdas than the table cache holds, so the threads evict
+    # tables while others store and read theirs, switching as often as the
+    # interpreter can.  The README's promise that every function is safe to
+    # call concurrently rests on this test for baseline_ratios.
+    monkeypatch.setattr(simulate, "_TABLES", {})
+    lams = [2.0**k for k in range(-60, 61)]
+    rng = random.Random(23)
+    draws = [[rng.choice(lams) for _ in range(3000)] for _ in range(4)]
+    want = {lam: baseline_ratios(lam, lam * 2.0**40) for lam in lams}
+    got, errors = [[] for _ in draws], []
+
+    def work(k):
+        try:
+            for lam in draws[k]:
+                got[k].append(baseline_ratios(lam, lam * 2.0**40))
+        except Exception as exc:  # a thread's exception would be lost otherwise
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(draws))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == [[want[lam] for lam in d] for d in draws]
+    # Every store is followed by its own eviction, so the cache ends no
+    # larger than its size.  It can end smaller: a key in one thread's
+    # snapshot can be moved to the end by another, and still be evicted.
+    assert len(simulate._TABLES) <= simulate._TABLE_CACHE_SIZE
 
 
 # --- property-based -------------------------------------------------------------
