@@ -30,6 +30,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from ._base import configure_from_env
@@ -360,7 +361,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(output, args.format or ("csv" if isinstance(output, list) else "json"))
+    try:
+        _emit(output, args.format or ("csv" if isinstance(output, list) else "json"))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head -1``): end quietly, with the rest of
+        # the output, and the interpreter's last flush of it, sent nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if ok else 1
 
 

@@ -1,11 +1,12 @@
 """Maximal reach: the largest Lambda searchable within a given ratio budget.
 
-Inverting CR = 2 a0 + 1 gives a0 = (R - 1)/2 directly, the iteration count
-follows from which root bracket contains a0, and the reach is Lambda =
-p_n(a0) * lambda together with the witnessing strategy.  One pass of the
-turn recurrence, run in absolute units, gives lambda p_0 .. lambda p_n: the
-first n are the turns and the last is the reach, finite wherever Lambda is
-even if p_n alone is not.
+Inverting CR = 2 a0 + 1 gives a0 = (R - 1)/2 directly.  Since
+p_j(a0) - p_{j-1}(a0) = p_{j+1}(a0) / a0, the terms lambda p_j(a0) rise
+while p_{j+1}(a0) >= 0 and first fall past the bracket n with
+alpha_{n+1} <= a0 < alpha_{n+2}: the reach is their peak Lambda = lambda
+p_n(a0), and the n terms before it are the witness's turns.  One pass of the
+turn recurrence, run in absolute units, gives them all, finite wherever
+Lambda is even if p_n alone is not.
 """
 
 from __future__ import annotations
@@ -13,22 +14,10 @@ from __future__ import annotations
 import math
 
 from ._base import Record, set_field
-from .optimal import Strategy, _cap_tail, check_lambda, expand_sequence
-from .polynomials import alpha
+from .optimal import Strategy, check_lambda, expand_sequence
 # Unused: kept so bench/tracing.py's ("reach", "eval_p") site resolves.  That
 # site records nothing (p_n comes from the turn recurrence); drop both together.
 from .polynomials import eval_p  # noqa: F401
-
-# A budget landing exactly on a bracket edge belongs to the larger n; the
-# fuzz absorbs the few-ulp noise of the closed-form alphas.
-_EDGE_FUZZ = 8.0 * math.ulp(4.0)
-
-# In bracket n, p_n(a0) >= p_n(alpha_{n+1}) = (2 cos(pi/(n+3)))^(n+1) > 2^n, so
-# from n = 2046 on lambda p_n > 2^-1022 2^2046 overflows for every normal
-# lambda.  Budgets that far up are refused before the bracket search, which
-# would otherwise step through n one at a time (for ever once a0 is within
-# the fuzz of 4).
-_FIRST_OVERFLOWING_A0 = alpha(2047) - _EDGE_FUZZ
 
 
 class UnboundedReachError(ValueError):
@@ -68,35 +57,31 @@ class ReachResult(Record):
         set_field(self, "a0", a0)
 
 
-def _iterations_for(a0: float) -> int:
-    """The n with alpha_{n+1} <= a0 < alpha_{n+2}.
-
-    Starts from n = floor(pi / arccos(sqrt(a0)/2)) - 3 and nudges by one
-    when floating-point floor lands on the wrong side of an integer
-    boundary, validating directly against the root brackets.
-    """
-    n = int(math.floor(math.pi / math.acos(math.sqrt(a0) / 2.0))) - 3
-    n = max(n, 0)
-    while n > 0 and a0 < alpha(n + 1) - _EDGE_FUZZ:
-        n -= 1
-    while a0 >= alpha(n + 2) - _EDGE_FUZZ:
-        n += 1
-    return n
-
-
 def maximal_reach(query: ReachQuery) -> ReachResult:
-    """Largest Lambda coverable with competitive ratio <= query.ratio."""
+    """Largest Lambda coverable with competitive ratio <= query.ratio.
+
+    n is estimated as floor(pi / theta) - 3 with a0 = 4 cos^2 theta, within
+    one of the peak, as pi / theta carries about n ulps; the walk from one
+    below it stops at the first term that the next does not reach, so an
+    exact tie goes to the larger n, as the half-open bracket does.
+    """
     a0 = 0.5 * (query.ratio - 1.0)
-    if a0 >= _FIRST_OVERFLOWING_A0:
+    estimate = math.floor(math.pi / math.acos(math.sqrt(a0) / 2.0)) - 3
+    # In bracket n, p_n(a0) >= p_n(alpha_{n+1}) = (2 cos(pi/(n+3)))^(n+1) > 2^n,
+    # so from n = 2046 on lambda p_n > 2^-1022 2^2046 overflows for every
+    # normal lambda; the estimate is at most one low.
+    if estimate > 2046:
         raise _overflow()
-    n = _iterations_for(a0)
     lam = query.lambda_
-    turns = expand_sequence(a0, n + 1, scale=lam)  # lambda p_0 .. lambda p_n
-    Lambda = turns.pop()
+    terms = expand_sequence(a0, estimate + 3, scale=lam)  # lambda p_0 .. p_{estimate+2}
+    n = max(estimate - 1, 0)
+    # An overflowed term ends the walk, before the inf and nan that follow it.
+    while terms[n + 1] >= terms[n] < math.inf:
+        n += 1
+    Lambda = terms[n]
     if not math.isfinite(Lambda):
         raise _overflow()
-    _cap_tail(turns, Lambda)  # in the fuzz below alpha_{n+1}, p_{n+1}(a0) < 0
-    strategy = Strategy(turns=turns, terminal=Lambda, lambda_=lam)
+    strategy = Strategy(turns=terms[:n], terminal=Lambda, lambda_=lam)
     return ReachResult(Lambda=Lambda, n=n, strategy=strategy, a0=a0)
 
 

@@ -97,7 +97,7 @@ def _checked_bounds(strategy: Strategy, lam: float | None, Lam: float | None) ->
     Lam = strategy.terminal if Lam is None else Lam
     if not (0.0 < lam <= Lam):
         raise ValueError(f"need 0 < lambda <= Lambda, got {lam}, {Lam}")
-    if strategy.terminal < Lam * (1.0 - 1e-12):
+    if strategy.terminal < Lam:
         raise IncompleteStrategyError(
             f"terminal {strategy.terminal} does not cover Lambda = {Lam}"
         )
@@ -282,12 +282,11 @@ def grid_sweep_ratio(
 
     The grid is :class:`GeometricGrid` from lam to Lam, geometric because
     ratio extrema cluster at breakpoints whose spacing is multiplicative.
-    Each grid point D is served by the first reach >= D (the terminal serves
-    any point past it), so the points in (reach[j-1], reach[j]] all pay the
-    prefix sum through reach[j], and the first of them has the largest
-    ratio.  Pricing that point alone gives the same maximum
-    as pricing every point, in O(n) work whatever ``points`` is.  Converges
-    to the exact supremum as points grow.
+    Each grid point D is served by the first reach >= D, so the points in
+    (reach[j-1], reach[j]] all pay the prefix sum through reach[j], and the
+    first of them has the largest ratio.  Pricing that point alone gives the
+    same maximum as pricing every point, in O(n) work whatever ``points``
+    is.  Converges to the exact supremum as points grow.
 
     Finding a run's first point costs a ``log`` and two ``exp``, so only
     the runs that can beat the point lam are found.  Every point of run j

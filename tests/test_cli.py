@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -234,7 +235,8 @@ def test_optimal_in_limit_mode_at_the_top_of_double_range(capsys):
         # the uncapped last turn is 2 700 ulps above Lambda.
         ("verify", "--lambda", "1", "--Lambda", "8.999999999991"),
         ("optimal", "--lambda", "1", "--Lambda", "8.999999999991"),
-        # a0 is 5e-15 below alpha_4, inside the reach's bracket fuzz.
+        # a0 is 5e-15 below alpha_4 = 3, so p_3(a0) < p_2(a0): the reach
+        # peaks at n = 2, above the 8.999999999999844 that n = 3 reaches.
         ("reach", "--ratio", repr(7.0 - 1e-14)),
     ],
 )
@@ -246,8 +248,12 @@ def test_a_bracket_edge_gives_a_strategy_inside_Lambda(capsys, argv):
     if argv[0] == "verify":
         assert res["n"] == 3 and all(res["checks"].values())
         return
-    Lam = res["Lambda"] if argv[0] == "reach" else rec["inputs"]["Lambda"]
-    assert res["n"] == 3 and res["turns"][-1] == Lam
+    if argv[0] == "reach":
+        Lam = res["Lambda"]
+        assert (res["n"], Lam) == (2, 8.999999999999929)
+    else:
+        Lam = rec["inputs"]["Lambda"]
+        assert res["n"] == 3 and res["turns"][-1] == Lam
     Strategy(turns=res["turns"], terminal=Lam, lambda_=1.0).validate()
 
 
@@ -610,6 +616,28 @@ def test_module_entry_point_and_logging():
     rec = parse_record(proc.stdout)  # stdout stays clean JSON
     assert rec["results"]["n"] == 3
     assert "optimize" in proc.stderr  # diagnostics went to stderr
+
+
+@pytest.mark.parametrize("argv", [["--log2-rho", "1000"], ["--Lambda", "10"]])
+def test_a_closed_stdout_ends_quietly(argv):
+    # As in `linesearch optimal ... | head -1`, with the reader gone before
+    # the first write: the large record fails in print, the small one in the
+    # flush.  Either way the exit is 1 with nothing on stderr.
+    repo_root = Path(__file__).resolve().parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "linesearch", "optimal", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={"PATH": "", "PYTHONPATH": str(repo_root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+            cwd=repo_root,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # Each verify reads the baseline tables of its lambda; the warm-up below

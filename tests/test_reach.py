@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 
@@ -16,7 +17,7 @@ from linesearch.reach import (
 )
 from linesearch.simulate import worst_case_ratio
 
-from _oracles import exact_sup_ratio
+from _oracles import exact_sup_ratio, p_sequence_mp
 
 
 def test_reach_ratio_five():
@@ -109,6 +110,20 @@ def _reference_reach(n, a0, lam):
         return math.inf
 
 
+def _peak_n(a0):
+    """The first n whose p_n(a0) the next term does not reach, at 50 digits.
+
+    On an exact tie the walk goes on, so a0 = alpha_{n+1} gives n.
+    """
+    count = 16
+    while True:
+        seq = p_sequence_mp(count, a0)
+        for n in range(count - 1):
+            if seq[n + 1] < seq[n]:
+                return n
+        count *= 2
+
+
 def test_reach_is_the_reference_p_n_times_lambda():
     # The turn recurrence runs in absolute units.  At lambda = 1 and at every
     # power of two it scales exactly, so Lambda is bit for bit the reference
@@ -125,7 +140,7 @@ def test_reach_is_the_reference_p_n_times_lambda():
         kind = rng.randrange(3)
         lam = (1.0, 2.0 ** rng.randint(-1022, 1023), _log_uniform(rng, -1022, 1023.9))[kind]
         a0 = 0.5 * (ratio - 1.0)
-        n = reach._iterations_for(a0)
+        n = _peak_n(a0)
         want = _reference_reach(n, a0, lam)
         try:
             res = maximal_reach(ReachQuery(ratio, lam))
@@ -154,14 +169,18 @@ def test_reach_is_the_reference_p_n_times_lambda():
 def test_reach_overflows_from_n_2046_whatever_lambda():
     # p_n(a0) > 2^n in bracket n, so from n = 2046 on no normal lambda keeps
     # Lambda finite.  At n = 2045 the top of the bracket already overflows at
-    # lambda = 2^-1022, as at n = 1023 with lambda = 1.
+    # lambda = 2^-1022, as at n = 1023 with lambda = 1.  The lowest budget
+    # tried is 1 + 2 alpha_{n+1} rounded, stepped up by ulps while the oracle
+    # puts it in bracket n - 1 (at n = 2045 it does).
     seen = set()
     for n in (1022, 1023, 1024, 2044, 2045, 2046, 2047, 2100):
-        lo, hi = 4.0 * math.cos(math.pi / (n + 3)) ** 2, 4.0 * math.cos(math.pi / (n + 4)) ** 2
-        for a0 in (lo, 0.5 * (lo + hi), math.nextafter(hi, 0.0)):
-            ratio = 2.0 * a0 + 1.0
+        first = 1.0 + 8.0 * math.cos(math.pi / (n + 3)) ** 2
+        while _peak_n(0.5 * (first - 1.0)) < n:
+            first = math.nextafter(first, 9.0)
+        hi = 1.0 + 8.0 * math.cos(math.pi / (n + 4)) ** 2
+        for ratio in (first, 0.5 * (first + hi), math.nextafter(hi, 0.0)):
             a0 = 0.5 * (ratio - 1.0)
-            n_here = reach._iterations_for(a0)
+            n_here = _peak_n(a0)
             for lam, edge in ((sys.float_info.min, 2046), (1.0, 1024)):
                 want = _reference_reach(n_here, a0, lam)
                 finite = want < math.inf
@@ -182,8 +201,8 @@ def test_reach_overflows_from_n_2046_whatever_lambda():
     "ratio", [math.nextafter(9.0, 0.0), 8.999999999999998, 8.99999999999995, 9.0 - 1e-9]
 )
 def test_budgets_past_double_range_are_refused_before_the_bracket_search(ratio):
-    # Stepping n up to its bracket would take ~10^8 steps here, and for ever
-    # within the edge fuzz of a0 = 4.
+    # The estimate of n is up to about 10^8 here; the budget is refused
+    # before a single term is expanded.
     with pytest.raises(OverflowError, match="exceeds double range"):
         maximal_reach(ReachQuery(ratio, sys.float_info.min))
 
@@ -230,20 +249,31 @@ def test_reach_witness_is_within_its_ratio_in_exact_arithmetic():
 @pytest.mark.parametrize("n", [1, 3, 4, 50, 294])
 @pytest.mark.parametrize("lam", [1.0, 3.7, sys.float_info.min])
 def test_reach_witness_at_a_bracket_edge_satisfies_the_exact_chain(n, lam):
-    # Within the fuzz below alpha_{n+1}, the budget is given bracket n while
-    # p_{n+1}(a0) < 0, so the uncapped last turn lam p_{n-1} passes Lambda =
-    # lam p_n (by more than 1e-9 of it at n = 294).  The witness caps it.
+    # Near alpha_{n+1}, p_{n+1}(a0) is about 0, so lam p_{n-1} and lam p_n
+    # are equal up to rounding.  The reach is the peak of the computed terms,
+    # so the turns below it rise strictly and none passes it.
     edge = 1.0 + 2.0 * alpha(n + 1)
     ratios = [7.0 - 1e-14, edge, *(edge + k * 2.0**-50 for k in range(-60, 61, 3))]
-    capped = 0
     for ratio in ratios:
         res = maximal_reach(ReachQuery(ratio, lam))
-        s = res.strategy
-        raw = expand_sequence(res.a0, res.n, scale=lam)
-        assert s.turns == tuple(min(t, res.Lambda) for t in raw), ratio
-        capped += bool(raw) and raw[-1] > res.Lambda
+        s, m = res.strategy, res.n
+        terms = expand_sequence(res.a0, m + 2, scale=lam)
+        assert (s.turns, res.Lambda) == (tuple(terms[:m]), terms[m]), ratio
+        assert res.Lambda >= max(terms[m - 1 : m] + terms[m + 1 :]), ratio
+        assert all(map(operator.lt, s.turns, s.turns[1:])), ratio
         s.validate()
         assert worst_case_ratio(s).sup_ratio <= ratio + 4 * math.ulp(ratio), ratio
         excess = (exact_sup_ratio(s.turns, s.terminal, lam) - ratio) / math.ulp(ratio)
         assert excess <= 4, (ratio, float(excess))
-    assert capped >= 5
+
+
+@pytest.mark.parametrize("n", [3, 50, 294])
+@pytest.mark.parametrize("lam", [1.0, 3.7])
+def test_reach_below_a_bracket_edge_is_what_n_minus_1_iterations_reach_or_more(n, lam):
+    # Just below 1 + 2 alpha_{n+1}, p_{n+1}(a0) < 0 and lam p_n(a0) is below
+    # lam p_{n-1}(a0): the reach is the larger, whatever n it prints.
+    edge = 1.0 + 2.0 * alpha(n + 1)
+    for k in range(81):
+        ratio = edge - k * 2.0**-50
+        res = maximal_reach(ReachQuery(ratio, lam))
+        assert res.Lambda >= expand_sequence(res.a0, n, scale=lam)[-1], (k, res.n)

@@ -213,26 +213,11 @@ def test_validate_refuses_non_finite_distances(turns, terminal, lam, where):
         assert where in str(err.value) and "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "turns, terminal, lam, where",
-    [
-        # A first turn at or below 0 lies below lambda, however large the terminal.
-        ((0.0, 5.0), 1e9, 1e-3, "turn 0"),
-        ((-0.5, 5.0), 1e9, 1e-3, "turn 0"),
-        # A turn at or below 0 after a positive one breaks monotonicity.
-        ((1e-10, -1e-10, 0.5), 1.0, 1e-10, "turn 1"),
-    ],
-)
-def test_validate_refuses_a_non_positive_turn(turns, terminal, lam, where):
-    s = Strategy(turns=turns, terminal=terminal, lambda_=lam)
-    assert_refused(s, lam, terminal, where, match="below lambda|monotonicity")
-
-
-def assert_refused(s, lam, Lam, where, match=None):
+def assert_refused(s, lam, Lam, where):
     """validate and both pricers raise one line that names the broken link."""
     for check in (s.validate, lambda: worst_case_ratio(s, lam, Lam),
                   lambda: grid_sweep_ratio(s, lam, Lam, 1000)):
-        with pytest.raises(ValueError, match=match) as err:
+        with pytest.raises(ValueError) as err:
             check()
         assert where in str(err.value) and "\n" not in str(err.value)
 
@@ -280,6 +265,15 @@ BROKEN_CHAINS = [
      1.0, 8.0, "turn 2"),
     ("a dip after Lam", Strategy(turns=(2.0, 5.0, 8.0, 8.0 - 5e-9), terminal=8.0, lambda_=1.0),
      1.0, 8.0, "turn 3"),
+    # A first turn at or below 0 lies below lambda, however large the
+    # terminal; one after a positive turn breaks monotonicity.
+    ("a first turn at 0", Strategy(turns=(0.0, 5.0), terminal=1e9, lambda_=1e-3), 1e-3, 1e9,
+     "turn 0 is below lambda"),
+    ("a negative first turn", Strategy(turns=(-0.5, 5.0), terminal=1e9, lambda_=1e-3), 1e-3, 1e9,
+     "turn 0 is below lambda"),
+    ("a negative turn after a positive one",
+     Strategy(turns=(1e-10, -1e-10, 0.5), terminal=1.0, lambda_=1e-10), 1e-10, 1.0,
+     "turn 1 breaks monotonicity"),
 ]
 
 
@@ -608,11 +602,11 @@ def test_grid_is_pointwise_on_edges():
         assert_grid_is_pointwise(s, d, d)
     # A strategy with no turns at all.
     assert_grid_is_pointwise(baselines("single_shot", 1.0, 7.0), 1.0, 7.0)
-    # Lambda past the terminal within the 1e-12 slack: the points beyond
-    # it are served by the terminal.
-    Lam = 8.0 * (1.0 + 5e-13)
-    assert_grid_is_pointwise(s, 1.0, Lam)
-    assert grid_sweep_ratio(s, Lam, Lam, 2) == 2.0 * 15.0 / Lam + 1.0
+    # Lambda one ulp past the terminal: the strategy does not cover it.
+    Lam = math.nextafter(8.0, math.inf)
+    for check in (lambda: worst_case_ratio(s, 1.0, Lam), lambda: grid_sweep_ratio(s, 1.0, Lam)):
+        with pytest.raises(IncompleteStrategyError, match="does not cover"):
+            check()
     # A turn exactly on a grid point belongs to the run it closes; a turn a
     # double below one leaves that point to the next run.  The far terminal
     # puts the largest ratio on the first point past the turn.

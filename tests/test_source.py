@@ -3,7 +3,8 @@
 Three kinds of leftover are caught: a top-level import that its module never
 uses, a module-level ``_private`` name that is referenced nowhere but where
 it is defined, and a public function, class or method that only the unit
-tests reach.  Only the standard library's ``ast`` is used.
+tests reach.  A ``_private`` name also stays in its module: no other module
+imports it.  Only the standard library's ``ast`` is used.
 """
 
 import ast
@@ -93,6 +94,17 @@ def test_every_private_name_is_referenced(module):
     read = _read_names(tree)
     dead = [(name, line) for name, line in _private_definitions(tree).items() if name not in read]
     assert not dead, f"{module}: private names referenced only where defined: {dead}"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_imports_another_modules_private_name(module):
+    # At any depth, so the imports inside functions count too.
+    imported = [
+        (f"{node.module}.{alias.name}", node.lineno)
+        for node in ast.walk(TREES[module]) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not imported, f"{module}: imports another module's private names: {imported}"
 
 
 # Public names that only the unit tests reach, kept on purpose: qualified
