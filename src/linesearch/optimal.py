@@ -19,11 +19,12 @@ from operator import le
 
 from . import solve as _solve
 from ._base import Emitter, Record, set_field
-from .polynomials import log2_p_at_alpha_next, log2_p_at_alpha_next2, p_theta_terms
+from .polynomials import p_theta_terms
 from .solve import (
     MODE_EXACT,
     cr_error_bound_limit,
     limit_mode_threshold,
+    optimal_n,
 )
 
 logger = Emitter("linesearch.optimal")
@@ -65,7 +66,9 @@ class SearchProblem(Record):
 
     @property
     def log2_rho(self) -> float:
-        return math.log2(self.Lambda) - math.log2(self.lambda_)
+        """log2 of the quotient rho; log2 Lambda - log2 lambda_ only where rho overflows."""
+        rho = self.rho
+        return math.log2(rho) if rho < math.inf else math.log2(self.Lambda) - math.log2(self.lambda_)
 
     @classmethod
     def from_log2_rho(
@@ -179,42 +182,6 @@ class StrategyReport(Record):
         set_field(self, "theta", theta)
 
 
-def optimal_n(rho: float | None = None, log2_rho: float | None = None) -> int:
-    """The unique iteration count n whose bracket contains rho.
-
-    n satisfies p_n(alpha_{n+1}) <= rho < p_n(alpha_{n+2}) and always lies
-    in {floor(log2 rho) - 1, floor(log2 rho)}.  Computed from the candidate
-    n = floor(log2 rho) by testing n+1 > log_gamma(rho) with
-    gamma = 2 cos(pi/(n+3)); near-ties are settled by checking the bracket
-    inequalities for both candidates directly.
-    """
-    if (rho is None) == (log2_rho is None):
-        raise ValueError("provide exactly one of rho or log2_rho")
-    if log2_rho is None:
-        if not (rho >= 1.0):
-            raise ValueError(f"rho must be at least 1, got {rho}")
-        log2_rho = math.log2(rho)
-    elif log2_rho < 0.0:
-        raise ValueError(f"log2_rho must be non-negative, got {log2_rho}")
-
-    n = math.floor(log2_rho)
-    if n == 0:
-        return 0
-    # gamma^(n+1) = p_n(alpha_{n+1}): the lower edge of candidate n's bracket.
-    lower_edge = log2_p_at_alpha_next(n)
-    fuzz = 1e-12 * max(1.0, abs(log2_rho))
-    if abs(lower_edge - log2_rho) <= fuzz:
-        # On the boundary the half-open bracket assigns rho to the larger n.
-        return n if _bracket_holds(n, log2_rho, fuzz) else n - 1
-    return n if lower_edge < log2_rho else n - 1
-
-
-def _bracket_holds(n: int, log2_rho: float, fuzz: float) -> bool:
-    lo = log2_p_at_alpha_next(n)
-    hi = log2_p_at_alpha_next2(n)
-    return lo - fuzz <= log2_rho < hi - fuzz
-
-
 def expand_sequence(
     a0: float, n: int, scale: float = 1.0, theta: float | None = None
 ) -> list[float]:
@@ -256,8 +223,9 @@ def solve_problem(problem: SearchProblem) -> StrategyReport:
     keeps the ratio error far inside the reported eps since CR = 2 a0 + 1.
     """
     rho = problem.rho  # may overflow to inf when Lambda/lambda_ exceeds doubles
+    log2_rho = problem.log2_rho  # the double that decides n, here and in solve_numeric
     eps = problem.epsilon
-    n = optimal_n(log2_rho=problem.log2_rho)
+    n = optimal_n(log2_rho=log2_rho)
     if n <= 3:
         sol = _solve.solve_exact(n, rho)
         bound = 0.0
@@ -268,13 +236,13 @@ def solve_problem(problem: SearchProblem) -> StrategyReport:
         sol = _solve.solve_numeric(n, rho)
         bound = eps
     else:
-        sol = _solve.solve_numeric(n, log2_rho=problem.log2_rho)
+        sol = _solve.solve_numeric(n, log2_rho=log2_rho)
         bound = eps
     cr = 2.0 * sol.a0 + 1.0
     logger.info(
         "optimize rho=%.6g -> n=%d mode=%s a0=%.17g cr=%.17g", rho, n, sol.mode, sol.a0, cr
     )
-    residual = _solve.log2_residual(n, sol.a0, rho, problem.log2_rho)
+    residual = _solve.log2_residual(n, sol.a0, rho, log2_rho)
     return StrategyReport(
         None, n, sol.a0, cr, sol.mode, bound, residual, sol.bracket_width, sol.theta
     )

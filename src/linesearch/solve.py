@@ -15,6 +15,10 @@ Three routes, matching how hard the equation is:
   n >= 7 eps^{-1/3} - 4; the induced competitive-ratio error is at most
   7^3 (n+4)^-3.
 
+Which n a rho calls for is decided once, by :func:`optimal_n`: the n whose
+bracket p_n(alpha_{n+1}) <= rho < p_n(alpha_{n+2}) holds it.
+:func:`solve_numeric` refuses any other n with :class:`BracketError`.
+
 :func:`log2_residual` prices a root against its rho as |log2 p_n(a0) -
 log2 rho|, a relative residual that stays readable at any scale, past double
 range included.
@@ -32,7 +36,6 @@ from .polynomials import (
     eval_p,
     eval_p_and_derivative,
     log2_p_at_alpha_next,
-    log2_p_at_alpha_next2,
     log2_p_cosh_excess,
     log2_p_theta_excess,
     theta_of_x,
@@ -63,7 +66,31 @@ class SolveResult(Record):
 
 
 class BracketError(ValueError):
-    """rho is outside [p_n(alpha_{n+1}), p_n(alpha_{n+2})) for this n."""
+    """rho is outside [p_n(alpha_{n+1}), p_n(alpha_{n+2})): :func:`optimal_n` names another n."""
+
+
+def optimal_n(rho: float | None = None, log2_rho: float | None = None) -> int:
+    """The unique iteration count n whose bracket contains rho.
+
+    n satisfies p_n(alpha_{n+1}) <= rho < p_n(alpha_{n+2}) and always lies
+    in {floor(log2 rho) - 1, floor(log2 rho)}: it is the candidate
+    n = floor(log2 rho) unless that bracket's lower edge gamma^(n+1),
+    gamma = 2 cos(pi/(n+3)), lies above rho.  An edge within a relative
+    1e-12 of log2 rho counts as reached, so near-ties go to the larger n, as
+    the half-open bracket does.
+    """
+    if (rho is None) == (log2_rho is None):
+        raise ValueError("provide exactly one of rho or log2_rho")
+    if log2_rho is None:
+        if not (rho >= 1.0):
+            raise ValueError(f"rho must be at least 1, got {rho}")
+        log2_rho = math.log2(rho)
+    elif log2_rho < 0.0:
+        raise ValueError(f"log2_rho must be non-negative, got {log2_rho}")
+
+    n = math.floor(log2_rho)
+    fuzz = 1e-12 * max(1.0, log2_rho)
+    return n if log2_p_at_alpha_next(n) - log2_rho <= fuzz else n - 1
 
 
 def _theta_or_nan(a0: float) -> float:
@@ -239,11 +266,12 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
     """Solve p_n(a0) = rho on [alpha_{n+1}, alpha_{n+2}] to the ulp floor of theta.
 
     rho may be given directly or as log2_rho for magnitudes beyond float
-    range.  rho must satisfy p_n(alpha_{n+1}) <= rho < p_n(alpha_{n+2});
-    anything else raises :class:`BracketError`.  The solve runs in theta
-    (a0 = 4 cos^2 theta) to adjacent doubles: it costs only a Newton step
-    or two more than a looser stop, and the strategy's terminal interval
-    needs that precision at large n.
+    range.  n must be the one :func:`optimal_n` picks for log2 rho (taken
+    as given, or as math.log2(rho)); any other n raises
+    :class:`BracketError`.  The solve runs in theta (a0 = 4 cos^2 theta) to
+    adjacent doubles: it costs only a Newton step or two more than a looser
+    stop, and the strategy's terminal interval needs that precision at
+    large n.
     """
     if (rho is None) == (log2_rho is None):
         raise ValueError("provide exactly one of rho or log2_rho")
@@ -256,16 +284,13 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
         l2rho = log2_rho
         target = log2_rho - (n + 1)
 
-    l2_lo, l2_hi = log2_p_at_alpha_next(n), log2_p_at_alpha_next2(n)
-    fuzz = 1e-12 * max(1.0, abs(l2rho))
-    if l2rho < l2_lo - fuzz or l2rho >= l2_hi + fuzz:
-        raise BracketError(
-            f"rho (log2 {l2rho:.6g}) outside [p_{n}(alpha_{n + 1}), p_{n}(alpha_{n + 2})) "
-            f"= [2^{l2_lo:.6g}, 2^{l2_hi:.6g})"
-        )
+    held = optimal_n(log2_rho=l2rho)
+    if held != n:
+        raise BracketError(f"rho (log2 {l2rho:.6g}) is in the bracket of n = {held}, not n = {n}")
     # theta_lo gives a0 = alpha_{n+2}, theta_hi gives a0 = alpha_{n+1}; f
     # increases in theta and is <= 0 at theta_lo, >= 0 at theta_hi unless rho
-    # sits (within the fuzz) on an edge, where the edge itself is the answer.
+    # sits on an edge (the lower one within optimal_n's fuzz, or either one by
+    # rounding), where the edge itself is the answer.
     th_lo, th_hi = math.pi / (n + 4), math.pi / (n + 3)
     f_lo = target - log2_p_theta_excess(n, th_lo)
     f_hi = target - log2_p_theta_excess(n, th_hi)

@@ -13,7 +13,7 @@ import pytest
 from mpmath import mp, mpf
 
 from linesearch.cli import dumps_record, main, parse_record
-from linesearch.optimal import SearchProblem, Strategy, optimize
+from linesearch.optimal import SearchProblem, Strategy, optimal_n, optimize
 
 from _oracles import exact_sup_ratio, p_recurrence_mp
 
@@ -255,6 +255,26 @@ def test_a_bracket_edge_gives_a_strategy_inside_Lambda(capsys, argv):
         Lam = rec["inputs"]["Lambda"]
         assert res["n"] == 3 and res["turns"][-1] == Lam
     Strategy(turns=res["turns"], terminal=Lam, lambda_=1.0).validate()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # log2 Lambda - log2 lambda and log2(Lambda/lambda) fall on either
+        # side of optimal_n's fuzz below the lower edge of bracket 7 (and of
+        # bracket 4 at lambda = 1e-300); each input is served all the same.
+        ("optimal", "--lambda", "3.7", "--Lambda", "634.0044318748342"),
+        ("verify", "--lambda", "1e-300", "--Lambda", "1.8997607093837663e-299"),
+    ],
+)
+def test_a_rho_in_the_fuzz_below_a_bracket_edge_is_served(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    rec = parse_record(out)
+    rho = rec["inputs"]["Lambda"] / rec["inputs"]["lambda"]
+    assert rec["results"]["n"] == optimal_n(rho)
+    if argv[0] == "verify":
+        assert all(rec["results"]["checks"].values())
 
 
 def test_optimal_invalid_flags(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from linesearch import cli, optimal
 from linesearch.optimal import (
@@ -22,7 +23,14 @@ from linesearch.simulate import baselines, grid_sweep_ratio, worst_case_ratio
 from linesearch.polynomials import eval_p, log2_p_at_alpha_next, log2_p_at_alpha_next2
 from linesearch.solve import solve_beyond_alpha, solve_exact
 
-from _oracles import bisect_root, exact_sup_ratio, poly_coeffs, poly_eval
+from _oracles import (
+    MP_DPS,
+    bisect_root,
+    exact_sup_ratio,
+    p_recurrence_mp,
+    poly_coeffs,
+    poly_eval,
+)
 
 
 RNG_SWEEP = np.random.default_rng(20240817)
@@ -81,6 +89,34 @@ def test_certificate_sweep_small():
         assert n <= lo + 1e-9 and e < hi and hi <= n + 2 + 1e-9
         assert lo - 1e-9 <= e
         assert n in (math.floor(e) - 1, math.floor(e)) or (math.floor(e) == 0 and n == 0)
+
+
+def _log2_edge_mp(n: int):
+    """log2 p_n(alpha_{n+1}), the lower edge of bracket n, at 50 digits."""
+    with mp.workdps(MP_DPS):
+        return mp.log(p_recurrence_mp(n, 4 * mp.cos(mp.pi / (n + 3)) ** 2), 2)
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.7, 1e-300])
+@pytest.mark.parametrize("n", [4, 7, 31, 200, 1000])
+def test_solve_problem_serves_every_rho_near_a_bracket_edge(n, lam):
+    # optimal_n gives bracket n a log2 rho up to its fuzz below the edge.
+    # Within 40 ulps of Lambda around that point, every problem solves, to
+    # the n whose 50-digit bracket holds rho, or to the larger n where the
+    # 50-digit edge is within the fuzz (and a few ulps of rounding) above.
+    edge = log2_p_at_alpha_next(n)
+    fuzz = 1e-12 * edge
+    edge_mp = _log2_edge_mp(n)
+    Lam = lam * 2.0 ** (edge - fuzz)
+    for _ in range(40):
+        Lam = math.nextafter(Lam, 0.0)
+    for k in range(81):
+        rep = solve_problem(SearchProblem(lam, Lam))
+        with mp.workdps(MP_DPS):
+            below = edge_mp - mp.log(mpf(Lam) / mpf(lam), 2)
+        held = n if below <= 0 else n - 1
+        assert rep.n == held or (rep.n == n and below <= fuzz + 16 * math.ulp(edge)), (k, Lam)
+        Lam = math.nextafter(Lam, math.inf)
 
 
 # --- expand_sequence --------------------------------------------------------

@@ -202,6 +202,37 @@ def test_numeric_rejects_outside_bracket():
         solve_numeric(3, 10.0, log2_rho=3.2)
 
 
+def test_numeric_refuses_exactly_the_n_that_optimal_n_does_not_pick():
+    # n is decided once: around the lower edge of every bracket up to 2001
+    # (the upper edge of the bracket below), on the edge and at optimal_n's
+    # fuzz below it, solve_numeric(m, rho) raises BracketError exactly when
+    # optimal_n(rho) != m, whether rho is given or its log2.
+    for n in range(1, 2002):
+        edge = log2_p_at_alpha_next(n)
+        for base in (edge, edge - 1e-12 * edge):
+            for k in (-1, 0, 1):
+                l2 = base + k * math.ulp(base)
+                given = [{"log2_rho": l2}] + ([{"rho": 2.0**l2}] if l2 < 1024.0 else [])
+                for kw in given:
+                    held = optimal_n(**kw)
+                    for m in (n - 1, n):
+                        if m == held:
+                            solve_numeric(m, **kw)
+                        else:
+                            with pytest.raises(BracketError, match=f"n = {held}, not n = {m}"):
+                                solve_numeric(m, **kw)
+
+
+def test_numeric_gives_a_rho_within_the_fuzz_below_the_upper_edge_to_n_plus_1():
+    # log2 rho within optimal_n's fuzz below p_50(alpha_52) is bracket 51's;
+    # bracket 51 solves it at its lower edge, a0 = alpha_52.
+    l2 = log2_p_at_alpha_next2(50) * (1.0 - 0.5e-12)
+    assert optimal_n(log2_rho=l2) == 51
+    with pytest.raises(BracketError):
+        solve_numeric(50, log2_rho=l2)
+    assert solve_numeric(51, log2_rho=l2).theta == math.pi / 54
+
+
 def test_numeric_boundary_grace():
     # rho exactly on the lower bracket edge solves to alpha_{n+1}.
     lo, _ = bracket_edges(7)

@@ -93,12 +93,15 @@ def test_names_outside_the_public_surface_import_from_their_submodules():
         "polynomials": ("PolyEval", "alpha", "eval_p"),
         "simulate": ("baselines",),
         "solve": ("BracketError", "SolveResult", "cr_error_bound_limit", "log2_residual",
-                  "solve_beyond_alpha", "solve_exact", "solve_limit", "solve_numeric"),
+                  "optimal_n", "solve_beyond_alpha", "solve_exact", "solve_limit",
+                  "solve_numeric"),
     }
     for module, names in moved.items():
         submodule = getattr(linesearch, module)
         for name in names:
             assert name not in linesearch.__all__ and hasattr(submodule, name), (module, name)
+    # solve defines it; optimal re-exports the same function.
+    assert linesearch.optimal.optimal_n is linesearch.solve.optimal_n
 
 
 def test_bench_tracing_targets_resolve():
