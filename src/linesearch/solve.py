@@ -82,11 +82,11 @@ def optimal_n(rho: float | None = None, log2_rho: float | None = None) -> int:
     if (rho is None) == (log2_rho is None):
         raise ValueError("provide exactly one of rho or log2_rho")
     if log2_rho is None:
-        if not (rho >= 1.0):
-            raise ValueError(f"rho must be at least 1, got {rho}")
+        if not 1.0 <= rho < math.inf:
+            raise ValueError(f"rho must be finite and at least 1, got {rho}")
         log2_rho = math.log2(rho)
-    elif log2_rho < 0.0:
-        raise ValueError(f"log2_rho must be non-negative, got {log2_rho}")
+    elif not 0.0 <= log2_rho < math.inf:
+        raise ValueError(f"log2_rho must be finite and non-negative, got {log2_rho}")
 
     n = math.floor(log2_rho)
     fuzz = 1e-12 * max(1.0, log2_rho)
@@ -273,18 +273,13 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
     stop, and the strategy's terminal interval needs that precision at
     large n.
     """
-    if (rho is None) == (log2_rho is None):
-        raise ValueError("provide exactly one of rho or log2_rho")
+    held = optimal_n(rho, log2_rho)  # also refuses a missing, small or non-finite rho
     if log2_rho is None:
-        if rho < 1.0:
-            raise ValueError(f"rho must be at least 1, got {rho}")
         l2rho = math.log2(rho)
         target = _log2_excess(n, rho)
     else:
         l2rho = log2_rho
         target = log2_rho - (n + 1)
-
-    held = optimal_n(log2_rho=l2rho)
     if held != n:
         raise BracketError(f"rho (log2 {l2rho:.6g}) is in the bracket of n = {held}, not n = {n}")
     # theta_lo gives a0 = alpha_{n+2}, theta_hi gives a0 = alpha_{n+1}; f

@@ -108,6 +108,14 @@ def test_p_at_alpha2_matches_quoted_boundary():
     assert 2.0 ** log2_p_at_alpha_next2(3) == pytest.approx(18.99761, abs=5e-6)
 
 
+def test_upper_edge_is_the_next_brackets_lower_edge():
+    # Bracket n's upper edge p_n(alpha_{n+2}) is bracket n + 1's lower edge,
+    # alpha_{n+2}^((n+2)/2), to the last bit.
+    for n in range(5000):
+        want = 0.5 * (n + 2) * math.log2(alpha(n + 2))
+        assert log2_p_at_alpha_next2(n) == log2_p_at_alpha_next(n + 1) == want, n
+
+
 @pytest.mark.parametrize("n", range(0, 51))
 def test_closed_form_agreement(n):
     # Recurrence vs alpha_{n+1}^((n+1)/2) and alpha_{n+2}^((n+2)/2).
@@ -201,6 +209,27 @@ def test_large_n_no_overflow():
     assert math.isfinite(pe_small.mantissa)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("x", [1e160, -1e160, 1e300, -1e300, sys.float_info.max, -sys.float_info.max])
+def test_eval_p_is_total_past_the_square_root_of_double_range(n, x):
+    # x(x - 1) alone overflows here; the value itself is far past doubles.
+    pe = eval_p(n, x)
+    assert math.isfinite(pe.mantissa) and 1.0 <= abs(pe.mantissa) < 2.0
+    with mp.workdps(50):
+        ref = p_recurrence_mp(n, x)
+        got = mpf(pe.mantissa) * mpf(2) ** pe.exp2
+        assert abs(got - ref) <= mpf("1e-12") * abs(ref), (n, x)
+
+
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310])
+def test_eval_p_is_total_at_subnormal_x(x):
+    # Below 2^-1022 the frame cannot start at x's own exponent: 2^-e would overflow.
+    assert eval_p(0, x).to_float() == x
+    assert eval_p(1, x).to_float() == -x
+    for n in (2, 3, 50):
+        assert math.isfinite(eval_p(n, x).mantissa), n
+
+
 def test_derivative_tracks_finite_differences():
     for n in (1, 2, 5, 12, 30):
         for x in (1.3, 2.7, 3.6):
@@ -211,8 +240,8 @@ def test_derivative_tracks_finite_differences():
 
 
 def test_plain_value_is_bit_identical_to_exponent_tracked():
-    # Where no term leaves double range, aligning by powers of two is exact,
-    # so the plain recurrence reproduces eval_p bit for bit.
+    # Where no term leaves the normal range, rescaling by powers of two is
+    # exact, so the plain recurrence reproduces eval_p bit for bit.
     rng = random.Random(8)
     xs = [-3.5, -1.0, -0.25, 0.0, 0.3, 1.0, 1.5, 2.0, 2.5, 3.0, 3.9, 4.0, 7.25, 1e3, 1e60]
     xs += [rng.uniform(-8.0, 8.0) for _ in range(200)]
@@ -228,6 +257,16 @@ def test_plain_value_is_bit_identical_to_exponent_tracked():
             finite += 1
             assert p == eval_p(n, x).to_float(), (n, x)
     assert finite >= 100
+    # Tiny and huge x, where eval_p's frame moves far from 2^0 at every step.
+    normal = 0
+    for _ in range(2000):
+        n = int(2.0 ** rng.uniform(0.0, math.log2(1001.0))) - 1
+        x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 150.0)
+        p, _ = eval_p_and_derivative(n, x)
+        if sys.float_info.min <= abs(p) < math.inf:
+            normal += 1
+            assert p == eval_p(n, x).to_float(), (n, x)
+    assert normal >= 300
 
 
 @settings(max_examples=60, deadline=None)

@@ -202,6 +202,20 @@ def test_numeric_rejects_outside_bracket():
         solve_numeric(3, 10.0, log2_rho=3.2)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: optimal_n(rho=math.inf), "rho", id="optimal_n-rho-inf"),
+        pytest.param(lambda: solve_numeric(5, log2_rho=math.inf), "log2_rho", id="numeric-log2_rho-inf"),
+        pytest.param(lambda: optimal_n(log2_rho=math.nan), "log2_rho", id="optimal_n-log2_rho-nan"),
+        pytest.param(lambda: solve_numeric(5, rho=math.nan), "rho", id="numeric-rho-nan"),
+    ],
+)
+def test_a_non_finite_rho_is_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and .*, got (inf|nan)$"):
+        call()
+
+
 def test_numeric_refuses_exactly_the_n_that_optimal_n_does_not_pick():
     # n is decided once: around the lower edge of every bracket up to 2001
     # (the upper edge of the bracket below), on the edge and at optimal_n's
