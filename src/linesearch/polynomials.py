@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from operator import mul
+from operator import attrgetter, mul
 
 from ._base import Record, set_field
 
@@ -72,14 +72,16 @@ def _check_index(n: int) -> None:
 def eval_p(n: PolyIndex, x: float) -> PolyEval:
     """Evaluate p_n(x) by the recurrence from p_{-1} = 1 and p_0 = x.
 
-    Total on finite input.  Both terms are held in units of one 2^e, which
-    starts at x's exponent.  After each step an exact power of two rescales
-    them so that the larger lies in [0.5, 1).  So x (p_{i-1} - p_{i-2})
-    stays finite: below |x| = 2^1022 because the difference is below 2 in
-    size, and above it because consecutive terms then differ by a factor of
-    about x, so the difference rounds to the larger term, below 1.
-    Inside the solving bracket the recurrence terms are all positive and
-    increasing, so no catastrophic cancellation occurs where accuracy
+    Total on finite input, subnormal x included.  Both terms are held in
+    units of one 2^e, and after each step an exact power of two rescales
+    them so that the larger lies just below 2^top, top = 511 - max(k, 0)
+    for |x| < 2^k.  So x (p_{i-1} - p_{i-2}) stays below 2^512.  Below
+    |x| = 1 the smaller term stays normal (consecutive terms differ by a
+    factor of about x at most); above it, it underflows only below 2^-508
+    of the larger, too small to round their difference.  Where the plain
+    recurrence stays normal every rescaling is exact, so the bits are its
+    bits.  Inside the solving bracket the recurrence terms are all positive
+    and increasing, so no catastrophic cancellation occurs where accuracy
     matters.  Near a root of p_n the terms cancel, and the forward error is
     about n^2 ulp(1) 2^(n+1): one ulp above alpha_300 this gives +9.65e78
     where p_300 is -3.96e78, so not even the sign holds there.  n = 10^6
@@ -89,11 +91,13 @@ def eval_p(n: PolyIndex, x: float) -> PolyEval:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     frexp, ldexp = math.frexp, math.ldexp
-    e = max(frexp(x)[1], -1022)  # 2^-e overflows for a lower e
+    ex = frexp(x)[1]
+    top = 511 - max(ex, 0)
+    e = max(ex, 1) - top  # puts the larger of |x| and 1 just below 2^top
     p1, p2 = ldexp(x, -e), ldexp(1.0, -e)  # p_0 and p_{-1}, in units of 2^e
     for _ in range(n):
         p1, p2 = x * (p1 - p2), p1
-        k = frexp(p1 if abs(p1) >= abs(p2) else p2)[1]
+        k = frexp(p1 if abs(p1) >= abs(p2) else p2)[1] - top
         p1, p2, e = ldexp(p1, -k), ldexp(p2, -k), e + k
     p = PolyEval.from_float(p1)
     return PolyEval(p.mantissa, p.exp2 + e) if p1 else p
@@ -202,15 +206,23 @@ def log2_p_theta_excess(n: PolyIndex, theta: float) -> float:
     return (n + 1) * log2_cos + math.log2(_sin_multiple(n + 2, theta) / s)
 
 
-def dlog2_p_dtheta(n: PolyIndex, theta: float) -> float:
-    """d/dtheta of log2 p_n(4 cos^2 theta); negative on (0, pi/(n+2)).
+def log2_p_theta_excess_and_slope(n: PolyIndex, theta: float) -> tuple[float, float]:
+    """:func:`log2_p_theta_excess` at theta and its d/dtheta, in one pass.
+
+    The value is the same expression as :func:`log2_p_theta_excess`, so the
+    same bits; the slope, negative on (0, pi/(n+2)), is
 
     ( -(n+1) tan theta + (n+2) cot((n+2) theta) - cot theta ) / ln 2.
     """
     _check_theta(n, theta)
+    s = math.sin(theta)
     k = n + 2
-    cot_k = math.cos(k * theta) / _sin_multiple(k, theta)
-    return (k * cot_k - (n + 1) * math.tan(theta) - 1.0 / math.tan(theta)) / _LN2
+    sin_k = _sin_multiple(k, theta)
+    tan = math.tan(theta)
+    log2_cos = 0.5 * math.log1p(-s * s) / _LN2
+    value = (n + 1) * log2_cos + math.log2(sin_k / s)
+    slope = (k * (math.cos(k * theta) / sin_k) - (n + 1) * tan - 1.0 / tan) / _LN2
+    return value, slope
 
 
 # Terms per rotation run in p_theta_terms.  Each run restarts from the closed
@@ -237,10 +249,12 @@ def p_theta_terms(n: PolyIndex, theta: float, scale: float = 1.0) -> list[float]
     about 11 ulps, however large n is (measured against 45-digit arithmetic
     for n up to 2040, at both bracket edges and between them).
 
-    Within a run the power of two is one exact factor; a run whose products
-    could leave the normal range takes ldexp term by term instead.  So a
-    power-of-two scale changes no bit of a normal term, and a term past
-    double range raises OverflowError.
+    Within a run the power of two is one exact factor.  It is folded into
+    the run's seed where the whole run then stays normal (see _FOLD_MIN),
+    and applied by ldexp term by term elsewhere: the same bits, as scaling
+    by a power of two is exact in the normal range.  So a power-of-two
+    scale changes no bit of a normal term, and a term past double range
+    raises OverflowError.
     """
     _check_index(n)
     if n == 0:
@@ -251,30 +265,30 @@ def p_theta_terms(n: PolyIndex, theta: float, scale: float = 1.0) -> list[float]
     ln_cos = 0.5 * math.log1p(-s * s)
     m, e = math.frexp(scale)  # keeps tiny or huge scales off the subnormal range
     m /= s
-    exp, sin, cos, frexp = math.exp, math.sin, math.cos, math.frexp
+    exp, sin, cos = math.exp, math.sin, math.cos
     k_mid = min(n + 1, int(0.5 * math.pi / theta))  # first k with (k+1) theta > pi/2
     out: list[float] = []
-    steps = _forward_steps(s, theta)
+    steps = _forward_steps(s, theta, k_mid - 2)  # as many as the forward runs take
     for k in range(1, k_mid, _BLOCK):
         count = min(_BLOCK, k_mid - k)
         u = (k + 1) * theta
-        r, er = frexp(m * exp(k * ln_cos))
+        r, exp2 = _seed_radius(m * exp(k * ln_cos), k + e, count)  # |z| grows by at most 2 a step
         run = accumulate(steps[: count - 1], mul, initial=complex(r * cos(u), r * sin(u)))
-        _append_run(out, run, k + e + er, count)  # |z| grows by at most 2 a step
+        _append_run(out, run, exp2)
     w_down = complex(0.5, -0.5 * math.tan(theta))  # 1/w, with an exact real part
     hi, lo, pi = *_split(theta), math.pi
     for k in range(max(k_mid, 1), n + 1, _BLOCK):
         top = min(k + _BLOCK - 1, n)
         d = (pi - (top + 1) * hi) - (top + 1) * lo + _PI_LO  # pi - (top+1) theta
-        r, er = frexp(m * exp(top * ln_cos))
+        r, exp2 = _seed_radius(m * exp(top * ln_cos), top + e, 0)  # |z| shrinks backwards
         run = [*accumulate(repeat(w_down, top - k), mul, initial=complex(-r * cos(d), r * sin(d)))]
         run.reverse()
-        _append_run(out, run, top + e + er, 0)  # |z| shrinks backwards
+        _append_run(out, run, exp2)
     return out
 
 
-def _forward_steps(s: float, theta: float) -> list[complex]:
-    """_BLOCK - 1 multipliers whose running products follow (2c e^{i theta})^j.
+def _forward_steps(s: float, theta: float, count: int) -> list[complex]:
+    """count multipliers, at most _BLOCK - 1, whose running products follow (2c e^{i theta})^j.
 
     The real part 2c^2 = 2 - 2 s^2 of w rounds with a relative error of up to
     2^-54, which one repeated multiplier would build up to 2^-54 j after j
@@ -282,6 +296,7 @@ def _forward_steps(s: float, theta: float) -> list[complex]:
     takes the neighbouring double on the other side of 2c^2 in the share of
     steps (to 1/_DITHER) that cancels the rounding.
     """
+    count = min(count, _BLOCK - 1)
     hi, lo = _split(s)
     ss = s * s
     ss_lo = ((hi * hi - ss) + 2.0 * hi * lo) + lo * lo  # s^2 = ss + ss_lo exactly
@@ -291,18 +306,41 @@ def _forward_steps(s: float, theta: float) -> list[complex]:
     q = round(_DITHER * abs(a_lo) / abs(other - a))  # steps per period on the other side
     b = math.sin(2.0 * theta)
     near, far = complex(a, b), complex(other, b)
-    period = [far if q * (i + 1) // _DITHER > q * i // _DITHER else near for i in range(_DITHER)]
-    return (period * (_BLOCK // _DITHER))[: _BLOCK - 1]
+    pattern = range(min(count, _DITHER))
+    period = [far if q * (i + 1) // _DITHER > q * i // _DITHER else near for i in pattern]
+    return (period * (_BLOCK // _DITHER))[:count]
 
 
-def _append_run(out: list[float], run, exp2: int, span: int) -> None:
-    """Append Im(z) 2^exp2 for each z of run, where every |z| < 2^span."""
-    if -1022 <= exp2 and exp2 + span <= 1023:
-        f = 2.0**exp2  # a normal double, and no product reaches 2^1024
-        out += [z.imag * f for z in run]
-    else:
+# Lowest power of two that a run folds into its seed: 200 bits above the
+# normal range, for parts and products of the run below its radius.  Those
+# reach down to about 2^-55 (a cosine near pi/2) times sin theta times the
+# ulp of a cancelling sum; over 4 000 draws of n up to 16 000, with theta
+# near pi/(n+1) and phases next to pi/2, the least was 2^-118.
+_FOLD_MIN = -822
+_IMAG = attrgetter("imag")
+
+
+def _seed_radius(v: float, exp2: int, span: int) -> tuple[float, int]:
+    """v 2^exp2 as r 2^rest: the radius r of a run's seed and the power of two left over.
+
+    Every |z| of the run stays below 2^span times its seed's.  Where the
+    whole run stays normal the power of two is folded into r and rest is 0;
+    elsewhere r is v's mantissa, in [0.5, 1), and rest is not 0.
+    """
+    r, er = math.frexp(v)
+    exp2 += er
+    if _FOLD_MIN <= exp2 and exp2 + span <= 1023:  # no product reaches 2^1024
+        return math.ldexp(r, exp2), 0
+    return r, exp2
+
+
+def _append_run(out: list[float], run, exp2: int) -> None:
+    """Append Im(z) 2^exp2 for each z of run."""
+    if exp2:
         ldexp = math.ldexp
         out += [ldexp(z.imag, exp2) for z in run]
+    else:
+        out += map(_IMAG, run)
 
 
 def log2_p_cosh_excess(n: PolyIndex, t: float) -> float:

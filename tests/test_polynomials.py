@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from mpmath import mp, mpf
 
+from linesearch import polynomials
 from linesearch.polynomials import (
     PolyEval,
     alpha,
     dlog2_p_dt,
-    dlog2_p_dtheta,
     eval_p,
     eval_p_and_derivative,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
     log2_p_cosh_excess,
     log2_p_theta_excess,
+    log2_p_theta_excess_and_slope,
     p_theta_terms,
     theta_of_x,
     x_of_theta,
@@ -223,11 +224,17 @@ def test_eval_p_is_total_past_the_square_root_of_double_range(n, x):
 
 @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310])
 def test_eval_p_is_total_at_subnormal_x(x):
-    # Below 2^-1022 the frame cannot start at x's own exponent: 2^-e would overflow.
+    # Consecutive terms differ by a factor of about x here, and each one is
+    # needed again two steps on, so neither may underflow in the frame.
     assert eval_p(0, x).to_float() == x
     assert eval_p(1, x).to_float() == -x
-    for n in (2, 3, 50):
-        assert math.isfinite(eval_p(n, x).mantissa), n
+    for n in (2, 3, 10, 50):
+        pe = eval_p(n, x)
+        assert math.isfinite(pe.mantissa) and 1.0 <= abs(pe.mantissa) < 2.0, n
+        with mp.workdps(60):
+            ref = p_recurrence_mp(n, x)
+            got = mpf(pe.mantissa) * mpf(2) ** pe.exp2
+            assert abs(got - ref) <= mpf("1e-12") * abs(ref), (n, x)
 
 
 def test_derivative_tracks_finite_differences():
@@ -300,6 +307,21 @@ def test_log2_p_theta_matches_recurrence_oracle(n):
         assert abs((n + 1) + log2_p_theta_excess(n, theta) - ref) <= 1e-14 * abs(ref), (n, theta)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 999, 2046])
+def test_theta_kernel_value_is_log2_p_theta_excess(n):
+    # The Newton kernel's value is the edge evaluator's, bit for bit, over
+    # the whole of (0, pi/(n+2)) and not only the solving bracket.
+    rng = random.Random(100 + n)
+    top = math.pi / (n + 2)
+    thetas = [top * rng.random() for _ in range(200)]
+    thetas += [top * 2.0 ** -rng.uniform(0, 40) for _ in range(50)]  # down to 2^-40 of top
+    for theta in (t for t in thetas if 0.0 < t < top):
+        value = log2_p_theta_excess_and_slope(n, theta)[0]
+        assert value == log2_p_theta_excess(n, theta), (n, theta)
+    with pytest.raises(ValueError):
+        log2_p_theta_excess_and_slope(n, top)
+
+
 @pytest.mark.parametrize("n", [0, 4, 37, 1000])
 def test_dlog2_p_dtheta_matches_oracle_slope(n):
     for theta in _bracket_thetas(n, 3, n + 1):
@@ -309,7 +331,7 @@ def test_dlog2_p_dtheta_matches_oracle_slope(n):
             down = mp.log(p_recurrence_mp(n, 4 * mp.cos(mpf(theta) - h) ** 2), 2)
             ref = (up - down) / (2 * h)
         assert ref < 0
-        assert abs(dlog2_p_dtheta(n, theta) - ref) <= 1e-12 * abs(ref), (n, theta)
+        assert abs(log2_p_theta_excess_and_slope(n, theta)[1] - ref) <= 1e-12 * abs(ref), (n, theta)
 
 
 @pytest.mark.parametrize("n", [1, 5, 60, 999])
@@ -358,15 +380,39 @@ def test_p_theta_terms_match_oracle_across_runs_and_bracket_edges(n):
                 assert abs(got - want) <= 1e-14 * want, (n, theta, i)
 
 
+def _spy_on_runs(monkeypatch) -> list[tuple[int, int]]:
+    """Record each p_theta_terms run's power of two and the part of it left to ldexp."""
+    seed_radius, runs = polynomials._seed_radius, []
+
+    def spy(v, exp2, span):
+        r, rest = seed_radius(v, exp2, span)
+        runs.append((exp2 + math.frexp(v)[1], rest))
+        return r, rest
+
+    monkeypatch.setattr(polynomials, "_seed_radius", spy)
+    return runs
+
+
 @pytest.mark.parametrize("n", [5, 200, 999])
-def test_p_theta_terms_power_of_two_scales_are_exact(n):
+def test_p_theta_terms_power_of_two_scales_are_exact(n, monkeypatch):
     theta = _bracket_thetas(n, 1, 13 * n)[0]
     base = p_theta_terms(n, theta)
     low, high = math.frexp(base[0])[1], math.frexp(base[-1])[1]
     top = 1024 - high  # the largest k that keeps the last term finite
     bottom = -1021 - low  # the smallest k that keeps the first term normal
     deep = max(-1074, bottom - (high - low) // 2)  # 2^k itself may be subnormal
-    for k in (deep, bottom, bottom + 1, -7, 3, top - 1, top):
+    # A scale of 2^k adds k to each run's power of two.  At 2^fold the first
+    # run's is the lowest that is folded into its seed; one below, ldexp
+    # applies it term by term.  Both must give the same bits.
+    runs = _spy_on_runs(monkeypatch)
+    p_theta_terms(n, theta)
+    fold = polynomials._FOLD_MIN - runs[0][0]
+    for k in (fold - 1, fold, fold + 1):
+        runs.clear()
+        p_theta_terms(n, theta, scale=2.0**k)
+        exp2, rest = runs[0]
+        assert exp2 == polynomials._FOLD_MIN + k - fold and (rest == 0) == (k >= fold), (n, k)
+    for k in (deep, bottom, bottom + 1, fold - 1, fold, fold + 1, -7, 3, top - 1, top):
         got = p_theta_terms(n, theta, scale=2.0**k)
         compared = 0
         for g, b in zip(got, base):

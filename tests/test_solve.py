@@ -209,6 +209,8 @@ def test_numeric_rejects_outside_bracket():
         pytest.param(lambda: solve_numeric(5, log2_rho=math.inf), "log2_rho", id="numeric-log2_rho-inf"),
         pytest.param(lambda: optimal_n(log2_rho=math.nan), "log2_rho", id="optimal_n-log2_rho-nan"),
         pytest.param(lambda: solve_numeric(5, rho=math.nan), "rho", id="numeric-rho-nan"),
+        pytest.param(lambda: solve_beyond_alpha(5, math.inf), "rho", id="beyond_alpha-rho-inf"),
+        pytest.param(lambda: solve_beyond_alpha(5, math.nan), "rho", id="beyond_alpha-rho-nan"),
     ],
 )
 def test_a_non_finite_rho_is_refused_by_name(call, name):
@@ -289,6 +291,27 @@ def test_numeric_and_limit_do_no_recurrence_work(monkeypatch):
     lim = solve_limit(999)
     assert lim.theta == math.pi / 1003
     assert math.isfinite(log2_residual(999, lim.a0, 2.0**1000, 1000.0))
+
+
+def test_numeric_solve_takes_at_most_five_newton_evaluations(monkeypatch):
+    # Newton starts where the edge values interpolate linearly in
+    # log(pi - (n+2) theta); from there the ulp floor is a few steps away.
+    kernel, calls = solve_module.log2_p_theta_excess_and_slope, []
+
+    def spy(n, theta):
+        calls.append(n)
+        return kernel(n, theta)
+
+    monkeypatch.setattr(solve_module, "log2_p_theta_excess_and_slope", spy)
+    rng = random.Random(24)
+    counts = []
+    for _ in range(1000):
+        log2_rho = rng.uniform(5.0, 2000.0)
+        calls.clear()
+        solve_numeric(optimal_n(log2_rho=log2_rho), log2_rho=log2_rho)
+        counts.append(len(calls))
+    mean = sum(counts) / len(counts)
+    assert max(counts) <= 5 and mean <= 4.5, (max(counts), mean)
 
 
 def test_numeric_tolerance_contract():
