@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+from operator import itemgetter
 
 from ._base import configure_from_env
 from .optimal import SearchProblem, StrategyReport, optimize, solve_problem
@@ -68,13 +69,15 @@ def dumps_record(obj: object, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {float}:
+        if len(obj) > 1 and set(map(type, obj)) == {float}:
             # Each distinct value is formatted once: the interval sups of a
             # verify record are equalized, so a few values fill the list.
-            distinct = set(obj)
-            if 0.0 not in distinct:  # 0.0 and -0.0 are one key but print apart
-                text = {v: _fmt_float(v) for v in distinct}
-                return "[" + ", ".join(map(text.__getitem__, obj)) + "]"
+            text = dict.fromkeys(obj)
+            if 0.0 not in text:  # 0.0 and -0.0 are one key but print apart
+                for v in text:
+                    text[v] = _fmt_float(v)
+                # Of two or more keys, itemgetter returns the tuple of texts.
+                return "[" + ", ".join(itemgetter(*obj)(text)) + "]"
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in obj) + "]"
         items = [f"{pad}  {dumps_record(v, indent + 1)}" for v in obj]

@@ -11,25 +11,27 @@ carry that run's largest ratio.
 Each O(n) pass (validation, prefix sums, breakpoints, the grid points that
 open each run, the baselines' turns) is a few C-level passes: ``accumulate``,
 ``bisect``, ``map``/``zip`` and comprehensions, not a statement per turn.  Both
-pricers validate a strategy and sum its reaches once while they are handed
-the same object: the last strategy, its sums and their units are kept in one
-entry, so ``verify``'s grid reuses what its ``worst_case_ratio`` built.
+pricers validate a strategy, sum its reaches and compute each turn's limit
+ratio 2 S_{j+1} / t_j / unit + 1 once while they are handed the same
+object: the last strategy, its sums, their units and its limit ratios are
+kept in one entry, so ``verify``'s grid reuses what its
+``worst_case_ratio`` built.  The exact pricing reads its breakpoint suprema
+off the limit ratios; the grid bounds each run's ratio by the limit ratio
+at the turn before it, and finds the first point (one ``log`` and two
+``exp``) only of the runs whose bound beats the ratio at lam.
 
-The grid bounds each run's ratio by 2 S / max(peak, lam) / unit + 1, from
-the reach before the run, and finds the first point (one ``log`` and
-two ``exp``) only of the runs whose bound beats the ratio at lam.  At
-n = 995 on a 2-CPU machine (CPython 3.11) that puts ``worst_case_ratio`` at
-about 0.2-0.25 ms on a new object and 0.15 ms on the last one, plus about
-0.07 ms each time its per-interval table is read, ``grid_sweep_ratio`` at
-about 0.3-0.35 ms on the last object priced and 0.4 ms on a new one for the
-optimum, whose equalized ratios leave few runs to find, and at about
-0.85-0.9 ms on ``power_of_two``, which leaves nearly all; a baseline built
-by ``baselines`` and priced costs about 0.3 ms.  ``baseline_ratios``
-prices all four in about 0.005-0.01 ms from per-lambda tables of the
-baselines' turns, and single_shot from a closed form; building a lambda's
-tables costs about what pricing the strategies does.  Where twice the sum
-of the reaches would overflow, both pricers price the late sums in units of
-an exact power of two.
+At n = 994 on a 2-CPU machine (CPython 3.11) that puts
+``worst_case_ratio`` at about 0.17 ms on a new object and 0.05 ms on the
+last one, plus about 0.07 ms each time its per-interval table is read,
+``grid_sweep_ratio`` at about 0.04 ms on the last object priced and
+0.16 ms on a new one for the optimum, whose equalized ratios leave few runs
+to find, and at about 0.6-0.8 ms on ``power_of_two``, which leaves nearly
+all; a baseline built by ``baselines`` and priced costs about 0.3 ms.
+``baseline_ratios`` prices all four in about 0.004 ms from per-lambda
+tables of the baselines' turns, and single_shot from a closed form;
+building a lambda's tables costs about what pricing the strategies does.
+Where twice the sum of the reaches would overflow, both pricers price the
+late sums in units of an exact power of two.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import le, lt, mul, truediv
 
 from ._base import Record, set_field
@@ -104,15 +106,15 @@ def _checked_bounds(strategy: Strategy, lam: float | None, Lam: float | None) ->
     return lam, Lam
 
 
-# The last strategy validated, with its reach sums and their units.  A
-# Strategy is immutable and the entry holds a reference to it, so while the
-# same object comes back the entry is its own.  The entry is one tuple, read
-# and bound in one step each, so a concurrent caller never reads a mixed
-# one; a race costs at most a second build.
-_LAST: tuple[Strategy | None, list[float], list[float]] = (None, [], [])
+# The last strategy validated, with its reach sums, their units and its
+# turns' limit ratios.  A Strategy is immutable and the entry holds a
+# reference to it, so while the same object comes back the entry is its own.
+# The entry is one tuple, read and bound in one step each, so a concurrent
+# caller never reads a mixed one; a race costs at most a second build.
+_LAST: tuple[Strategy | None, list[float], list[float], list[float]] = (None, [], [], [])
 
 
-def _validated_sums(strategy: Strategy) -> tuple[list[float], list[float]]:
+def _validated_sums(strategy: Strategy) -> tuple[list[float], list[float], list[float]]:
     """``strategy.validate()``, then ``_reach_sums(strategy)``; once per object in a row.
 
     Every caller shares the lists returned, and none changes them.
@@ -122,11 +124,11 @@ def _validated_sums(strategy: Strategy) -> tuple[list[float], list[float]]:
     if entry[0] is not strategy:
         strategy.validate()
         entry = _LAST = (strategy, *_reach_sums(strategy))
-    return entry[1], entry[2]
+    return entry[1], entry[2], entry[3]
 
 
-def _reach_sums(strategy: Strategy) -> tuple[list[float], list[float]]:
-    """Running sums of the reaches f(0), f(1), ... through the terminal, and the unit of each.
+def _reach_sums(strategy: Strategy) -> tuple[list[float], list[float], list[float]]:
+    """Running sums S_j of the reaches through the terminal, the unit u_j of each, and the limit ratios.
 
     The sums are in the caller's units (unit 1) up to the last one whose
     double is finite.  Where twice the total overflows, the later sums are
@@ -137,20 +139,29 @@ def _reach_sums(strategy: Strategy) -> tuple[list[float], list[float]]:
     2 S / d / unit: the quotient of a late sum by a breakpoint is a normal
     double, and a power of two scales it exactly, so every ratio that was
     finite unscaled is bit for bit unchanged.
+
+    Limit ratio j is 2 S_{j+1} / t_j / u_{j+1} + 1, the ratio as D -> t_j+
+    when turn j+1 serves: both pricers read it, ``worst_case_ratio`` at a
+    breakpoint and ``grid_sweep_ratio`` as the bound on run j+1.  The unit
+    divides only the scaled sums, as dividing by 1 changes no bit.
     """
-    reach = [*strategy.turns, strategy.terminal]
-    sums = list(accumulate(reach))
-    if 2.0 * sums[-1] < math.inf:
-        return sums, [1.0] * len(sums)
-    # Each reach is below 2^top, so their sum is below 2^(top + bits) and,
-    # in units of 2^(top + bits - 1022), twice it is at most 2^1023.
-    top = math.frexp(max(reach))[1]
-    scale = math.ldexp(1.0, 1022 - top - len(reach).bit_length())
-    cut = bisect_right(sums, _HALF_MAX)  # 2 sums[j] overflows from j = cut on
-    carried = sums[cut - 1 : cut]  # the last sum in the caller's units, if any
-    late = accumulate([x * scale for x in (*carried, *reach[cut:])])
-    sums[cut:] = islice(late, len(carried), None)
-    return sums, [1.0] * cut + [scale] * (len(sums) - cut)
+    turns = strategy.turns
+    sums = list(accumulate(chain(turns, (strategy.terminal,))))
+    cut, scale = len(sums), 1.0
+    if 2.0 * sums[-1] == math.inf:
+        reach = [*turns, strategy.terminal]
+        # Each reach is below 2^top, so their sum is below 2^(top + bits) and,
+        # in units of 2^(top + bits - 1022), twice it is at most 2^1023.
+        top = math.frexp(max(reach))[1]
+        scale = math.ldexp(1.0, 1022 - top - len(reach).bit_length())
+        cut = bisect_right(sums, _HALF_MAX)  # 2 sums[j] overflows from j = cut on
+        carried = sums[cut - 1 : cut]  # the last sum in the caller's units, if any
+        late = accumulate([x * scale for x in (*carried, *reach[cut:])])
+        sums[cut:] = islice(late, len(carried), None)
+    plain = max(cut - 1, 0)  # the limit ratios whose sum is in unit 1
+    limits = [2.0 * s / t + 1.0 for s, t in zip(sums[1 : plain + 1], turns)]
+    limits += [2.0 * s / t / scale + 1.0 for s, t in zip(sums[plain + 1 :], turns[plain:])]
+    return sums, [1.0] * cut + [scale] * (len(sums) - cut), limits
 
 
 def worst_case_ratio(
@@ -165,24 +176,23 @@ def worst_case_ratio(
     above b serves every D just above it, at cost 2 S + D with S the sum of
     the reaches through that turn.  These closed forms make the verifier
     exact.  The turns do not decrease, so the breakpoints are one slice of
-    them, each served by the turn after its last copy: where the slice
-    strictly increases (every strategy the package builds), by the next
-    turn, and pricing is a few C-level passes.
+    them, each served by the turn after its last copy, and its supremum is
+    that turn's limit ratio.  Where the slice strictly increases (every
+    strategy the package builds) the suprema are a slice of the strategy's
+    limit ratios, built once per strategy, behind lam's own.
     """
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    sums, units = _validated_sums(strategy)
+    sums, units, limits = _validated_sums(strategy)
     turns = strategy.turns
     # turns[lo - 1] < lam <= turns[lo] and turns[hi - 1] < Lam <= turns[hi], where those exist.
     lo, hi = bisect_left(turns, lam), bisect_left(turns, Lam)
-    breaks, priced, unit = turns[lo:hi], sums[lo : hi + 1], units[lo : hi + 1]
+    breaks, sups = turns[lo:hi], limits[lo:hi]
     if not all(map(lt, breaks, breaks[1:])):
-        # Equal turns: keep each breakpoint's last copy and the sum through
-        # the turn after it, behind lam's sum.
+        # Equal turns: keep each breakpoint's last copy.
         last = [*map(lt, breaks, breaks[1:]), True]
         breaks = tuple(compress(breaks, last))
-        priced = list(compress(priced, [True, *last]))
-        unit = list(compress(unit, [True, *last]))
-    ratios = [2.0 * s / d / u + 1.0 for s, d, u in zip(priced, [lam, *breaks], unit)]
+        sups = list(compress(sups, last))
+    ratios = [2.0 * sums[lo] / lam / units[lo] + 1.0, *sups]
     sup = max(ratios)
     return RatioReport(sup, ratios.index(sup), ratios, lam, breaks, Lam)
 
@@ -290,35 +300,31 @@ def grid_sweep_ratio(
 
     Finding a run's first point costs a ``log`` and two ``exp``, so only
     the runs that can beat the point lam are found.  Every point of run j
-    lies above its peak, the reach before it, and at or above lam, so
-    none prices above 2 S_j / max(peak, lam) / u_j + 1: rounding keeps the
-    order of each step.  At lam that bound is lam's own ratio, the best so
-    far, and a run whose bound does not beat it is skipped.  On a strategy
-    that equalizes its intervals' ratios, as the optimum does, lam already
-    holds the maximum or ties it within ulps, and most runs are skipped;
-    on one that does not, such as ``power_of_two``, few are, and the bounds
-    are an O(n) pass spent for nothing.  Either way the result is that of
-    pricing every run's first point, bit for bit.
+    lies above t_{j-1}, the turn before it, so none prices above the limit
+    ratio 2 S_j / t_{j-1} / u_j + 1 that ``worst_case_ratio`` reads at
+    t_{j-1}: rounding keeps the order of each step.  Past the run that
+    holds lam every t_{j-1} is at least lam, whose own ratio is the best so
+    far, and a run whose limit ratio does not beat it is skipped.  On a
+    strategy that equalizes its intervals' ratios, as the optimum does, lam
+    already holds the maximum or ties it within ulps, and most runs are
+    skipped; on one that does not, such as ``power_of_two``, few are.
+    Either way the result is that of pricing every run's first point, bit
+    for bit.
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    sums, units = _validated_sums(strategy)
+    sums, units, limits = _validated_sums(strategy)
     turns = strategy.turns
-    # Run j's first point lies above every earlier reach: above the turn
-    # before it, as the turns do not decrease.
-    peaks = [-math.inf, *turns]
     # Run `first` holds lam, and the runs before it end below lam: no point
-    # of theirs is on the grid.  Past it every peak is at least lam.
-    first = bisect_left(peaks, lam) - 1
+    # of theirs is on the grid.
+    first = bisect_left(turns, lam)
     best = 2.0 * sums[first] / lam / units[first] + 1.0
-    tail = slice(first + 1, None)
-    keep = [j for j, s, p, u in zip(count(first + 1), sums[tail], peaks[tail], units[tail])
-            if 2.0 * s / p / u + 1.0 > best]
-    firsts = _first_points_above(GeometricGrid(lam, Lam, points), [peaks[j] for j in keep])
-    ends = [*turns, math.inf]  # the terminal serves every point past the turns
+    keep = [j for j, r in enumerate(limits[first:], first + 1) if r > best]
+    firsts = _first_points_above(GeometricGrid(lam, Lam, points), [turns[j - 1] for j in keep])
+    last = len(turns)  # the terminal serves every point past the turns
     return max([best, *(2.0 * sums[j] / d / units[j] + 1.0
-                        for j, d in zip(keep, firsts) if d <= ends[j])])
+                        for j, d in zip(keep, firsts) if j == last or d <= turns[j])])
 
 
 BASELINES = ("power_of_two", "f_infinity", "los_sqrt", "single_shot")

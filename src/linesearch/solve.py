@@ -346,7 +346,9 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     the optimality bracket; it is the workhorse for comparing competing
     iteration counts on equal footing.  Roots below 4 are solved in theta
     on (0, pi/(n+2)); roots above 4 in t, x = 4 cosh^2 t, on (0, t_max],
-    where t_max solves (2 cosh t)^{n+1} = rho, a lower bound of p_n.  A
+    where t_max solves (2 cosh t)^{n+1} = rho, a lower bound of p_n.  The
+    theta solve starts from a log-linear guess: about four evaluations of
+    value and slope, and one where the root is within ulps of pi/(n+2).  A
     double t resolves x only to a relative 2 t ulp(t) (6.9e-14 at n = 1,
     rho = 1e300), so roots above 4 are finished by Newton steps in x on the
     recurrence, at O(n) cost.  A root within ulps of alpha_n can round onto
@@ -357,9 +359,15 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     if n == 0:
         return SolveResult(a0=rho, mode=MODE_NUMERIC, bracket_width=0.0, theta=_theta_or_nan(rho))
     target = _log2_excess(n, rho)
-    if target < math.log2(n + 2):  # below p_n(4) = (n+2) 2^{n+1}
+    if target < (log2_p4 := math.log2(n + 2)):  # below p_n(4) = (n+2) 2^{n+1}
         top = math.pi / (n + 2)
-        lo, hi = _newton_root(partial(_theta_objective, n, target), 0.0, top, 0.5 * top)
+        # log2 p_n runs like log2 u, u = pi - (n+2) theta, and is log2 p_n(4)
+        # at u = pi, so Newton starts at u = pi rho / p_n(4).  Stepping down
+        # from top keeps a u below the ulp of pi, and the start stays inside
+        # the bracket.
+        u = math.pi * 2.0 ** (target - log2_p4)
+        start = min(top - u / (n + 2), math.nextafter(top, 0.0))
+        lo, hi = _newton_root(partial(_theta_objective, n, target), 0.0, top, start)
         theta = lo
         a0, width = x_of_theta(theta), x_of_theta(lo) - x_of_theta(hi)
         while theta_of_x(a0) >= top:  # rounded onto or below alpha_n

@@ -68,6 +68,16 @@ def test_list_text_is_pinned():
         "[0.0000000000000000e+00, -0.0000000000000000e+00, 0.0000000000000000e+00]"
     )
     assert dumps_record([1, -2.5, 3]) == "[1, -2.5000000000000000e+00, 3]"
+    # One float, alone or repeated; a list of one NaN object; ints and bools
+    # among floats, where True == 1.0 and False == 0.0 would share a key.
+    assert dumps_record([0.25]) == "[2.5000000000000000e-01]"
+    assert dumps_record([-0.0]) == "[-0.0000000000000000e+00]"
+    assert dumps_record([math.inf] * 3) == "[Infinity, Infinity, Infinity]"
+    nan = math.nan
+    assert dumps_record([nan, nan, -0.5]) == "[NaN, NaN, -5.0000000000000000e-01]"
+    assert dumps_record([-0.0, -0.0]) == "[-0.0000000000000000e+00, -0.0000000000000000e+00]"
+    assert dumps_record([1.0, 1, 0.0, 0]) == "[1.0000000000000000e+00, 1, 0.0000000000000000e+00, 0]"
+    assert dumps_record([1.0, True]) == "[\n  1.0000000000000000e+00,\n  true\n]"
     assert dumps_record({"v": [1.5, True]}) == (
         '{\n  "v": [\n    1.5000000000000000e+00,\n    true\n  ]\n}'
     )

@@ -1,10 +1,12 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from linesearch import cli
+from linesearch import cli, mrays
 from linesearch.mrays import (
     ALPHA_TABLE,
     InfeasibleParamsError,
@@ -202,6 +204,75 @@ def test_turns_are_f_bit_for_bit():
     assert params.turns(1400)[1100] == 2.0**550 * 1e-100 * 2.0**550
     with pytest.raises(OverflowError):
         params.turns(2100)
+
+
+def test_power_tables_stay_within_their_caps(monkeypatch):
+    # More values of m than the cache holds, and counts past its length: the
+    # least recently used m goes first, no table outgrows the cap, and the
+    # turns past it are f's own.
+    monkeypatch.setattr(mrays, "_POWERS", {})
+    # From m = 6 on, f stays finite past the cap at this lambda.
+    for m in [*range(6, 6 + mrays._POWER_TABLES + 6), 7, 40]:
+        params = RayFamilyParams(m, 0.0, 1.0, lambda_=1e-300)
+        for count in (5, 300, mrays._POWER_LENGTH + 50):
+            assert params.turns(count) == [params.f(i) for i in range(count)], (m, count)
+        assert len(mrays._POWERS) <= mrays._POWER_TABLES
+        assert list(mrays._POWERS)[-1] == m
+        for asked, indices, powers in mrays._POWERS.values():
+            assert len(powers) <= asked <= mrays._POWER_LENGTH <= len(indices)
+    assert 6 not in mrays._POWERS and 7 in mrays._POWERS
+    # A table is built once for a count it covers, and grows by doubling.
+    assert mrays._power_table(40, 10)[1] is mrays._power_table(40, 4000)[1]
+    monkeypatch.setattr(mrays, "_POWERS", {})
+    assert len(mrays._power_table(7, 100)[1]) == 100
+    assert len(mrays._power_table(7, 101)[1]) == 200
+    assert len(mrays._power_table(7, 250)[1]) == 400
+
+
+def test_turns_past_the_power_overflow_are_f(monkeypatch):
+    # 2^i overflows from i = 1024: m = 2's table stops there, and the turns
+    # beyond it take f's halved powers, whichever count built the table.
+    params = RayFamilyParams(2, 0.0, 1.0, lambda_=1e-100)
+    want = [params.f(i) for i in range(1400)]
+    for counts in ((1400,), (10, 1400), (1000, 1024, 1025, 1400)):
+        monkeypatch.setattr(mrays, "_POWERS", {})
+        for count in counts:
+            assert params.turns(count) == want[:count], (counts, count)
+        assert len(mrays._POWERS[2][2]) == 1024
+    with pytest.raises(OverflowError):
+        params.turns(2100)
+
+
+def test_threads_sharing_the_power_tables_agree_with_one_thread(monkeypatch):
+    # More threads than a 2-CPU machine has cores, each pricing members of
+    # more values of m than the cache holds, at growing horizons, so tables
+    # are rebuilt and evicted under them.
+    members = [RayFamilyParams(m, 0.0, 1.0 + 0.01 * m, lambda_=1e-100) for m in range(2, 24)]
+    horizons = (30, 200, 600, 1300)
+    want = [mray_breakpoint_ratios(p, h) for h in horizons for p in members]
+    got = [[] for _ in range(4)]
+
+    def work(k):
+        for h in horizons:
+            for p in members[k:] + members[:k]:
+                got[k].append(mray_breakpoint_ratios(p, h))
+
+    monkeypatch.setattr(mrays, "_POWERS", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    n = len(members)
+    for k, mine in enumerate(got):
+        order = [h * n + (j + k) % n for h in range(len(horizons)) for j in range(n)]
+        assert mine == [want[i] for i in order], k
 
 
 def test_breakpoint_ratios_are_the_loop_reference():

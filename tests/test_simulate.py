@@ -719,6 +719,54 @@ def test_pricing_one_strategy_after_another_is_pricing_fresh_copies():
         assert price(s, *args) == price(copy_of(s), *args), (price.__name__, args)
 
 
+def oracle_pricing(s, lam, Lam, points):
+    """((sup, argmax, per_interval), grid) of ``_oracles``, in the package's units.
+
+    Where twice a sum overflows the loop references give inf; those ratios
+    are the references' on the strategy scaled by the unit of its late sums.
+    """
+    _, _, entries = worst_case_ratio_loop(s.turns, s.terminal, lam, Lam)
+    grid = grid_ratio_pointwise(s.turns, s.terminal, lam, Lam, points)
+    unit = simulate._reach_sums(s)[1][-1]
+    if unit != 1.0:
+        down = s.scaled(unit)
+        _, _, late = worst_case_ratio_loop(down.turns, down.terminal, lam * unit, Lam * unit)
+        entries = tuple((bounds, r if math.isfinite(r) else d)
+                        for (bounds, r), (_, d) in zip(entries, late))
+        if grid == math.inf:
+            grid = grid_ratio_pointwise(down.turns, down.terminal, lam * unit, Lam * unit, points)
+    sups = [r for _, r in entries]
+    return (max(sups), sups.index(max(sups)), entries), grid
+
+
+def test_one_strategy_priced_over_many_ranges_reads_one_ratio_table():
+    # Both pricers read the limit ratios built for the last strategy: over
+    # sub-ranges that start and end on turns, between them and on one point,
+    # for a strategy whose late sums are scaled, one with equal turns and an
+    # optimum, alternated so the table is rebuilt and reused.
+    big = optimize(SearchProblem(1.0, 1.7e308)).strategy
+    equal = Strategy(turns=(1.5, 3.0, 3.0, 6.0, 6.0, 6.0, 12.0), terminal=20.0, lambda_=1.0)
+    mid = optimize(SearchProblem(1.0, 1e40)).strategy
+    assert math.inf in [r for _, r in worst_case_ratio_loop(
+        big.turns, big.terminal, 1.0, big.terminal)[2]]
+    ranges = {
+        big: [(None, None), (big.turns[100], big.turns[900]), (3.0, 1e300),
+              (big.turns[-3], big.terminal), (big.turns[-2], big.turns[-2]), (1e307, 1.6e308)],
+        equal: [(None, None), (3.0, 6.0), (3.0, 12.0), (2.0, 7.0), (6.0, 6.0), (1.0, 3.0)],
+        mid: [(None, None), (2.0, 1e30), (mid.turns[5], mid.turns[80]), (7.5, 7.5)],
+    }
+    calls = [(s, lam, Lam) for k in range(6) for s, todo in ranges.items()
+             for lam, Lam in todo[k:k + 1]]
+    for s, lam, Lam in calls + calls[::-1]:
+        lo = s.lambda_ if lam is None else lam
+        hi = s.terminal if Lam is None else Lam
+        want_report, want_grid = oracle_pricing(s, lo, hi, 1000)
+        for priced in (s, copy_of(s)):
+            report = worst_case_ratio(priced, lam, Lam)
+            assert (report.sup_ratio, report.argmax_interval, report.per_interval) == want_report
+            assert grid_sweep_ratio(priced, lam, Lam, 1000) == want_grid, (lo, hi)
+
+
 def test_an_invalid_strategy_raises_on_every_call():
     good = pot()
     bad = Strategy(turns=(5.0, 2.0), terminal=8.0, lambda_=1.0)

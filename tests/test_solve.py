@@ -14,6 +14,7 @@ from linesearch.polynomials import (
     eval_p,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
+    theta_of_x,
     x_of_theta,
 )
 from linesearch.solve import (
@@ -312,6 +313,34 @@ def test_numeric_solve_takes_at_most_five_newton_evaluations(monkeypatch):
         counts.append(len(calls))
     mean = sum(counts) / len(counts)
     assert max(counts) <= 5 and mean <= 4.5, (max(counts), mean)
+
+
+def test_beyond_alpha_theta_solve_takes_at_most_a_dozen_evaluations(monkeypatch):
+    # Newton starts at u = pi rho / p_n(4), u = pi - (n+2) theta, taken from
+    # the top of the bracket: a root within ulps of pi/(n+2), where rho is
+    # small against 2^(n+1), is one or two evaluations away.
+    kernel, calls = solve_module.log2_p_theta_excess_and_slope, []
+
+    def spy(n, theta):
+        calls.append(n)
+        return kernel(n, theta)
+
+    monkeypatch.setattr(solve_module, "log2_p_theta_excess_and_slope", spy)
+    rng = random.Random(25)
+    cases = [(50, 1.5), (300, 2.0**200), (100, 1.0)]
+    for _ in range(500):
+        n = rng.randint(1, 1000)
+        top = n + 1 + math.log2(n + 2)  # log2 p_n(4)
+        cases.append((n, 2.0 ** rng.uniform(0.0, top)))  # mostly roots next to alpha_n
+        cases.append((n, 2.0 ** max(0.0, rng.uniform(top - 10.0, top))))
+    counts = []
+    for n, rho in cases:
+        calls.clear()
+        res = solve_beyond_alpha(n, rho)
+        counts.append(len(calls))
+        assert 0.0 < theta_of_x(res.a0) < math.pi / (n + 2), (n, rho)  # alpha_n < a0 < 4
+    mean = sum(counts) / len(counts)
+    assert counts[:3] == [1, 1, 1] and max(counts) <= 12 and mean <= 5.0, (max(counts), mean)
 
 
 def test_numeric_tolerance_contract():
