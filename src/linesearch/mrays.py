@@ -9,12 +9,21 @@ region: a >= 0 and sup{1, m a} <= b <= ((M - m^2) a + M m/(m-1)) / (M - m)
 with M = m^m / (m-1)^(m-1).  The worst-case ratio of any feasible member
 approaches the optimal 1 + 2M and never leaves [1 + 2(m-1), 1 + 2M].
 
-A member is priced from its turns, and each power (m/(m-1))^i is computed
-once per m: the turns read it from a bounded table of powers, kept per m,
-and take the index as a float, so every product is between floats and
-every turn is the bits of f(i).  At horizon 200 on a 2-CPU machine
-(CPython 3.11) the turns take about 0.02 ms and ``mray_worst_ratio`` about
-0.05 ms.
+A member's cost sums are arithmetico-geometric series, so its breakpoint
+ratios have a closed form.  With q = m/(m-1), the sum f(0) + ... + f(N)
+telescopes to (m-1) ((a (N - m + 1) + b) q^(N+1) - (b - m a)) lambda, and
+the ratio of the walk at D -> lambda (entry 0) and at D -> f(j)+ (entry
+j + 1) is
+
+    entry 0:      1 + 2(m-1) ((b - a) q^(m-1) + m a - b)
+    entry j + 1:  1 + 2M - 2(m-1) (b - m a) / ((a j + b) q^j)
+
+Entry 0 is 1 + 2M exactly at the upper end of the feasible b interval, and
+the entries j + 1 rise to 1 + 2M when b >= m a: the feasible region is
+where both terms have the right sign.  This is the bound of Baeza-Yates,
+Culberson and Rawlins (Searching in the plane, 1993), made exact.  Neither
+entry depends on lambda, and the entries j + 1 are monotone in j, so the
+worst ratio up to a horizon is the largest of three entries.
 
 The multivariate recurrence p_n over the first m-1 turn ratios generalizes
 the univariate family; the table of its simultaneous root points for small
@@ -25,7 +34,7 @@ that root system is open, so no solver is provided).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate
 
 from ._base import Record, set_field
@@ -97,69 +106,20 @@ class RayFamilyParams(Record):
     def f(self, i: int) -> float:
         base = growth_base(self.m)
         try:
-            return (self.a * i + self.b) * base**i * self.lambda_
+            turn = (self.a * i + self.b) * base**i * self.lambda_
         except OverflowError:
-            # base**i alone leaves double range, yet a small lambda_ can bring
-            # the turn back into it; the halves stay finite unless it cannot.
+            turn = math.inf
+        if turn == math.inf:
+            # base**i, or (a i + b) base**i, alone leaves double range, yet a
+            # small lambda_ can bring the turn back into it; the halves stay
+            # finite unless it cannot.
             half = i // 2
-            return (self.a * i + self.b) * self.lambda_ * base**half * base ** (i - half)
+            turn = (self.a * i + self.b) * self.lambda_ * base**half * base ** (i - half)
+        return turn
 
     def turns(self, count: int) -> list[float]:
-        """f(0) .. f(count - 1), each bit-identical to :meth:`f`, in one pass.
-
-        The powers come from the table of m, and the indices as floats: an
-        int below 2^53 converts exactly, so each product is :meth:`f`'s,
-        taken in float operands only.  Past the table's length or the
-        powers' overflow the turns are :meth:`f`'s own.
-        """
-        a, b, lam = self.a, self.b, self.lambda_
-        indices, powers = _power_table(self.m, count)
-        out = [(a * fi + b) * q * lam for fi, q in zip(indices, powers[:count])]
-        if len(out) < count:
-            out += map(self.f, range(len(out), count))
-        return out
-
-
-# The powers (m/(m-1))^i per m that RayFamilyParams.turns reads: at most
-# _POWER_TABLES values of m, the least recently used going first, and at
-# most _POWER_LENGTH powers each.  An entry is (length asked for, float
-# indices 0.0, 1.0, ... at least that long, the powers), where the powers
-# stop short of the first that overflows.  An entry is never changed once
-# stored, only replaced, so threads may share the tables.
-_POWER_TABLES = 16
-_POWER_LENGTH = 4096
-_POWERS: dict[int, tuple[int, list[float], list[float]]] = {}
-_INDICES: list[float] = []  # the indices new entries share; replaced, never changed
-
-
-def _power_table(m: int, count: int) -> tuple[list[float], list[float]]:
-    """Float indices and the powers ``growth_base(m)**i`` for i < count, where the table reaches.
-
-    Each power is the double ``base**i`` gives.  A table too short is
-    rebuilt at twice its length, or at ``count`` if that is more, up to
-    ``_POWER_LENGTH``, so a run of growing calls rebuilds O(log count) times.
-    """
-    global _INDICES
-    asked, indices, powers = entry = _POWERS.pop(m, (0, [], []))
-    if asked < min(count, _POWER_LENGTH):
-        asked = min(max(count, 2 * asked), _POWER_LENGTH)
-        indices = _INDICES
-        if len(indices) < asked:
-            indices = _INDICES = list(map(float, range(asked)))
-        base, powers = growth_base(m), []
-        try:
-            for fi in indices[:asked]:
-                powers.append(base**fi)
-        except OverflowError:
-            pass
-        entry = asked, indices, powers
-    _POWERS[m] = entry  # the most recently used last
-    if len(_POWERS) > _POWER_TABLES:
-        # Evict from a snapshot of the keys, taken in one C call: another
-        # thread may change the dict meanwhile, and iterating it would raise.
-        for old in list(_POWERS)[:-_POWER_TABLES]:
-            _POWERS.pop(old, None)
-    return indices, powers
+        """f(0) .. f(count - 1)."""
+        return [self.f(i) for i in range(count)]
 
 
 def breakpoint_ratios(
@@ -204,14 +164,47 @@ def _horizon_overflow(horizon: int) -> ValueError:
     )
 
 
+def _family_ratios(params: RayFamilyParams, horizon: int, js: Iterable[int]) -> list[float]:
+    """Entry 0 and the entries j + 1 for j in ``js`` of the member's breakpoint ratios.
+
+    Each entry is its closed form (see the module docstring) taken in
+    integers and rounded once.  For b inside ``feasible_b_interval`` it is
+    capped at the double of 1 + 2M, which it passes only where lo, hi or M
+    round across their exact values.  Raises ValueError where the last turn
+    f(horizon + m - 2) or twice the cost sum up to it,
+    2 (M f(horizon - 1) - (m-1)(b - m a) lambda), leaves double range.
+    """
+    m, a, b, lam = params.m, params.a, params.b, params.lambda_
+    _check_horizon(m, horizon)
+    big_m = optimal_cost_coefficient(m)
+    try:
+        finite = math.isfinite(params.f(horizon + m - 2)) and math.isfinite(
+            2.0 * (big_m * params.f(horizon - 1) - (m - 1) * (b - m * a) * lam)
+        )
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise _horizon_overflow(horizon)
+    # a = an / d and b = bn / d exactly, d a power of two; q^k = m^k / (m-1)^k.
+    (an, da), (bn, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    d = max(da, db)
+    an, bn = an * (d // da), bn * (d // db)
+    u, v = m ** (m - 1), (m - 1) ** (m - 1)  # q^(m-1) = u / v and M = m u / v
+    ratios = [(d * v + 2 * (m - 1) * ((bn - an) * u + (m * an - bn) * v)) / (d * v)]
+    for j in js:
+        g = (an * j + bn) * m**j  # d (a j + b) q^j (m-1)^j
+        t = 2 * (m - 1) * (bn - m * an) * (m - 1) ** j * v
+        ratios.append(((v + 2 * m * u) * g - t) / (v * g))
+    lo, hi = feasible_b_interval(m, a)
+    if lo <= b <= hi:
+        top = 1.0 + 2.0 * big_m
+        ratios = [min(r, top) for r in ratios]
+    return ratios
+
+
 def mray_breakpoint_ratios(params: RayFamilyParams, horizon: int) -> list[float]:
     """Breakpoint ratio suprema of a family member, up to f(horizon)."""
-    _check_horizon(params.m, horizon)
-    try:
-        turns = params.turns(horizon + params.m - 1)
-    except OverflowError:
-        raise _horizon_overflow(horizon) from None
-    return breakpoint_ratios(turns, params.m, params.lambda_, horizon)
+    return _family_ratios(params, horizon, range(horizon))
 
 
 def mray_worst_ratio(params: RayFamilyParams, horizon: int = 200) -> float:
@@ -219,9 +212,11 @@ def mray_worst_ratio(params: RayFamilyParams, horizon: int = 200) -> float:
 
     For feasible parameters this is sandwiched in
     [1 + 2(m-1), 1 + 2 m^m/(m-1)^(m-1)] and approaches the upper value as
-    the horizon grows; the remaining gap decays geometrically.
+    the horizon grows; the remaining gap decays geometrically.  The
+    entries j + 1 are monotone in j, so the largest is entry 0, 1 or
+    horizon.
     """
-    return max(mray_breakpoint_ratios(params, horizon))
+    return max(_family_ratios(params, horizon, (0, horizon - 1)))
 
 
 def multi_p(n: int, point: Sequence[float], m: int) -> float:

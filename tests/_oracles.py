@@ -245,3 +245,31 @@ def breakpoint_ratios_loop(values, m: int, lam: float, horizon: int) -> list[flo
     if not math.isfinite(acc):
         raise ValueError("cost sums overflow a double")
     return ratios
+
+
+def mray_family_ratios_exact(m: int, a: float, b: float, lam: float, horizon: int):
+    """Exact breakpoint ratios of f(i) = (a i + b) (m/(m-1))^i lam, turn by turn.
+
+    Returns each ratio as an unreduced pair (numerator, denominator) of
+    integers.  a, b and lam are the rationals their doubles stand for; every
+    turn and lam are scaled by one integer, den (m-1)^N with N = horizon + m - 2
+    and den a power of two, so the turns are integers and their sums exact.
+    Entry 0 is 1 + 2 (f(0) + ... + f(m-2)) / lam; entry j + 1 adds the turns
+    up to f(j + m - 1) and divides by f(j).
+    """
+    a, b, lam = Fraction(a), Fraction(b), Fraction(lam)
+    den = max((a * lam).denominator, (b * lam).denominator, lam.denominator)
+    last = horizon + m - 2
+    power = (m - 1) ** last  # m^i (m-1)^(last-i)
+    big_a, big_b = int(a * lam * den), int(b * lam * den)
+    big_lam = int(lam * den) * power
+    turns = []
+    for i in range(last + 1):
+        turns.append((big_a * i + big_b) * power)
+        power = power * m // (m - 1)
+    total = sum(turns[: m - 1])
+    ratios = [(big_lam + 2 * total, big_lam)]
+    for j in range(horizon):
+        total += turns[j + m - 1]
+        ratios.append((turns[j] + 2 * total, turns[j]))
+    return ratios

@@ -585,6 +585,16 @@ def test_mray_three_rays(capsys):
     assert rec["results"]["bound_upper"] == pytest.approx(14.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", ["3", "4"])
+def test_mray_worst_ratio_is_never_above_its_bound(capsys, m):
+    code, out, _ = run_cli(capsys, "mray", "--m", m, "--a", "0", "--b", "1")
+    results = parse_record(out)["results"]
+    assert code == 0
+    assert results["gap_to_bound"] >= 0.0
+    if m == "3":
+        assert results["worst_ratio"] == 14.5
+
+
 def test_mray_infeasible(capsys):
     code, out, _ = run_cli(capsys, "mray", "--m", "2", "--a", "0", "--b", "5")
     rec = parse_record(out)

@@ -1,12 +1,11 @@
 import math
 import random
-import sys
-import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from linesearch import cli, mrays
+from linesearch import cli
 from linesearch.mrays import (
     ALPHA_TABLE,
     InfeasibleParamsError,
@@ -22,7 +21,12 @@ from linesearch.mrays import (
 from linesearch.polynomials import alpha, eval_p
 from linesearch.simulate import baselines, worst_case_ratio
 
-from _oracles import breakpoint_ratios_loop, mray_cost_scan, mray_worst_cost
+from _oracles import (
+    breakpoint_ratios_loop,
+    mray_cost_scan,
+    mray_family_ratios_exact,
+    mray_worst_cost,
+)
 
 
 # --- family ------------------------------------------------------------------
@@ -116,7 +120,7 @@ def test_worst_ratio_bounds_random_feasible():
             b = float(rng.uniform(lo, hi))
             params = RayFamilyParams(m=m, a=a, b=b)
             ratios = mray_breakpoint_ratios(params, 80)
-            assert all(lower - 1e-9 <= r <= upper + 1e-9 for r in ratios), (m, a, b)
+            assert all(lower - 1e-9 <= r <= upper for r in ratios), (m, a, b)
 
 
 def test_infeasibility_detected_above_upper_bound():
@@ -182,6 +186,19 @@ def test_small_lambda_keeps_horizons_past_the_power_overflow(capsys):
     assert err == "" and '"worst_ratio": 9.0000000000000000e+00' in out
 
 
+def test_turns_stay_finite_where_only_the_unscaled_product_overflows():
+    # (a i + b) 2^i passes the largest double from i = 1014 here, but lambda
+    # brings the turn back to about 1e208; the turns stay finite to i ~ 1340.
+    params = RayFamilyParams(2, 1.25, 2.5, lambda_=1e-100)
+    assert params.f(1013) == (1.25 * 1013 + 2.5) * 2.0**1013 * 1e-100
+    assert params.f(1014) == (1.25 * 1014 + 2.5) * 1e-100 * 2.0**507 * 2.0**507
+    assert all(map(math.isfinite, params.turns(1300)))
+    # b = m a: every entry past the first is 1 + 2M = 9 exactly.
+    assert mray_worst_ratio(params, 1100) == 9.0
+    with pytest.raises(ValueError, match="^horizon 1400 is too large"):
+        mray_worst_ratio(params, 1400)
+
+
 def _family_cases():
     rng = random.Random(7)
     cases = [RayFamilyParams(2, 2.0, 4.0), RayFamilyParams(2, 0.0, 1.0, lambda_=1e-100)]
@@ -206,75 +223,6 @@ def test_turns_are_f_bit_for_bit():
         params.turns(2100)
 
 
-def test_power_tables_stay_within_their_caps(monkeypatch):
-    # More values of m than the cache holds, and counts past its length: the
-    # least recently used m goes first, no table outgrows the cap, and the
-    # turns past it are f's own.
-    monkeypatch.setattr(mrays, "_POWERS", {})
-    # From m = 6 on, f stays finite past the cap at this lambda.
-    for m in [*range(6, 6 + mrays._POWER_TABLES + 6), 7, 40]:
-        params = RayFamilyParams(m, 0.0, 1.0, lambda_=1e-300)
-        for count in (5, 300, mrays._POWER_LENGTH + 50):
-            assert params.turns(count) == [params.f(i) for i in range(count)], (m, count)
-        assert len(mrays._POWERS) <= mrays._POWER_TABLES
-        assert list(mrays._POWERS)[-1] == m
-        for asked, indices, powers in mrays._POWERS.values():
-            assert len(powers) <= asked <= mrays._POWER_LENGTH <= len(indices)
-    assert 6 not in mrays._POWERS and 7 in mrays._POWERS
-    # A table is built once for a count it covers, and grows by doubling.
-    assert mrays._power_table(40, 10)[1] is mrays._power_table(40, 4000)[1]
-    monkeypatch.setattr(mrays, "_POWERS", {})
-    assert len(mrays._power_table(7, 100)[1]) == 100
-    assert len(mrays._power_table(7, 101)[1]) == 200
-    assert len(mrays._power_table(7, 250)[1]) == 400
-
-
-def test_turns_past_the_power_overflow_are_f(monkeypatch):
-    # 2^i overflows from i = 1024: m = 2's table stops there, and the turns
-    # beyond it take f's halved powers, whichever count built the table.
-    params = RayFamilyParams(2, 0.0, 1.0, lambda_=1e-100)
-    want = [params.f(i) for i in range(1400)]
-    for counts in ((1400,), (10, 1400), (1000, 1024, 1025, 1400)):
-        monkeypatch.setattr(mrays, "_POWERS", {})
-        for count in counts:
-            assert params.turns(count) == want[:count], (counts, count)
-        assert len(mrays._POWERS[2][2]) == 1024
-    with pytest.raises(OverflowError):
-        params.turns(2100)
-
-
-def test_threads_sharing_the_power_tables_agree_with_one_thread(monkeypatch):
-    # More threads than a 2-CPU machine has cores, each pricing members of
-    # more values of m than the cache holds, at growing horizons, so tables
-    # are rebuilt and evicted under them.
-    members = [RayFamilyParams(m, 0.0, 1.0 + 0.01 * m, lambda_=1e-100) for m in range(2, 24)]
-    horizons = (30, 200, 600, 1300)
-    want = [mray_breakpoint_ratios(p, h) for h in horizons for p in members]
-    got = [[] for _ in range(4)]
-
-    def work(k):
-        for h in horizons:
-            for p in members[k:] + members[:k]:
-                got[k].append(mray_breakpoint_ratios(p, h))
-
-    monkeypatch.setattr(mrays, "_POWERS", {})
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(got))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    n = len(members)
-    for k, mine in enumerate(got):
-        order = [h * n + (j + k) % n for h in range(len(horizons)) for j in range(n)]
-        assert mine == [want[i] for i in order], k
-
-
 def test_breakpoint_ratios_are_the_loop_reference():
     for params in _family_cases():
         m, lam = params.m, params.lambda_
@@ -294,7 +242,9 @@ def test_breakpoint_ratios_are_the_loop_reference():
                 continue
             assert breakpoint_ratios(values, m, lam, horizon) == want, (params, horizon)
             assert breakpoint_ratios(params.f, m, lam, horizon) == want, (params, horizon)
-            assert mray_breakpoint_ratios(params, horizon) == want, (params, horizon)
+            exact = mray_family_ratios_exact(m, params.a, params.b, lam, horizon)
+            got = mray_breakpoint_ratios(params, horizon)
+            assert _ulps_off(got, exact, m) <= 2, (params, horizon)
     # Turns outside the family, callable and listed, including ties.
     flat = [1.0, 1.0, 3.0, 3.0, 3.0, 8.0, 20.0, 20.0, 50.0, 51.0]
     for m in (2, 3, 4):
@@ -309,13 +259,116 @@ def test_breakpoint_ratios_need_every_turn_of_the_horizon():
         breakpoint_ratios([2.0**i for i in range(10)], 2, 1.0, 10)
 
 
-def test_family_pricing_calls_no_method_per_turn(monkeypatch):
-    def refuse(self, i):
-        raise AssertionError("RayFamilyParams.f called")
+def _ulps_off(got, exact, m: int) -> float:
+    """The largest |got - exact| over the entries, in ulps of the m-ray bound 1 + 2M.
 
-    expected = mray_worst_ratio(RayFamilyParams(5, 0.1, 1.2), 200)
-    monkeypatch.setattr(RayFamilyParams, "f", refuse)
-    assert mray_worst_ratio(RayFamilyParams(5, 0.1, 1.2), 200) == expected
+    ``exact`` holds (numerator, denominator) pairs.
+    """
+    off = []
+    for g, (num, den) in zip(got, exact, strict=True):
+        g_num, g_den = g.as_integer_ratio()
+        off.append(abs(g_num * den - num * g_den) / (g_den * den))
+    return max(off) / math.ulp(1.0 + 2.0 * optimal_cost_coefficient(m))
+
+
+def _largest(pairs) -> Fraction:
+    # The largest ratio rounds to the largest double, so only ties there need exact comparing.
+    top = max(num / den for num, den in pairs)
+    best = pairs[0]
+    for num, den in pairs:
+        if num / den == top and num * best[1] > best[0] * den:
+            best = num, den
+    return Fraction(*best)
+
+
+def _exact_corpus():
+    """Members for m = 2..8: b at lo, at hi, inside and just past hi, at several lambda."""
+    rng = random.Random(26)
+    for m in range(2, 9):
+        for lam in (1.0, 1e-100, 1e100, 2.0**-1022, 2.0 ** rng.uniform(-1000, 1000)):
+            a = m / (m - 1) ** 2 * rng.random()
+            lo, hi = feasible_b_interval(m, a)
+            inside = (lo + (hi - lo) * rng.random() for _ in range(2))
+            for b in (lo, hi, *inside, hi * (1 + 1e-13)):
+                yield RayFamilyParams(m, a, b, lambda_=lam)
+
+
+def test_family_pricing_is_the_exact_pricing_rounded():
+    priced = 0
+    for params in _exact_corpus():
+        m, a, b, lam = params.m, params.a, params.b, params.lambda_
+        top = 1.0 + 2.0 * optimal_cost_coefficient(m)
+        lo, hi = feasible_b_interval(m, a)
+        for horizon in (m, 40, 200, 1000):
+            try:
+                got = mray_breakpoint_ratios(params, horizon)
+            except ValueError:
+                continue
+            exact = mray_family_ratios_exact(m, a, b, lam, horizon)
+            assert _ulps_off(got, exact, m) <= 2, (params, horizon)
+            # Inside [lo, hi] the worst ratio is held to bound_upper.  Where hi
+            # rounds past the exact end of the interval, the exact maximum at
+            # b = hi is above bound_upper, and bound_upper is the nearest value
+            # that keeps the bound.
+            want = _largest(exact)
+            if lo <= b <= hi:
+                want = min(want, Fraction(top))
+            worst = mray_worst_ratio(params, horizon)
+            assert _ulps_off([worst], [want.as_integer_ratio()], m) <= 1, (params, horizon)
+            priced += 1
+    assert priced >= 500
+
+
+def test_feasible_members_never_price_above_the_bound():
+    rng = random.Random(2026)
+    priced = 0
+    for _ in range(400):
+        m = rng.randint(2, 40)
+        a = m / (m - 1) ** 2 * rng.random()
+        lo, hi = feasible_b_interval(m, a)
+        b = rng.choice((lo, hi, lo + (hi - lo) * rng.random()))
+        lam = rng.choice((1.0, 1e-100, 1e100, 2.0 ** rng.uniform(-1000, 1000)))
+        horizon = rng.choice((m, 200, 1000, 3000))
+        try:
+            worst = mray_worst_ratio(RayFamilyParams(m, a, b, lambda_=lam), horizon)
+        except ValueError:
+            continue
+        assert worst <= 1.0 + 2.0 * optimal_cost_coefficient(m), (m, a, b, lam, horizon)
+        priced += 1
+    assert priced >= 300
+
+
+@pytest.mark.parametrize("name, a, b", [("power_of_two", 0.0, 1.0), ("f_infinity", 2.0, 4.0)])
+def test_line_baselines_are_two_ray_members(name, a, b):
+    # On two rays, 1 + 2 S_{j+1} / t_j = 9 - 2 (b - 2a) lambda / t_j: the middle
+    # intervals of the line simulator's pricing are the family's entries j + 1.
+    for lam in (1.0, 0.3, 1e-100, 1e100):
+        strategy = baselines(name, lam, lam * 2.0**60)
+        turns, sups = strategy.turns, worst_case_ratio(strategy).interval_sups
+        family = mray_breakpoint_ratios(RayFamilyParams(2, a, b, lambda_=lam), len(turns) - 1)
+        for j, sup in enumerate(sups[1:-1]):
+            assert abs(sup - (9.0 - 2.0 * (b - 2.0 * a) * lam / turns[j])) <= math.ulp(9.0)
+            assert abs(sup - family[j + 1]) <= math.ulp(9.0), (name, lam, j)
+        if name == "f_infinity":
+            assert set(family[1:]) == {9.0}
+
+
+def test_family_pricing_calls_no_method_per_turn(monkeypatch):
+    # The closed form reads f only for the overflow refusal, whatever the horizon.
+    calls = []
+    f = RayFamilyParams.f
+
+    def counted(self, i):
+        calls.append(i)
+        return f(self, i)
+
+    monkeypatch.setattr(RayFamilyParams, "f", counted)
+    counts = []
+    for horizon in (200, 1000):
+        calls.clear()
+        mray_worst_ratio(RayFamilyParams(5, 0.1, 1.2), horizon)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3
     assert RayFamilyParams(2, 0.0, 1.0).turns(4) == [1.0, 2.0, 4.0, 8.0]
 
 
