@@ -103,23 +103,24 @@ def eval_p(n: PolyIndex, x: float) -> PolyEval:
     return PolyEval(p.mantissa, p.exp2 + e) if p1 else p
 
 
-def eval_p_and_derivative(n: PolyIndex, x: float) -> tuple[float, float]:
-    """p_n(x) and p_n'(x) as plain floats.
+def eval_p_and_derivative(n: PolyIndex, x: float, scale: float = 1.0) -> tuple[float, float]:
+    """scale p_n(x) and scale p_n'(x) as plain floats: ``solve``'s objective in x.
 
-    The value is :func:`eval_p`'s loop without the frame, and the derivative
-    follows the differentiated recurrence
-    p_i' = (p_{i-1} - p_{i-2}) + x (p_{i-1}' - p_{i-2}').  Where every term
-    stays in the normal range the value is bit-identical to :func:`eval_p`
-    (rescaling by a power of two is exact there); past it the terms overflow
-    or underflow, so :func:`eval_p` is the reference for large values.
+    Every root ``solve`` does not solve in theta is finished by Newton on
+    this value and slope.  The value is :func:`eval_p`'s loop without the
+    frame, seeded with p_{-1} = scale, and the derivative follows
+    p_i' = (p_{i-1} - p_{i-2}) + x (p_{i-1}' - p_{i-2}').  Both are linear in
+    the seeds, so where every term stays normal a power-of-two scale gives
+    the unscaled bits times scale, and the unscaled value is bit-identical
+    to :func:`eval_p`'s.  Past that range the terms overflow or underflow.
     """
     _check_index(n)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     if n == 0:
-        return x, 1.0
-    p2, d2 = x, 1.0
-    p1, d1 = x * (x - 1.0), 2.0 * x - 1.0
+        return x * scale, scale
+    p2, d2 = x * scale, scale
+    p1, d1 = x * (x - 1.0) * scale, (2.0 * x - 1.0) * scale
     for _ in range(2, n + 1):
         diff = p1 - p2
         p2, d2, p1, d1 = p1, d1, x * diff, diff + x * (d1 - d2)

@@ -4,7 +4,7 @@ Three routes, matching how hard the equation is:
 
 * ``solve_exact``   -- n <= 3, closed forms by radicals (square and cube
   roots only; the quartic goes through its resolvent cubic in real
-  trigonometric form).
+  trigonometric form), finished by Newton in x on the recurrence.
 * ``solve_numeric`` -- safeguarded Newton in theta, where a0 = 4 cos^2 theta,
   on [pi/(n+4), pi/(n+3)] (the a0 bracket [alpha_{n+1}, alpha_{n+2}]).
   log2 p_n has an O(1) closed form in theta there and decreases.  Newton
@@ -17,6 +17,13 @@ Three routes, matching how hard the equation is:
 * ``solve_limit``   -- theta = pi/(n+4), a0 = alpha_{n+2}, valid once
   n >= 7 eps^{-1/3} - 4; the induced competitive-ratio error is at most
   7^3 (n+4)^-3.
+
+Wherever a root is searched, the one driver :func:`_newton_root` brackets
+it to adjacent doubles, and a0 is the end of the final bracket where
+p_n(a0) >= rho, as the solve evaluates p_n.  So the strategy's terminal
+interval prices at or below 2 a0 + 1.  ``bracket_width`` is that final
+bracket's width in a0.  The limit's a0 = alpha_{n+2} lies on the same side
+of the root, and its width is the whole [alpha_{n+1}, alpha_{n+2}].
 
 Which n a rho calls for is decided once, by :func:`optimal_n`: the n whose
 bracket p_n(alpha_{n+1}) <= rho < p_n(alpha_{n+2}) holds it.
@@ -164,6 +171,25 @@ def _newton_root(f, lo: float, hi: float, x: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _solve_x(n: int, rho: float, start: float) -> tuple[float, float]:
+    """Root of p_n(x) = rho above alpha_n, finished from start: (a0, width).
+
+    Newton runs on (alpha_n, 8 + rho), which holds the root, and a0 is the
+    high end of its final bracket, where p_n(a0) >= rho.  Near x = 4 p_n'
+    reaches about n^2 p_n / 24, so the recurrence runs at the power of two
+    that keeps rho, and with it the slope, below 2^512.
+    """
+    scale = math.ldexp(1.0, min(0, 512 - math.frexp(rho)[1]))
+    target = rho * scale
+
+    def f(x: float) -> tuple[float, float]:
+        p, dp = eval_p_and_derivative(n, x, scale)
+        return p - target, dp
+
+    lo, hi = _newton_root(f, alpha(n), 8.0 + rho, start)
+    return hi, hi - lo
+
+
 def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
@@ -198,73 +224,43 @@ def real_roots_cubic(b: float, c: float, d: float) -> list[float]:
 
 def _largest_root_quartic_n3(rho: float) -> float:
     """Largest real root of x^4 - 3x^3 + x^2 - rho = 0 by radicals."""
-    # Depress with x = y + 3/4.
-    p = -19.0 / 8.0
-    q = -15.0 / 8.0
-    r = -rho - 99.0 / 256.0
-    # Resolvent cubic z^3 + 2p z^2 + (p^2 - 4r) z - q^2; any positive root
-    # splits the quartic into two real quadratics.  Use the largest for a
-    # well conditioned q/s division.
-    zs = [z for z in real_roots_cubic(2.0 * p, p * p - 4.0 * r, -q * q) if z > 0.0]
-    if not zs:
-        raise ArithmeticError("resolvent cubic has no positive root")
-    s = math.sqrt(max(zs))
-    u = 0.5 * (p + s * s - q / s)
+    # Depress with x = y + 3/4 to y^4 + p y^2 + q y + r.
+    p, q, r = -19.0 / 8.0, -15.0 / 8.0, -rho - 99.0 / 256.0
+    # The resolvent cubic z^3 + 2p z^2 + (p^2 - 4r) z - q^2 is -q^2 at 0, so
+    # its largest root s^2 is positive and splits the quartic into
+    # (y^2 + s y + u)(y^2 - s y + v) with u v = r < 0 and v - u = q/s < 0.
+    # So v < 0 < u: the largest root is the second factor's positive one.
+    s = math.sqrt(real_roots_cubic(2.0 * p, p * p - 4.0 * r, -q * q)[-1])
     v = 0.5 * (p + s * s + q / s)
-    best = -math.inf
-    for sgn, const in ((1.0, u), (-1.0, v)):
-        # Quadratic y^2 + sgn*s*y + const
-        disc = s * s - 4.0 * const
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        for pm in (root, -root):
-            y = 0.5 * (-sgn * s + pm)
-            best = max(best, y + 0.75)
-    if not math.isfinite(best):
-        raise ArithmeticError("quartic produced no real root")
-    return best
-
-
-def _polish(n: int, x: float, rho: float, lo: float, hi: float, steps: int = 2) -> float:
-    """A couple of guarded Newton corrections to scrub radical round-off."""
-    for _ in range(steps):
-        p, dp = eval_p_and_derivative(n, x)
-        if p == rho or dp == 0.0:
-            return x
-        x_new = x - (p - rho) / dp
-        if not (lo <= x_new <= hi) or not math.isfinite(x_new):
-            return x
-        x = x_new
-    return x
+    return 0.5 * (s + math.sqrt(s * s - 4.0 * v)) + 0.75
 
 
 def solve_exact(n: int, rho: float) -> SolveResult:
-    """Closed-form largest real root of p_n(x) = rho for n <= 3.
+    """Largest real root of p_n(x) = rho for n <= 3, from its closed form.
 
     Accepts any rho in [1, 2^24), not only the rho range where this n is
     optimal (below 19), so that boundary ties between consecutive n can be
-    checked directly.  Within that range a0 is within an ulp of the root;
-    from about 2^27 the n = 3 radicals lose digits that two Newton steps do
-    not recover, so larger rho is refused.
+    checked directly.  The radical is only the start: :func:`_solve_x`
+    finishes the root, in at most five evaluations of the recurrence on
+    that range.  The n = 3 radicals drift from the root as rho grows, and
+    from about 2^35 they find no real root, so larger rho is refused.
     """
     if not 0 <= n <= 3:
         raise ValueError(f"solve_exact handles n in 0..3 only, got {n}")
     if not 1.0 <= rho < 2.0**24:
         raise ValueError(f"solve_exact needs rho in [1, 2^24), got {rho}")
     if n == 0:
-        a0 = rho
+        start = rho
     elif n == 1:
-        a0 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho))
+        start = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho))
     elif n == 2:
         # Largest root of a0^3 - 2 a0^2 = rho.
         c = _cbrt(8.0 + 13.5 * rho + 1.5 * math.sqrt(3.0) * math.sqrt(rho * (32.0 + 27.0 * rho)))
-        a0 = (2.0 + 4.0 / c + c) / 3.0
+        start = (2.0 + 4.0 / c + c) / 3.0
     else:
-        a0 = _largest_root_quartic_n3(rho)
-    if n >= 2:
-        a0 = _polish(n, a0, rho, alpha(n) * (1.0 + 1e-12), 8.0 + rho)
-    return SolveResult(a0=a0, mode=MODE_EXACT, bracket_width=0.0, theta=_theta_or_nan(a0))
+        start = _largest_root_quartic_n3(rho)
+    a0, width = _solve_x(n, rho, start)
+    return SolveResult(a0=a0, mode=MODE_EXACT, bracket_width=width, theta=_theta_or_nan(a0))
 
 
 def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = None) -> SolveResult:
@@ -306,9 +302,6 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
         u = u_lo * (u_hi / u_lo) ** (f_lo / (f_lo - f_hi))
         start = (math.pi - u) / (n + 2)
         lo, hi = _newton_root(partial(_theta_objective, n, target), th_lo, th_hi, start)
-        # The low end has p_n(a0) >= rho, so the strategy's terminal interval
-        # prices at or below 2 a0 + 1 and the printed ratio bounds the
-        # strategy's supremum up to the rounding of the turns.
         theta = lo
     a0 = x_of_theta(theta)
     width = x_of_theta(lo) - x_of_theta(hi)
@@ -350,9 +343,10 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     theta solve starts from a log-linear guess: about four evaluations of
     value and slope, and one where the root is within ulps of pi/(n+2).  A
     double t resolves x only to a relative 2 t ulp(t) (6.9e-14 at n = 1,
-    rho = 1e300), so roots above 4 are finished by Newton steps in x on the
-    recurrence, at O(n) cost.  A root within ulps of alpha_n can round onto
-    or below it; a0 is then moved up to the first double above it.
+    rho = 1e300), so a root above 4 is finished from t's by
+    :func:`_solve_x`, in two or three O(n) evaluations of the recurrence.
+    A root within ulps of alpha_n can round onto or below it; a0 is then
+    moved up to the first double above it.
     """
     if not 1.0 <= rho < math.inf:
         raise ValueError(f"rho must be finite and at least 1, got {rho}")
@@ -374,12 +368,10 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
             a0 = math.nextafter(a0, 4.0)
     else:
         t_max = math.acosh(2.0 ** (target / (n + 1)))
-        lo, hi = _newton_root(
+        t, _ = _newton_root(
             lambda t: (log2_p_cosh_excess(n, t) - target, dlog2_p_dt(n, t)),
             0.0, math.nextafter(t_max, math.inf), 0.5 * t_max,
         )
-        a0 = 4.0 + (2.0 * math.sinh(lo)) ** 2
-        width = (2.0 * math.sinh(hi)) ** 2 - (2.0 * math.sinh(lo)) ** 2
-        a0 = _polish(n, a0, rho, 4.0, math.inf)
+        a0, width = _solve_x(n, rho, 4.0 + (2.0 * math.sinh(t)) ** 2)
         theta = math.nan
     return SolveResult(a0=a0, mode=MODE_NUMERIC, bracket_width=width, theta=theta)

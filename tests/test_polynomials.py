@@ -246,6 +246,29 @@ def test_derivative_tracks_finite_differences():
             assert dp == pytest.approx(fd, rel=1e-7)
 
 
+def test_a_power_of_two_scale_multiplies_value_and_slope_exactly():
+    # The recurrence is linear in its seeds, so a power-of-two scale gives the
+    # unscaled bits times the scale above x = 4, where every term is at
+    # least the scale.  It keeps the slope finite where the unscaled slope
+    # overflows: near x = 4 it is about n^2 / 24 times the value.
+    rng = random.Random(27)
+    for _ in range(300):
+        n, x = rng.randint(0, 1000), 4.0 + 2.0 ** rng.uniform(-40.0, 4.0)
+        scale = 2.0 ** -rng.randint(0, 512)
+        p, dp = eval_p_and_derivative(n, x)
+        if math.isfinite(dp):
+            assert eval_p_and_derivative(n, x, scale) == (p * scale, dp * scale), (n, x, scale)
+    p, dp = eval_p_and_derivative(1005, 4.0)
+    assert math.isfinite(p) and not math.isfinite(dp)
+    ps, dps = eval_p_and_derivative(1005, 4.0, 2.0**-512)
+    assert ps == p * 2.0**-512
+    with mp.workdps(50):
+        h = mpf(2) ** -50
+        slope = (p_recurrence_mp(1005, 4 + h) - p_recurrence_mp(1005, 4 - h)) / (2 * h)
+        want = slope * mpf(2) ** -512
+        assert abs(dps - want) <= 1e-12 * want
+
+
 def test_plain_value_is_bit_identical_to_exponent_tracked():
     # Where no term leaves the normal range, rescaling by powers of two is
     # exact, so the plain recurrence reproduces eval_p bit for bit.

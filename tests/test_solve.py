@@ -12,6 +12,7 @@ from linesearch.optimal import optimal_n
 from linesearch.polynomials import (
     alpha,
     eval_p,
+    eval_p_and_derivative,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
     theta_of_x,
@@ -136,19 +137,71 @@ def test_exact_rejects():
 
 def test_exact_holds_on_its_stated_range():
     # solve_exact takes rho in [1, 2^24): on a 1/8 step scan of log2 rho, and
-    # at the top of the range, a0 is within a few ulps of the largest root
-    # for every n.  Past the range (from about 2^27 the n = 3 radicals drift
-    # by hundreds of ulps) rho is refused.
+    # at the top of the range, the largest root lies within one double of
+    # the final bracket (a0's lower neighbour, a0) for every n.  The bracket
+    # is where the recurrence crosses rho, and its rounding of p_n moves the
+    # crossing by less than a double: at n = 2, rho = sqrt 2 the root is
+    # 1.04 ulps below a0.  Past the range rho is refused: from about 2^35
+    # the n = 3 radicals find no real root.
     rhos = [2.0 ** (k / 8) for k in range(24 * 8)] + [math.nextafter(2.0**24, 0.0)]
     for n in range(4):
         for rho in rhos:
             a0 = solve_exact(n, rho).a0
             with mp.workdps(50):
                 root = mp.findroot(lambda x: p_recurrence_mp(n, x) - rho, mpf(a0))
-            assert abs(mpf(a0) - root) <= 4 * math.ulp(a0), (n, rho)
+            below = math.nextafter(math.nextafter(a0, 0.0), 0.0)
+            assert below < root < math.nextafter(a0, math.inf), (n, rho)
         for rho in (2.0**24, 2.0**36, 1e300, math.inf, math.nan):
             with pytest.raises(ValueError, match=r"rho in \[1, 2\^24\)"):
                 solve_exact(n, rho)
+
+
+def finished_in_x():
+    """(n, rho, solve) for every root finished by Newton in x on the recurrence.
+
+    The exact roots for n = 1, 2, 3 on a 1/64 step scan of log2 rho in
+    [0, 24), and seeded roots above 4 of solve_beyond_alpha, up to double
+    range, where p_n' would overflow near x = 4 unscaled.
+    """
+    cases = [(n, 2.0 ** (k / 64), solve_exact) for n in (1, 2, 3) for k in range(24 * 64)]
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(1, 1000)
+        log2_p4 = n + 1 + math.log2(n + 2)
+        cases.append((n, 2.0 ** rng.uniform(log2_p4, 1023.99), solve_beyond_alpha))
+    return cases
+
+
+def test_roots_finished_in_x_keep_the_end_where_p_n_reaches_rho():
+    # The driver brackets the root to adjacent doubles, and a0 is the end
+    # where the recurrence reaches rho: one double lower, it falls short.
+    # bracket_width is that last step, or 0 where p_n(a0) is rho itself.
+    for n, rho, solve in finished_in_x():
+        res = solve(n, rho)
+        below = math.nextafter(res.a0, 0.0)
+        assert eval_p_and_derivative(n, res.a0)[0] >= rho >= eval_p_and_derivative(n, below)[0], (
+            n, rho, solve.__name__)
+        assert res.bracket_width in (0.0, res.a0 - below), (n, rho, solve.__name__)
+
+
+def test_roots_finished_in_x_take_at_most_five_evaluations(monkeypatch):
+    # The radical, or the t solve above 4, starts Newton within reach of the
+    # root: a bad bracket would show as a bisection, dozens of evaluations.
+    kernel, calls = solve_module.eval_p_and_derivative, []
+
+    def spy(n, x, *scale):
+        calls.append(n)
+        return kernel(n, x, *scale)
+
+    monkeypatch.setattr(solve_module, "eval_p_and_derivative", spy)
+    counts = {solve_exact: [], solve_beyond_alpha: []}
+    for n, rho, solve in finished_in_x():
+        calls.clear()
+        solve(n, rho)
+        counts[solve].append(len(calls))
+    for solve, most, mean in ((solve_exact, 5, 2.5), (solve_beyond_alpha, 3, 2.5)):
+        got = counts[solve]
+        assert max(got) <= most and sum(got) / len(got) <= mean, (solve.__name__, max(got))
 
 
 # --- numeric solving ------------------------------------------------------
