@@ -109,10 +109,6 @@ class Strategy(Record):
         set_field(self, "terminal", terminal)
         set_field(self, "lambda_", lambda_)
 
-    @property
-    def n(self) -> int:
-        return len(self.turns)
-
     def scaled(self, c: float) -> "Strategy":
         """The same strategy with all distances multiplied by c > 0."""
         if c <= 0:

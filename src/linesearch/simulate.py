@@ -22,14 +22,17 @@ at the turn before it, and finds the first point (one ``log`` and two
 
 At n = 994 on a 2-CPU machine (CPython 3.11) that puts
 ``worst_case_ratio`` at about 0.17 ms on a new object and 0.05 ms on the
-last one, plus about 0.07 ms each time its per-interval table is read,
-``grid_sweep_ratio`` at about 0.04 ms on the last object priced and
-0.16 ms on a new one for the optimum, whose equalized ratios leave few runs
-to find, and at about 0.6-0.8 ms on ``power_of_two``, which leaves nearly
-all; a baseline built by ``baselines`` and priced costs about 0.3 ms.
-``baseline_ratios`` prices all four in about 0.004 ms from per-lambda
-tables of the baselines' turns, and single_shot from a closed form;
-building a lambda's tables costs about what pricing the strategies does.
+last one, plus about 0.07 ms each time its per-interval table is read.
+``grid_sweep_ratio``'s cost follows the number of runs it finds.  On the
+last object priced it takes about 0.035 ms for the optimum at rho = 1e298
+(n = 988), whose equalized ratios leave no run to find (0.16 ms on a new
+object), and 0.26 ms at rho = 1e300 (n = 995), where 323 runs' limit
+ratios beat the ratio at lam by a few ulps.  On ``power_of_two``, which
+leaves nearly all runs, it takes about 0.6-0.8 ms.  A baseline built by
+``baselines`` and priced costs about 0.3 ms.  ``baseline_ratios`` prices
+all four in about 0.004 ms from per-lambda tables of the baselines'
+turns, and single_shot from a closed form; building a lambda's tables
+costs about what pricing the strategies does.
 Where twice the sum of the reaches would overflow, both pricers price the
 late sums in units of an exact power of two.
 """
@@ -236,23 +239,10 @@ class GeometricGrid(Sequence):
     def first_above(self, b: float) -> tuple[int, float]:
         """(k, d_k) for the smallest k with d_k > b; (len, inf) if there is none.
 
-        k is guessed from ln(b/lo)/step and then corrected point by point,
-        so the answer rests on the points themselves, not on the guess.
+        A bisection over the points themselves, which never decrease.
         """
-        if b < self.lo:
-            return 0, self.lo
-        last = self.points - 1
-        guess = (math.log(b) - self._log_lo) / self.step + 1.0 if self.step > 0.0 else last
-        k = int(guess) if guess < last else last
-        d = self[k]
-        while d <= b:
-            if k == last:
-                return self.points, math.inf
-            k += 1
-            d = self[k]
-        while k > 0 and (prev := self[k - 1]) > b:
-            k, d = k - 1, prev
-        return k, d
+        k = bisect_right(self, b)
+        return (k, self[k]) if k < self.points else (k, math.inf)
 
 
 def _first_points_above(grid: GeometricGrid, bounds: list[float]) -> list[float]:
@@ -260,10 +250,10 @@ def _first_points_above(grid: GeometricGrid, bounds: list[float]) -> list[float]
 
     The list stops before the first b with no point above it.  Below lo the
     point is lo, and from hi on there is none.  Between them, each k is
-    guessed from ln(b/lo)/step as ``first_above`` guesses it: at least 1, as
-    b >= lo.  The guesses grow with b, and from the first one at or past the
-    last index on, k is the last index and d_k is hi.  A guess stands only
-    where d_{k-1} <= b < d_k; ``first_above`` settles the rest point by point.
+    guessed from ln(b/lo)/step: at least 1, as b >= lo.  The guesses grow
+    with b, and from the first one at or past the last index on, k is the
+    last index and d_k is hi.  A guess stands only where d_{k-1} <= b < d_k;
+    ``first_above`` bisects the grid for the rest.
     """
     start, stop = bisect_left(bounds, grid.lo), bisect_left(bounds, grid.hi)
     mid = bounds[start:stop]

@@ -3,8 +3,8 @@
 Three routes, matching how hard the equation is:
 
 * ``solve_exact``   -- n <= 3, closed forms by radicals (square and cube
-  roots only; the quartic goes through its resolvent cubic in real
-  trigonometric form), finished by Newton in x on the recurrence.
+  roots only; the quartic goes through its resolvent's one real root),
+  finished by Newton in x on the recurrence.
 * ``solve_numeric`` -- safeguarded Newton in theta, where a0 = 4 cos^2 theta,
   on [pi/(n+4), pi/(n+3)] (the a0 bracket [alpha_{n+1}, alpha_{n+2}]).
   log2 p_n has an O(1) closed form in theta there and decreases.  Newton
@@ -194,43 +194,26 @@ def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
-def real_roots_cubic(b: float, c: float, d: float) -> list[float]:
-    """Real roots of the monic cubic z^3 + b z^2 + c z + d, ascending.
-
-    Three-real-root cases use the trigonometric form so no complex
-    arithmetic is ever needed.
-    """
-    # Depress: z = t - b/3  ->  t^3 + p t + q
+def _cardano_root(b: float, c: float, d: float) -> float:
+    """The real root of the monic cubic z^3 + b z^2 + c z + d with one real root."""
+    # Depress: z = t - b/3  ->  t^3 + p t + q, then Cardano with real cube roots.
     p = c - b * b / 3.0
     q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    if p == 0.0 and q == 0.0:
-        return [shift]
-    disc = -4.0 * p**3 - 27.0 * q * q
-    if disc >= 0.0 and p < 0.0:
-        # Three real roots (possibly repeated).
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg)
-        roots = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) + shift for k in range(3)]
-        return sorted(roots)
-    # One real root: Cardano with real cube roots.
     half_q = q / 2.0
     rad = math.sqrt(half_q * half_q + p**3 / 27.0)
-    t = _cbrt(-half_q + rad) + _cbrt(-half_q - rad)
-    return [t + shift]
+    return _cbrt(-half_q + rad) + _cbrt(-half_q - rad) - b / 3.0
 
 
 def _largest_root_quartic_n3(rho: float) -> float:
     """Largest real root of x^4 - 3x^3 + x^2 - rho = 0 by radicals."""
     # Depress with x = y + 3/4 to y^4 + p y^2 + q y + r.
     p, q, r = -19.0 / 8.0, -15.0 / 8.0, -rho - 99.0 / 256.0
-    # The resolvent cubic z^3 + 2p z^2 + (p^2 - 4r) z - q^2 is -q^2 at 0, so
-    # its largest root s^2 is positive and splits the quartic into
+    # The resolvent cubic z^3 + 2p z^2 + (p^2 - 4r) z - q^2 depresses to a
+    # linear coefficient 4 rho - 1/3 > 0, so it increases and has one real
+    # root s^2, positive as the cubic is -q^2 at 0.  s splits the quartic into
     # (y^2 + s y + u)(y^2 - s y + v) with u v = r < 0 and v - u = q/s < 0.
     # So v < 0 < u: the largest root is the second factor's positive one.
-    s = math.sqrt(real_roots_cubic(2.0 * p, p * p - 4.0 * r, -q * q)[-1])
+    s = math.sqrt(_cardano_root(2.0 * p, p * p - 4.0 * r, -q * q))
     v = 0.5 * (p + s * s + q / s)
     return 0.5 * (s + math.sqrt(s * s - 4.0 * v)) + 0.75
 
@@ -254,9 +237,8 @@ def solve_exact(n: int, rho: float) -> SolveResult:
     elif n == 1:
         start = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho))
     elif n == 2:
-        # Largest root of a0^3 - 2 a0^2 = rho.
-        c = _cbrt(8.0 + 13.5 * rho + 1.5 * math.sqrt(3.0) * math.sqrt(rho * (32.0 + 27.0 * rho)))
-        start = (2.0 + 4.0 / c + c) / 3.0
+        # a0^3 - 2 a0^2 = rho has discriminant 256/27 - 27 (rho + 16/27)^2 < 0.
+        start = _cardano_root(-2.0, 0.0, -rho)
     else:
         start = _largest_root_quartic_n3(rho)
     a0, width = _solve_x(n, rho, start)

@@ -437,6 +437,22 @@ def test_verify_tight_eps_at_large_rho(capsys):
     assert rec["results"]["worst_case_ratio"] - rec["results"]["cr"] <= 1e-12
 
 
+@pytest.mark.parametrize("Lam", ["1e300", "1.7976931348623157e308"])
+def test_verify_in_limit_mode_checks_cr_against_its_bound(capsys, Lam):
+    # At eps = 1e-6 these rho take the limit approximation, whose sup may
+    # differ from cr by up to cr_error_bound.
+    code, out, err = run_cli(capsys, "verify", "--Lambda", Lam, "--eps", "1e-6")
+    assert code == 0, err
+    rec = parse_record(out)
+    results, diag = rec["results"], rec["diagnostics"]
+    assert diag["mode"] == "limit_approx"
+    checks = results["checks"]
+    assert checks["cr_consistency"] and checks["grid_within_tolerance"]
+    assert checks["dominates_baselines"]
+    cr = results["cr"]
+    assert abs(results["worst_case_ratio"] - cr) <= diag["cr_error_bound"] + 1e-9 * cr
+
+
 @pytest.mark.parametrize("bound", [("--Lambda", "1e308"), ("--log2-rho", "1023.5")])
 def test_verify_at_the_top_of_double_range_prints_a_record(capsys, bound):
     # Twice the sum of the turns overflows here; the simulator prices in

