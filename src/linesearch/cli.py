@@ -12,7 +12,7 @@ Subcommands::
 Each subcommand returns its output and whether every requested computation
 and self-check succeeded; :func:`main` prints the output once, on stdout,
 and exits 0 only if they did.  A record prints as one JSON document
-(``schema_version`` "2"), a sweep's list of rows as CSV, unless ``--format``
+(``schema_version`` "3"), a sweep's list of rows as CSV, unless ``--format``
 says otherwise.  Every float is printed with 17 significant digits so parsed
 values reproduce the computed doubles bit for bit.  Diagnostics go to
 stderr; the level is taken from the LINESEARCH_LOG environment variable
@@ -32,13 +32,12 @@ import json
 import math
 import os
 import sys
-from operator import itemgetter
 
 from ._base import configure_from_env
 from .optimal import SearchProblem, StrategyReport, optimize, solve_problem
 from .solve import MODE_LIMIT
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 # JSON's names for the values '.16e' spells nan, inf and -inf.
@@ -69,15 +68,8 @@ def dumps_record(obj: object, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if len(obj) > 1 and set(map(type, obj)) == {float}:
-            # Each distinct value is formatted once: the interval sups of a
-            # verify record are equalized, so a few values fill the list.
-            text = dict.fromkeys(obj)
-            if 0.0 not in text:  # 0.0 and -0.0 are one key but print apart
-                for v in text:
-                    text[v] = _fmt_float(v)
-                # Of two or more keys, itemgetter returns the tuple of texts.
-                return "[" + ", ".join(itemgetter(*obj)(text)) + "]"
+        if set(map(type, obj)) == {float}:
+            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in obj) + "]"
         items = [f"{pad}  {dumps_record(v, indent + 1)}" for v in obj]
@@ -177,7 +169,8 @@ def _cmd_optimal(args: argparse.Namespace) -> tuple[dict | list[dict], bool]:
     report = optimize(problem)
     strategy = report.strategy
     results = {**_solution_fields(report), "turns": strategy.turns, "terminal": strategy.terminal}
-    diagnostics = {**_solve_diagnostics(report), "bracket_width": report.bracket_width}
+    diagnostics = {**_solve_diagnostics(report), "theta": report.theta,
+                   "bracket_width": report.bracket_width}
     return _record("optimal", _problem_inputs(problem), results, diagnostics), True
 
 
@@ -195,8 +188,10 @@ def _cmd_reach(args: argparse.Namespace) -> tuple[dict, bool]:
 def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, bool]:
     """Optimize, then cross-examine the result with the simulator.
 
-    In limit-approximation mode the intervals are not promised to equalize,
-    so that check degrades to |simulated - reported| <= the mode's bound.
+    In limit-approximation mode the intervals are not promised to equalize:
+    ``equalization`` is set there without a check, and that of cr degrades
+    to |simulated - reported| <= the mode's bound.  ``sup_spread_ulps``, the
+    spread of the interval suprema in ulps of cr, is measured in every mode.
     """
     from . import simulate
 
@@ -204,7 +199,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     strategy = report.strategy
     wcr = simulate.worst_case_ratio(strategy, problem.lambda_, problem.Lambda)
     grid = simulate.grid_sweep_ratio(strategy, problem.lambda_, problem.Lambda, grid_points)
-    sups = wcr.interval_sups
+    least = min(wcr.interval_sups)
     base_ratios = simulate.baseline_ratios(problem.lambda_, problem.Lambda)
 
     rel = 1e-9 * report.cr
@@ -212,7 +207,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
         equalized = True  # approximation mode does not promise equalized intervals
         consistent = abs(wcr.sup_ratio - report.cr) <= report.cr_error_bound + rel
     else:
-        equalized = wcr.sup_ratio - min(sups) <= rel  # the sup is the largest of sups
+        equalized = wcr.sup_ratio - least <= rel  # the sup is the largest of the sups
         consistent = abs(wcr.sup_ratio - report.cr) <= rel
     # An infinite ratio satisfies both comparisons (inf - 1e-3 <= inf) yet
     # bounds nothing, so these two checks need a finite ratio to pass (a
@@ -226,7 +221,8 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
         **_solution_fields(report),
         "worst_case_ratio": wcr.sup_ratio,
         "grid_sweep_ratio": grid,
-        "interval_sups": sups,
+        "argmax_interval": wcr.argmax_interval,
+        "sup_spread_ulps": (wcr.sup_ratio - least) / math.ulp(report.cr),
         "baseline_ratios": base_ratios,
         "checks": {
             "equalization": equalized,
@@ -235,7 +231,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
             "dominates_baselines": dominant,
         },
     }
-    return results, _solve_diagnostics(report), passed
+    return results, {**_solve_diagnostics(report), "theta": report.theta}, passed
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict | list[dict], bool]:

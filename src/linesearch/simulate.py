@@ -13,26 +13,29 @@ open each run, the baselines' turns) is a few C-level passes: ``accumulate``,
 ``bisect``, ``map``/``zip`` and comprehensions, not a statement per turn.  Both
 pricers validate a strategy, sum its reaches and compute each turn's limit
 ratio 2 S_{j+1} / t_j / unit + 1 once while they are handed the same
-object: the last strategy, its sums, their units and its limit ratios are
-kept in one entry, so ``verify``'s grid reuses what its
-``worst_case_ratio`` built.  The exact pricing reads its breakpoint suprema
-off the limit ratios; the grid bounds each run's ratio by the limit ratio
-at the turn before it, and finds the first point (one ``log`` and two
-``exp``) only of the runs whose bound beats the ratio at lam.
+object: the last strategy, its sums, their units, its limit ratios and
+whether its turns strictly increase are kept in one entry, so ``verify``'s
+grid reuses what its ``worst_case_ratio`` built.  The exact pricing reads
+its breakpoint suprema off the limit ratios; the grid bounds each run's
+ratio by the limit ratio at the turn before it, keeps the runs whose bound
+beats the ratio at lam and whose turn lies close enough below a grid point
+(one ``log`` each), and finds the first point (one ``log`` and two ``exp``)
+only of those.
 
-At n = 994 on a 2-CPU machine (CPython 3.11) that puts
-``worst_case_ratio`` at about 0.17 ms on a new object and 0.05 ms on the
+At n = 995 on a 2-CPU machine (CPython 3.11) that puts
+``worst_case_ratio`` at about 0.15 ms on a new object and 0.025 ms on the
 last one, plus about 0.07 ms each time its per-interval table is read.
-``grid_sweep_ratio``'s cost follows the number of runs it finds.  On the
-last object priced it takes about 0.035 ms for the optimum at rho = 1e298
-(n = 988), whose equalized ratios leave no run to find (0.16 ms on a new
-object), and 0.26 ms at rho = 1e300 (n = 995), where 323 runs' limit
-ratios beat the ratio at lam by a few ulps.  On ``power_of_two``, which
-leaves nearly all runs, it takes about 0.6-0.8 ms.  A baseline built by
-``baselines`` and priced costs about 0.3 ms.  ``baseline_ratios`` prices
-all four in about 0.004 ms from per-lambda tables of the baselines'
-turns, and single_shot from a closed form; building a lambda's tables
-costs about what pricing the strategies does.
+``grid_sweep_ratio``'s cost follows the number of runs whose bound beats
+lam's ratio.  On the last object priced it takes about 0.035 ms for the
+optimum at rho = 1e298 (n = 988), whose equalized ratios leave no such run
+(0.15 ms on a new object), and 0.13 ms at rho = 1e300 (n = 995), where 323
+runs' limit ratios beat the ratio at lam by a few ulps and none of them has
+a grid point close enough above its turn to be found.  On
+``power_of_two``, which leaves nearly all runs, it takes about 0.6-0.9 ms.
+A baseline built by ``baselines`` and priced costs about 0.3 ms.
+``baseline_ratios`` prices all four in about 0.004 ms from per-lambda
+tables of the baselines' turns, and single_shot from a closed form;
+building a lambda's tables costs about what pricing the strategies does.
 Where twice the sum of the reaches would overflow, both pricers price the
 late sums in units of an exact power of two.
 """
@@ -109,25 +112,37 @@ def _checked_bounds(strategy: Strategy, lam: float | None, Lam: float | None) ->
     return lam, Lam
 
 
-# The last strategy validated, with its reach sums, their units and its
-# turns' limit ratios.  A Strategy is immutable and the entry holds a
-# reference to it, so while the same object comes back the entry is its own.
-# The entry is one tuple, read and bound in one step each, so a concurrent
-# caller never reads a mixed one; a race costs at most a second build.
-_LAST: tuple[Strategy | None, list[float], list[float], list[float]] = (None, [], [], [])
+# The last strategy validated, with its reach sums, their units, its turns'
+# limit ratios and whether its turns strictly increase.  A Strategy is
+# immutable and the entry holds a reference to it, so while the same object
+# comes back the entry is its own.  The entry is one tuple, read and bound in
+# one step each, so a concurrent caller never reads a mixed one; a race costs
+# at most a second build.
+_LAST: tuple[Strategy | None, list[float], list[float], list[float], bool] = (
+    None, [], [], [], True)
 
 
-def _validated_sums(strategy: Strategy) -> tuple[list[float], list[float], list[float]]:
-    """``strategy.validate()``, then ``_reach_sums(strategy)``; once per object in a row.
+def _validated_sums(strategy: Strategy) -> tuple[list[float], list[float], list[float], bool]:
+    """``strategy.validate()``, then ``_reach_sums(strategy)`` and whether the turns strictly increase.
 
-    Every caller shares the lists returned, and none changes them.
+    Once per object in a row.  One ``lt`` pass over the turns and the checks
+    at both ends settle a strictly increasing chain, which is valid; only
+    where they fail does ``validate`` run, to raise with its message or to
+    pass a chain with equal turns.  Every caller shares the lists returned,
+    and none changes them.
     """
     global _LAST
     entry = _LAST
     if entry[0] is not strategy:
-        strategy.validate()
-        entry = _LAST = (strategy, *_reach_sums(strategy))
-    return entry[1], entry[2], entry[3]
+        lam, terminal, turns = strategy.lambda_, strategy.terminal, strategy.turns
+        # A NaN fails every comparison, and an inf turn the one after it.
+        strict = (0.0 < lam < math.inf and math.isfinite(terminal)
+                  and (lam <= turns[0] and turns[-1] <= terminal
+                       and all(map(lt, turns, turns[1:])) if turns else lam <= terminal))
+        if not strict:
+            strategy.validate()
+        entry = _LAST = (strategy, *_reach_sums(strategy), strict)
+    return entry[1], entry[2], entry[3], entry[4]
 
 
 def _reach_sums(strategy: Strategy) -> tuple[list[float], list[float], list[float]]:
@@ -182,15 +197,17 @@ def worst_case_ratio(
     them, each served by the turn after its last copy, and its supremum is
     that turn's limit ratio.  Where the slice strictly increases (every
     strategy the package builds) the suprema are a slice of the strategy's
-    limit ratios, built once per strategy, behind lam's own.
+    limit ratios, built once per strategy, behind lam's own; the check that
+    validates a strategy also says whether all its turns strictly increase,
+    so only a strategy with equal turns has its slice checked again.
     """
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    sums, units, limits = _validated_sums(strategy)
+    sums, units, limits, strict = _validated_sums(strategy)
     turns = strategy.turns
     # turns[lo - 1] < lam <= turns[lo] and turns[hi - 1] < Lam <= turns[hi], where those exist.
     lo, hi = bisect_left(turns, lam), bisect_left(turns, Lam)
     breaks, sups = turns[lo:hi], limits[lo:hi]
-    if not all(map(lt, breaks, breaks[1:])):
+    if not (strict or all(map(lt, breaks, breaks[1:]))):
         # Equal turns: keep each breakpoint's last copy.
         last = [*map(lt, breaks, breaks[1:]), True]
         breaks = tuple(compress(breaks, last))
@@ -272,6 +289,55 @@ def _first_points_above(grid: GeometricGrid, bounds: list[float]) -> list[float]
     return [grid.lo] * start + above
 
 
+# A bound, in natural-log units, on how far rounding can move a grid point
+# d_k from lo e^(k step) against the x that _runs_near_points computes for a
+# turn, and on how far it can move the ratio at a point against its bound;
+# see _runs_near_points.
+_LOG_SLACK = 8.0 * sys.float_info.epsilon * (3.0 * 745.0 + 2.0)
+
+
+def _runs_near_points(grid: GeometricGrid, best: float, runs: list[int],
+                      turns: Sequence[float], limits: list[float]) -> list[int]:
+    """The runs j of ``runs`` whose first grid point can price above ``best``.
+
+    Run j's ratio at a point D > t = t_{j-1} is c/D + 1, with c = 2 S_j / u_j,
+    and its limit ratio is c/t + 1, each rounded.  So D can price above best
+    only if D/t < (limit - 1)/(best - 1) = 1 + delta, with delta = (limit -
+    best)/(best - 1), up to those roundings: ln(D/t) < delta + 2 eps, where
+    eps = 2^-52 and best >= 3, as 2 S >= 2 lam.  The points are lo e^(k step)
+    up to rounding, so in index units, with x = ln(t/lo)/step, the first
+    point above t can beat best only if some integer k lies in (x - m,
+    x + delta/step + m), with m step bounding, in log units:
+
+    - the ``log`` of t and of lo, within an ulp each, and their difference:
+      eps (2 745 + span / 2), as |ln d| < 745 for every positive double;
+    - the grid's ``exp``, within an ulp, the rounding of step k, of log_lo +
+      step k where hi/lo overflows and of the product by lo: eps (745 + span
+      + 2), with span = ln(hi/lo) < 2 745;
+    - step itself, (P - 1) step against span, which places the point hi
+      that the cap and the last index give: eps (745 + span + 1);
+    - the quotient x, its fraction and 1 - f: eps span;
+    - the two ratios: 2 eps.
+
+    That is eps (4 745 + 3.5 span + 5), below 4 eps (3 745 + 2) as
+    span < 2 745; ``_LOG_SLACK`` doubles that, which also leaves room for a
+    C library whose ``log`` and ``exp`` err by up to two ulps.  delta/step
+    is rounded five times, which the factor 1 + 4 eps covers.  Where m is
+    not below 1/2 every run is kept.  A run dropped here prices at most
+    best, so the maximum is the one over every run, bit for bit.
+    """
+    step = grid.step
+    if not _LOG_SLACK < 0.5 * step:
+        return runs
+    near = _LOG_SLACK / step
+    per = (1.0 + 4.0 * sys.float_info.epsilon) / ((best - 1.0) * step)
+    log_lo = grid._log_lo
+    xs = [(v - log_lo) / step for v in map(math.log, [turns[j - 1] for j in runs])]
+    # f = x mod 1: the integer at or below x is f away, the next one 1 - f.
+    return [j for j, x in zip(runs, xs)
+            if (f := x % 1.0) < near or 1.0 - f < (limits[j - 1] - best) * per + near]
+
+
 def grid_sweep_ratio(
     strategy: Strategy,
     lam: float | None = None,
@@ -294,24 +360,28 @@ def grid_sweep_ratio(
     ratio 2 S_j / t_{j-1} / u_j + 1 that ``worst_case_ratio`` reads at
     t_{j-1}: rounding keeps the order of each step.  Past the run that
     holds lam every t_{j-1} is at least lam, whose own ratio is the best so
-    far, and a run whose limit ratio does not beat it is skipped.  On a
-    strategy that equalizes its intervals' ratios, as the optimum does, lam
-    already holds the maximum or ties it within ulps, and most runs are
-    skipped; on one that does not, such as ``power_of_two``, few are.
-    Either way the result is that of pricing every run's first point, bit
-    for bit.
+    far, and a run whose limit ratio does not beat it is skipped.  Of the
+    rest, a run whose limit ratio beats lam's by a relative delta can win
+    only if a grid point lies above t_{j-1} within about delta of it, and
+    one ``log`` per run keeps only those (:func:`_runs_near_points`).  On a
+    strategy that equalizes its intervals' ratios, as the optimum does,
+    delta is a few ulps and almost no run is left to find; on one that does
+    not, such as ``power_of_two``, few are skipped.  Either way the result
+    is that of pricing every run's first point, bit for bit.
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     lam, Lam = _checked_bounds(strategy, lam, Lam)
-    sums, units, limits = _validated_sums(strategy)
+    sums, units, limits, _ = _validated_sums(strategy)
     turns = strategy.turns
     # Run `first` holds lam, and the runs before it end below lam: no point
     # of theirs is on the grid.
     first = bisect_left(turns, lam)
     best = 2.0 * sums[first] / lam / units[first] + 1.0
+    grid = GeometricGrid(lam, Lam, points)
     keep = [j for j, r in enumerate(limits[first:], first + 1) if r > best]
-    firsts = _first_points_above(GeometricGrid(lam, Lam, points), [turns[j - 1] for j in keep])
+    keep = _runs_near_points(grid, best, keep, turns, limits)
+    firsts = _first_points_above(grid, [turns[j - 1] for j in keep])
     last = len(turns)  # the terminal serves every point past the turns
     return max([best, *(2.0 * sums[j] / d / units[j] + 1.0
                         for j, d in zip(keep, firsts) if j == last or d <= turns[j])])

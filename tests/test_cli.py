@@ -14,6 +14,8 @@ from mpmath import mp, mpf
 
 from linesearch.cli import dumps_record, main, parse_record
 from linesearch.optimal import SearchProblem, Strategy, optimal_n, optimize
+from linesearch.polynomials import x_of_theta
+from linesearch.simulate import worst_case_ratio
 
 from _oracles import exact_sup_ratio, p_recurrence_mp
 
@@ -90,13 +92,13 @@ def test_list_text_is_pinned():
 SCHEMA = {
     ("optimal", "--Lambda", "10"): (
         ["n", "a0", "cr", "turns", "terminal"],
-        ["mode", "cr_error_bound", "log2_residual", "bracket_width"],
+        ["mode", "cr_error_bound", "log2_residual", "theta", "bracket_width"],
     ),
     ("reach", "--ratio", "7"): (["Lambda", "n", "a0", "turns"], ["mode"]),
     ("verify", "--Lambda", "10", "--grid-points", "1000"): (
-        ["n", "a0", "cr", "worst_case_ratio", "grid_sweep_ratio", "interval_sups",
-         "baseline_ratios", "checks"],
-        ["mode", "cr_error_bound", "log2_residual"],
+        ["n", "a0", "cr", "worst_case_ratio", "grid_sweep_ratio", "argmax_interval",
+         "sup_spread_ulps", "baseline_ratios", "checks"],
+        ["mode", "cr_error_bound", "log2_residual", "theta"],
     ),
     ("mray", "--m", "3", "--a", "0", "--b", "1"): (
         ["feasible", "b_interval", "worst_ratio", "bound_upper", "bound_lower", "gap_to_bound",
@@ -119,7 +121,7 @@ def test_record_keys_are_the_schema(capsys, argv):
     _, out, _ = run_cli(capsys, *argv)
     rec = parse_record(out)
     assert list(rec) == ["schema_version", "command", "inputs", "results", "diagnostics"]
-    assert rec["schema_version"] == "2" and rec["command"] == argv[0]
+    assert rec["schema_version"] == "3" and rec["command"] == argv[0]
     assert (list(rec["results"]), list(rec["diagnostics"])) == SCHEMA[argv]
 
 
@@ -184,7 +186,7 @@ def test_optimal_rho_ten(capsys):
     code, out, _ = run_cli(capsys, "optimal", "--lambda", "1", "--Lambda", "10", "--eps", "1e-9")
     assert code == 0
     rec = parse_record(out)
-    assert rec["schema_version"] == "2"
+    assert rec["schema_version"] == "3"
     assert rec["command"] == "optimal"
     assert rec["results"]["n"] == 3
     assert rec["results"]["cr"] == pytest.approx(7.0592, abs=1e-4)
@@ -451,6 +453,53 @@ def test_verify_in_limit_mode_checks_cr_against_its_bound(capsys, Lam):
     assert checks["dominates_baselines"]
     cr = results["cr"]
     assert abs(results["worst_case_ratio"] - cr) <= diag["cr_error_bound"] + 1e-9 * cr
+
+
+@pytest.mark.parametrize("argv, mode", [
+    (("--Lambda", "10"), "exact"),
+    (("--log2-rho", "1000"), "numeric"),
+    (("--Lambda", "1e300", "--eps", "1e-6"), "limit_approx"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_verify_prints_the_spread_and_argmax_the_library_measures(capsys, argv, mode):
+    # Limit mode sets equalization without checking it; the spread printed
+    # is the measured one in every mode.
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 0, err
+    rec = parse_record(out)
+    inputs, results = rec["inputs"], rec["results"]
+    assert rec["diagnostics"]["mode"] == mode
+    rep = optimize(SearchProblem(inputs["lambda"], inputs["Lambda"], inputs["eps"]))
+    report = worst_case_ratio(rep.strategy, inputs["lambda"], inputs["Lambda"])
+    sups = report.interval_sups
+    spread = results["sup_spread_ulps"]
+    assert math.isfinite(spread) and spread >= 0.0
+    assert spread == (max(sups) - min(sups)) / math.ulp(rep.cr)
+    assert results["argmax_interval"] == report.argmax_interval
+    assert sups[results["argmax_interval"]] == results["worst_case_ratio"]
+
+
+def test_a_verify_record_does_not_grow_with_n(capsys):
+    # n = 3 and n = 999 print the same lines; no list of n values is among them.
+    small, large = (run_cli(capsys, "verify", *argv)[1]
+                    for argv in (("--Lambda", "10"), ("--log2-rho", "1000")))
+    assert parse_record(large)["results"]["n"] == 999
+    assert len(small.splitlines()) == len(large.splitlines())
+    assert max(len(small.encode()), len(large.encode())) < 2048
+
+
+@pytest.mark.parametrize("log2_rho", ["0", "1.5", "10", "1000"])
+@pytest.mark.parametrize("eps", ["1e-9", "1e-3"])
+def test_theta_is_printed_and_gives_a0(capsys, log2_rho, eps):
+    modes = set()
+    for command in ("optimal", "verify"):
+        code, out, err = run_cli(capsys, command, "--log2-rho", log2_rho, "--eps", eps)
+        assert code == 0, err
+        rec = parse_record(out)
+        theta, a0 = rec["diagnostics"]["theta"], rec["results"]["a0"]
+        assert math.isfinite(theta)
+        assert abs(x_of_theta(theta) - a0) <= 4 * math.ulp(a0)
+        modes.add(rec["diagnostics"]["mode"])
+    assert len(modes) == 1
 
 
 @pytest.mark.parametrize("bound", [("--Lambda", "1e308"), ("--log2-rho", "1023.5")])

@@ -700,6 +700,61 @@ def test_pruning_searches_every_run_of_power_of_two(bounds_searched):
     assert bounds_searched == [list(s.turns)]
 
 
+def one_ulp_winner(grid, k):
+    """(t, u) over lam = grid.lo: d_k is one double above t, and prices one ulp above lam.
+
+    lam's ratio is 2 t / lam + 1; u serves d_k, at 2 (t + u) / d_k + 1, and
+    reaches past the grid, so no later run has a point.  None where no u
+    near t (d_k / lam - 1) prices d_k at exactly that ulp, or covers hi.
+    """
+    lam, d = grid.lo, grid[k]
+    t = math.nextafter(d, 0.0)
+    target = math.nextafter(2.0 * t / lam + 1.0, math.inf)
+    u = t * (d / lam - 1.0)
+    for _ in range(8):
+        r = 2.0 * (t + u) / d + 1.0
+        if r != target:
+            u = math.nextafter(u, 0.0 if r > target else math.inf)
+    if 2.0 * (t + u) / d + 1.0 != target or not u >= max(grid.hi, t):
+        return None
+    return Strategy(turns=(t, u), terminal=u, lambda_=lam)
+
+
+@pytest.mark.parametrize("lam, Lam, points, ks", [
+    (1.0, 8.0, 3, (2,)),
+    (1.0, 8.0, 1000, range(500, 1000, 25)),
+    (1.0, 1e150, 1000, range(500, 1000, 25)),
+    (1e-300, 1e-100, 1000, range(500, 1000, 25)),
+    (1e-3, 1e100, 100_000, (60_000, 99_998, 99_999)),
+])
+def test_a_run_that_wins_by_an_ulp_one_ulp_past_its_turn_is_priced(lam, Lam, points, ks):
+    # The tightest case for the runs the grid skips: the window in which a
+    # point can beat lam is an ulp wide, and the point lies an ulp into it.
+    grid = GeometricGrid(lam, Lam, points)
+    built = 0
+    for k in ks:
+        s = one_ulp_winner(grid, k)
+        if s is None:
+            continue
+        built += 1
+        want = grid_ratio_pointwise(s.turns, s.terminal, lam, Lam, points)
+        assert want == math.nextafter(2.0 * s.turns[0] / lam + 1.0, math.inf)
+        assert grid_sweep_ratio(s, lam, Lam, points) == want, k
+    assert built >= len(ks) * 2 // 3
+
+
+def test_the_optimum_at_1e300_leaves_almost_no_run_to_find(bounds_searched, monkeypatch):
+    # 323 runs' limit ratios beat lam's by a few ulps; their first points
+    # all lie too far above their turns to price above it.
+    s = optimize(SearchProblem(1.0, 1e300)).strategy
+    got = grid_sweep_ratio(s)
+    assert sum(map(len, bounds_searched)) <= 3
+    bounds_searched.clear()
+    monkeypatch.setattr(simulate, "_runs_near_points", lambda grid, best, runs, *_: runs)
+    assert grid_sweep_ratio(s) == got
+    assert sum(map(len, bounds_searched)) == 323
+
+
 # --- one validation and one set of sums per strategy --------------------------------
 
 
