@@ -67,8 +67,7 @@ def optimal_cost_coefficient(m: int) -> float:
 
 def feasible_b_interval(m: int, a: float) -> tuple[float, float]:
     """The closed interval of b values making f_{a,b} optimal."""
-    if m < 2:
-        raise ValueError(f"need at least 2 rays, got m={m}")
+    _check_rays(m)
     if not math.isfinite(a):
         raise ValueError(f"slope a must be finite, got {a}")
     if a < 0.0:
@@ -85,12 +84,10 @@ class RayFamilyParams(Record):
     __slots__ = ("m", "a", "b", "lambda_")
 
     def __init__(self, m: int, a: float, b: float, lambda_: float = 1.0) -> None:
-        if m < 2:
-            raise ValueError(f"need at least 2 rays, got m={m}")
         check_lambda(lambda_)
         if not math.isfinite(b):
             raise ValueError(f"offset b must be finite, got {b}")
-        lo, hi = feasible_b_interval(m, a)
+        lo, hi = feasible_b_interval(m, a)  # refuses m and a
         tol = 1e-12 * max(1.0, hi)
         if not (lo - tol <= b <= hi + tol):
             raise InfeasibleParamsError(
@@ -151,9 +148,16 @@ def breakpoint_ratios(
     return [1.0 + 2.0 * s / v for s, v in zip(sums, [lam, *values])]
 
 
-def _check_horizon(m: int, horizon: int) -> None:
+def _check_rays(m: int) -> None:
+    # A bool is an int below 2, so the comparison refuses it too.
+    if not isinstance(m, int):
+        raise ValueError(f"the number of rays must be an integer, got m={m!r}")
     if m < 2:
         raise ValueError(f"need at least 2 rays, got m={m}")
+
+
+def _check_horizon(m: int, horizon: int) -> None:
+    _check_rays(m)
     if horizon < m:
         raise ValueError(f"horizon must be at least m={m}, got {horizon}")
 
@@ -227,8 +231,7 @@ def multi_p(n: int, point: Sequence[float], m: int) -> float:
     p_n = |x|(p_{n-(m-1)} - p_{n-m}) for n >= m, where |x| sums the coords.
     Reduces to the univariate family when m = 2.
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 rays, got m={m}")
+    _check_rays(m)
     coords = [float(c) for c in point]
     if len(coords) != m - 1:
         raise ValueError(f"point must have m-1 = {m - 1} coordinates, got {len(coords)}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import le
+from operator import le, lt
 
 from . import solve as _solve
 from ._base import Emitter, Record, set_field
@@ -75,7 +75,7 @@ class SearchProblem(Record):
         cls, log2_rho: float, lambda_: float = 1.0, epsilon: float = 1e-9
     ) -> "SearchProblem":
         """Build an instance from log2(rho); rejects Lambda beyond float range."""
-        if log2_rho < 0.0:
+        if not log2_rho >= 0.0:  # NaN too
             raise ValueError(f"log2_rho must be non-negative, got {log2_rho}")
         check_lambda(lambda_)
         if log2_rho < 1024.0:
@@ -99,7 +99,8 @@ class Strategy(Record):
     iteration goes to ``terminal`` (= Lambda), so a consumer wanting the
     two closing passes at Lambda applies the tail rule f(i) = terminal
     for i >= n.  :meth:`validate` checks the one chain
-    0 < lambda_ <= f(0) <= ... <= f(n-1) <= terminal.
+    0 < lambda_ <= f(0) <= ... <= f(n-1) <= terminal and says whether the
+    turns strictly increase.
     """
 
     __slots__ = ("turns", "terminal", "lambda_")
@@ -119,19 +120,25 @@ class Strategy(Record):
             lambda_=self.lambda_ * c,
         )
 
-    def validate(self) -> None:
+    def validate(self) -> bool:
         """Check that lambda_ and the terminal are finite and that the chain holds.
 
-        The chain passes in one C-level pass; the turn-by-turn loop runs only
-        where it breaks, to name the broken link in one line.
+        Returns whether the turns strictly increase.  One C-level ``<`` pass
+        over the turns and the checks at both ends settle a strictly
+        increasing chain; a ``<=`` pass over the chain runs only where that
+        fails, to pass a chain with equal turns, and the turn-by-turn loop
+        only where the chain breaks, to name the broken link in one line.
         """
         lam, terminal, turns = self.lambda_, self.terminal, self.turns
         if not (0.0 < lam < math.inf and math.isfinite(terminal)):
             raise ValueError(f"need a finite lambda > 0 and terminal, got {lam}, {terminal}")
-        # A NaN breaks the chain, and an inf turn its last link.
+        # A NaN fails every comparison, and an inf turn the one after it.
+        ends = lam <= turns[0] and turns[-1] <= terminal if turns else lam <= terminal
+        if ends and all(map(lt, turns, turns[1:])):
+            return True
         chain = [lam, *turns, terminal]
         if all(map(le, chain, chain[1:])):
-            return
+            return False
         prev = lam
         for i, t in enumerate(turns):
             if not math.isfinite(t):

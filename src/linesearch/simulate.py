@@ -19,8 +19,8 @@ grid reuses what its ``worst_case_ratio`` built.  The exact pricing reads
 its breakpoint suprema off the limit ratios; the grid bounds each run's
 ratio by the limit ratio at the turn before it, keeps the runs whose bound
 beats the ratio at lam and whose turn lies close enough below a grid point
-(one ``log`` each), and finds the first point (one ``log`` and two ``exp``)
-only of those.
+(one ``log`` each), and prices only those, at the point that ``log`` puts
+first above the turn (two ``exp`` to check it).
 
 At n = 995 on a 2-CPU machine (CPython 3.11) that puts
 ``worst_case_ratio`` at about 0.15 ms on a new object and 0.025 ms on the
@@ -45,9 +45,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import le, lt, mul, truediv
+from operator import lt, mul, truediv
 
 from ._base import Record, set_field
 from .optimal import Strategy
@@ -123,24 +123,15 @@ _LAST: tuple[Strategy | None, list[float], list[float], list[float], bool] = (
 
 
 def _validated_sums(strategy: Strategy) -> tuple[list[float], list[float], list[float], bool]:
-    """``strategy.validate()``, then ``_reach_sums(strategy)`` and whether the turns strictly increase.
+    """``_reach_sums(strategy)`` and ``strategy.validate()``: whether the turns strictly increase.
 
-    Once per object in a row.  One ``lt`` pass over the turns and the checks
-    at both ends settle a strictly increasing chain, which is valid; only
-    where they fail does ``validate`` run, to raise with its message or to
-    pass a chain with equal turns.  Every caller shares the lists returned,
-    and none changes them.
+    Once per object in a row.  Every caller shares the lists returned, and
+    none changes them.
     """
     global _LAST
     entry = _LAST
     if entry[0] is not strategy:
-        lam, terminal, turns = strategy.lambda_, strategy.terminal, strategy.turns
-        # A NaN fails every comparison, and an inf turn the one after it.
-        strict = (0.0 < lam < math.inf and math.isfinite(terminal)
-                  and (lam <= turns[0] and turns[-1] <= terminal
-                       and all(map(lt, turns, turns[1:])) if turns else lam <= terminal))
-        if not strict:
-            strategy.validate()
+        strict = strategy.validate()
         entry = _LAST = (strategy, *_reach_sums(strategy), strict)
     return entry[1], entry[2], entry[3], entry[4]
 
@@ -243,15 +234,11 @@ class GeometricGrid(Sequence):
             return self.lo
         if k == self.points - 1:
             return self.hi
-        return self._inner_points((k,))[0]
-
-    def _inner_points(self, ks: Iterable[int], shift: int = 0) -> list[float]:
-        """d_{k + shift} for ks, each 0 < k + shift < len(self) - 1: the formula capped at hi."""
-        lo, hi, step, exp = self.lo, self.hi, self.step, math.exp
         if self._scaled:
-            return [d if (d := lo * exp(step * (k + shift))) < hi else hi for k in ks]
-        log_lo = self._log_lo
-        return [d if (d := exp(log_lo + step * (k + shift))) < hi else hi for k in ks]
+            d = self.lo * math.exp(self.step * k)
+        else:
+            d = math.exp(self._log_lo + self.step * k)
+        return d if d < self.hi else self.hi
 
     def first_above(self, b: float) -> tuple[int, float]:
         """(k, d_k) for the smallest k with d_k > b; (len, inf) if there is none.
@@ -262,33 +249,6 @@ class GeometricGrid(Sequence):
         return (k, self[k]) if k < self.points else (k, math.inf)
 
 
-def _first_points_above(grid: GeometricGrid, bounds: list[float]) -> list[float]:
-    """The point ``grid.first_above(b)`` finds for each of the nondecreasing bounds.
-
-    The list stops before the first b with no point above it.  Below lo the
-    point is lo, and from hi on there is none.  Between them, each k is
-    guessed from ln(b/lo)/step: at least 1, as b >= lo.  The guesses grow
-    with b, and from the first one at or past the last index on, k is the
-    last index and d_k is hi.  A guess stands only where d_{k-1} <= b < d_k;
-    ``first_above`` bisects the grid for the rest.
-    """
-    start, stop = bisect_left(bounds, grid.lo), bisect_left(bounds, grid.hi)
-    mid = bounds[start:stop]
-    last, step, log_lo = grid.points - 1, grid.step, grid._log_lo  # step > 0 wherever mid is not empty
-    guesses = [(lb - log_lo) / step + 1.0 for lb in map(math.log, mid)]
-    cut = bisect_left(guesses, last)
-    ks = list(map(int, guesses[:cut]))
-    tail = len(mid) - cut
-    above = [*grid._inner_points(ks), *repeat(grid.hi, tail)]
-    # At k - 1 = 0 the formula may miss lo by an ulp (when hi/lo overflows);
-    # as d_0 = lo <= b, that can only send the run to first_above.
-    below = [*grid._inner_points(ks, -1), *repeat(grid[last - 1], tail)]
-    if not (all(map(le, below, mid)) and all(map(lt, mid, above))):
-        above = [d if prev <= b < d else grid.first_above(b)[1]
-                 for b, d, prev in zip(mid, above, below)]
-    return [grid.lo] * start + above
-
-
 # A bound, in natural-log units, on how far rounding can move a grid point
 # d_k from lo e^(k step) against the x that _runs_near_points computes for a
 # turn, and on how far it can move the ratio at a point against its bound;
@@ -297,8 +257,11 @@ _LOG_SLACK = 8.0 * sys.float_info.epsilon * (3.0 * 745.0 + 2.0)
 
 
 def _runs_near_points(grid: GeometricGrid, best: float, runs: list[int],
-                      turns: Sequence[float], limits: list[float]) -> list[int]:
-    """The runs j of ``runs`` whose first grid point can price above ``best``.
+                      turns: Sequence[float], limits: list[float]) -> list[tuple[int, int]]:
+    """(j, k) for the runs j of ``runs`` whose first grid point can price above ``best``.
+
+    Each turn t = t_{j-1} lies in [lo, hi), and k = floor(x) + 1, with x as
+    below, guesses the index of the first point above it.
 
     Run j's ratio at a point D > t = t_{j-1} is c/D + 1, with c = 2 S_j / u_j,
     and its limit ratio is c/t + 1, each rounded.  So D can price above best
@@ -326,15 +289,14 @@ def _runs_near_points(grid: GeometricGrid, best: float, runs: list[int],
     not below 1/2 every run is kept.  A run dropped here prices at most
     best, so the maximum is the one over every run, bit for bit.
     """
-    step = grid.step
+    step, log_lo = grid.step, grid._log_lo
+    xs = [(v - log_lo) / step for v in map(math.log, [turns[j - 1] for j in runs])]
     if not _LOG_SLACK < 0.5 * step:
-        return runs
+        return [(j, int(x) + 1) for j, x in zip(runs, xs)]
     near = _LOG_SLACK / step
     per = (1.0 + 4.0 * sys.float_info.epsilon) / ((best - 1.0) * step)
-    log_lo = grid._log_lo
-    xs = [(v - log_lo) / step for v in map(math.log, [turns[j - 1] for j in runs])]
     # f = x mod 1: the integer at or below x is f away, the next one 1 - f.
-    return [j for j, x in zip(runs, xs)
+    return [(j, int(x) + 1) for j, x in zip(runs, xs)
             if (f := x % 1.0) < near or 1.0 - f < (limits[j - 1] - best) * per + near]
 
 
@@ -367,7 +329,10 @@ def grid_sweep_ratio(
     strategy that equalizes its intervals' ratios, as the optimum does,
     delta is a few ulps and almost no run is left to find; on one that does
     not, such as ``power_of_two``, few are skipped.  Either way the result
-    is that of pricing every run's first point, bit for bit.
+    is that of pricing every run's first point, bit for bit.  That ``log``
+    also guesses the index k of the first point above t_{j-1}; the guess
+    stands where d_{k-1} <= t_{j-1} < d_k, and
+    :meth:`GeometricGrid.first_above` bisects the grid for the rest.
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
@@ -378,13 +343,20 @@ def grid_sweep_ratio(
     # of theirs is on the grid.
     first = bisect_left(turns, lam)
     best = 2.0 * sums[first] / lam / units[first] + 1.0
+    # From run `stop` + 1 on, the turn before a run is at or above Lam, so
+    # no point of that run is on the grid either.
+    stop = bisect_left(turns, Lam, first)
     grid = GeometricGrid(lam, Lam, points)
-    keep = [j for j, r in enumerate(limits[first:], first + 1) if r > best]
-    keep = _runs_near_points(grid, best, keep, turns, limits)
-    firsts = _first_points_above(grid, [turns[j - 1] for j in keep])
+    keep = [j for j, r in enumerate(limits[first:stop], first + 1) if r > best]
     last = len(turns)  # the terminal serves every point past the turns
-    return max([best, *(2.0 * sums[j] / d / units[j] + 1.0
-                        for j, d in zip(keep, firsts) if j == last or d <= turns[j])])
+    for j, k in _runs_near_points(grid, best, keep, turns, limits):
+        t = turns[j - 1]
+        # The guess stands where d_{k-1} <= t < d_k; the grid bisects for the rest.
+        if not (k < points and grid[k - 1] <= t < (d := grid[k])):
+            d = grid.first_above(t)[1]
+        if j == last or d <= turns[j]:
+            best = max(best, 2.0 * sums[j] / d / units[j] + 1.0)
+    return best
 
 
 BASELINES = ("power_of_two", "f_infinity", "los_sqrt", "single_shot")

@@ -96,23 +96,29 @@ def grid_ratio_pointwise(turns, terminal: float, lam: float, big_lam: float, poi
     """Max of cost/D over every point of the geometric grid from lam to big_lam.
 
     The grid is d_0 = lam, d_{P-1} = big_lam and, between them,
-    d_k = min(lam exp(k ln(big_lam/lam)/(P-1)), big_lam).  Each point is
-    served by the first reach (the turns, then terminal) that is >= d, or by
-    the terminal when none is; its cost is twice the reaches through that one
-    plus d.  Needs big_lam/lam to be a finite double.
+    d_k = min(lam exp(k ln(big_lam/lam)/(P-1)), big_lam), or, where
+    big_lam/lam overflows, d_k = min(exp(ln lam + k (ln big_lam - ln lam)/(P-1)),
+    big_lam).  Each point is served by the first reach (the turns, then
+    terminal) that is >= d, or by the terminal when none is; its cost is twice
+    the reaches through that one plus d.
     """
     reach = list(turns) + [terminal]
     prefix, travelled = [], 0.0
     for r in reach:
         travelled += r
         prefix.append(2.0 * travelled)
-    step = math.log(big_lam / lam) / (points - 1)
+    wide = big_lam / lam == math.inf
+    log_lam = math.log(lam)
+    span = math.log(big_lam) - log_lam if wide else math.log(big_lam / lam)
+    step = span / (points - 1)
     best, j = -math.inf, 0
     for k in range(points):
         if k == 0:
             d = lam
         elif k == points - 1:
             d = big_lam
+        elif wide:
+            d = min(math.exp(log_lam + k * step), big_lam)
         else:
             d = min(lam * math.exp(k * step), big_lam)
         while j < len(reach) - 1 and reach[j] < d:  # d never decreases

@@ -557,6 +557,13 @@ def test_log2_rho_past_double_range_is_one_error_line(capsys, command):
     assert err == "error: Lambda exceeds double range; turn distances cannot be materialized\n"
 
 
+@pytest.mark.parametrize("command", ["optimal", "verify"])
+def test_a_nan_log2_rho_is_refused_by_name(capsys, command):
+    code, out, err = run_cli(capsys, command, "--log2-rho", "nan")
+    assert code == 1 and out == ""
+    assert err == "error: log2_rho must be non-negative, got nan\n"
+
+
 def log2_residual_mp(n: int, a0: float, lam: float, Lam: float) -> mpf:
     """|log2 p_n(a0) - log2(Lambda/lambda)| in 50-digit arithmetic."""
     with mp.workdps(50):

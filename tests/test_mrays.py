@@ -63,6 +63,26 @@ def test_infeasible_params_carry_interval():
         RayFamilyParams(m=1, a=0.0, b=1.0)
 
 
+RAY_CHECKS = {
+    "feasible_b_interval": lambda m: feasible_b_interval(m, 0.0),
+    "RayFamilyParams": lambda m: RayFamilyParams(m=m, a=0.0, b=1.0),
+    "breakpoint_ratios": lambda m: breakpoint_ratios([2.0**i for i in range(12)], m, 1.0, 5),
+    "multi_p": lambda m: multi_p(3, (1.0,), m),
+}
+
+
+@pytest.mark.parametrize("entry", RAY_CHECKS)
+@pytest.mark.parametrize("m, message", [
+    (2.5, "must be an integer, got m=2.5"),
+    (3.0, "must be an integer, got m=3.0"),
+    (True, "need at least 2 rays, got m=True"),
+    (1, "need at least 2 rays, got m=1"),
+])
+def test_every_entry_refuses_a_ray_count_that_is_not_an_integer_from_2(entry, m, message):
+    with pytest.raises(ValueError, match=message):
+        RAY_CHECKS[entry](m)
+
+
 # --- m-ray cost ----------------------------------------------------------------
 
 

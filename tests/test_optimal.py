@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 from linesearch import cli, optimal
 from linesearch.optimal import (
     SearchProblem,
+    Strategy,
     expand_sequence,
     optimal_n,
     optimize,
@@ -169,6 +170,26 @@ def test_problem_validation():
         SearchProblem(1.0, 10.0, epsilon=0.0)
     with pytest.raises(ValueError):
         SearchProblem(1.0, math.inf)
+
+
+@pytest.mark.parametrize("log2_rho", [math.nan, -math.nan, -1.0, -math.inf])
+def test_problem_log2_constructor_refuses_a_log2_rho_that_is_not_non_negative(log2_rho):
+    with pytest.raises(ValueError, match="log2_rho must be non-negative"):
+        SearchProblem.from_log2_rho(log2_rho)
+
+
+def test_validate_says_whether_the_turns_strictly_increase():
+    assert Strategy(turns=(1.5, 3.0, 6.0), terminal=8.0, lambda_=1.0).validate() is True
+    assert Strategy(turns=(1.0, 8.0), terminal=8.0, lambda_=1.0).validate() is True
+    assert Strategy(turns=(), terminal=8.0, lambda_=8.0).validate() is True
+    assert Strategy(turns=(1.5, 3.0, 3.0, 6.0), terminal=8.0, lambda_=1.0).validate() is False
+    assert Strategy(turns=(8.0, 8.0), terminal=8.0, lambda_=1.0).validate() is False
+    with pytest.raises(ValueError, match="turn 1 breaks monotonicity: 2.0 < 3.0"):
+        Strategy(turns=(3.0, 2.0, 6.0), terminal=8.0, lambda_=1.0).validate()
+    with pytest.raises(ValueError, match="turn 1 is not finite: nan"):
+        Strategy(turns=(3.0, math.nan), terminal=8.0, lambda_=1.0).validate()
+    with pytest.raises(ValueError, match="the terminal is below the last turn"):
+        Strategy(turns=(3.0, 3.0), terminal=2.0, lambda_=1.0).validate()
 
 
 def test_problem_log2_constructor():

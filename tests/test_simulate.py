@@ -619,6 +619,56 @@ def test_grid_is_pointwise_on_edges():
                     assert_grid_is_pointwise(t, 1.0, 8.0, (p,))
 
 
+@pytest.mark.parametrize("lo, hi, points, ks", [
+    (1.0, 8.0, 2, (0, 1)),
+    (1.0, 8.0, 3, (0, 1, 2)),
+    (1.0, 8.0, 1000, (0, 1, 2, 500, 997, 998, 999)),
+    (1e-3, 1e100, 100_000, (0, 1, 60_000, 99_998, 99_999)),
+    # hi / lo overflows, and the formula's exp(ln lo) is an ulp above lo.
+    (1e-300, 1e300, 1000, (0, 1, 2)),
+])
+def test_a_run_found_from_its_guessed_index_is_pointwise(lo, hi, points, ks):
+    # A turn a double below a point, on it and a double above it, so the
+    # guessed k is the index of that point or the next: k - 1 = 0 from lo on,
+    # k = P - 1 below hi.  A far terminal puts the largest ratio on the first
+    # point past the turn, so the run is priced, not skipped.
+    grid = GeometricGrid(lo, hi, points)
+    turns = {math.nextafter(grid[k], to) for k in ks for to in (0.0, math.inf)}
+    turns |= {grid[k] for k in ks}
+    priced = 0
+    for t in sorted(b for b in turns if lo <= b < hi):
+        terminal = max(4.0 * t * (grid.first_above(t)[1] / lo), hi)
+        s = Strategy(turns=(t,), terminal=terminal, lambda_=lo)
+        got = grid_sweep_ratio(s, lo, hi, points)
+        assert got == grid_ratio_pointwise(s.turns, s.terminal, lo, hi, points), t
+        priced += got > 2.0 * t / lo + 1.0
+    assert priced >= len(ks)
+
+
+def test_a_turn_on_lo_keeps_its_guess_where_hi_over_lo_overflows(branches):
+    # exp(ln lo) is an ulp above lo here, but d_0 is lo itself, so the
+    # guess k = 1 stands and the grid does not bisect.
+    lo, hi = 1e-300, 1e300
+    assert math.exp(math.log(lo)) > lo and hi / lo == math.inf
+    s = Strategy(turns=(lo, 2e-299), terminal=hi, lambda_=lo)
+    got = grid_sweep_ratio(s, lo, hi, 1000)
+    assert got == grid_ratio_pointwise(s.turns, s.terminal, lo, hi, 1000) > 3.0
+    assert branches == set()
+
+
+@pytest.mark.parametrize("s", [
+    Strategy(turns=(1.5, 8.0), terminal=8.0, lambda_=1.0),  # capped at Lambda
+    Strategy(turns=(1.5, 8.0, 8.0), terminal=8.0, lambda_=1.0),
+    Strategy(turns=(1.5, 7.99, 8.0), terminal=1e3, lambda_=1.0),
+    Strategy(turns=(2.0, 10.0), terminal=1e3, lambda_=1.0),  # past Lambda
+    Strategy(turns=(1.5, 8.0, 50.0), terminal=1e3, lambda_=1.0),
+])
+@pytest.mark.parametrize("points", [2, 3, 1000])
+def test_a_turn_at_or_above_hi_has_no_point_to_find(s, points):
+    assert grid_sweep_ratio(s, 1.0, 8.0, points) == grid_ratio_pointwise(
+        s.turns, s.terminal, 1.0, 8.0, points)
+
+
 # --- the pruned grid -------------------------------------------------------------
 #
 # The grid prices lam first and finds a first point only for the runs whose
@@ -680,11 +730,16 @@ def test_pruned_grid_is_pointwise_property(head, moves, steps, lo, hi, points):
 
 @pytest.fixture
 def bounds_searched(monkeypatch):
-    """The peaks each grid_sweep_ratio call hands to _first_points_above."""
+    """The turns of the runs each grid_sweep_ratio call hands on to have their first point found."""
     seen = []
-    search = simulate._first_points_above
-    monkeypatch.setattr(simulate, "_first_points_above",
-                        lambda grid, bounds: seen.append(list(bounds)) or search(grid, bounds))
+    near = simulate._runs_near_points
+
+    def spy(grid, best, runs, turns, limits):
+        kept = near(grid, best, runs, turns, limits)
+        seen.append([turns[j - 1] for j, _ in kept])
+        return kept
+
+    monkeypatch.setattr(simulate, "_runs_near_points", spy)
     return seen
 
 
@@ -750,7 +805,7 @@ def test_the_optimum_at_1e300_leaves_almost_no_run_to_find(bounds_searched, monk
     got = grid_sweep_ratio(s)
     assert sum(map(len, bounds_searched)) <= 3
     bounds_searched.clear()
-    monkeypatch.setattr(simulate, "_runs_near_points", lambda grid, best, runs, *_: runs)
+    monkeypatch.setattr(simulate, "_LOG_SLACK", math.inf)  # no run is too far from a point
     assert grid_sweep_ratio(s) == got
     assert sum(map(len, bounds_searched)) == 323
 
