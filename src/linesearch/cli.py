@@ -1,13 +1,10 @@
-"""Command line front end.
+"""Command line front end: ``linesearch optimal|reach|verify|mray [options]``.
 
-Subcommands::
-
-    linesearch optimal --lambda 1 --Lambda 10 [--eps 1e-9] [--format json|csv]
-    linesearch optimal --sweep --rho-min 1 --rho-max 1e6 --points 50
-    linesearch reach   --ratio 7 --lambda 1
-    linesearch verify  --lambda 1 --Lambda 10 [--grid-points 100000]
-    linesearch verify  --sweep --rho-min 2 --rho-max 1e4 --points 20
-    linesearch mray    --m 3 --a 0 --b 1 [--horizon 200]
+One table, ``_COMMANDS``, declares each command's options; it reads argv
+and prints ``-h``.  An option is named in full or by a unique prefix and
+takes its value after "=" or as the next token, even one that starts with
+"-"; a repeated option keeps its last value.  A usage error prints the
+usage and one ``linesearch: error:`` line on stderr and exits 2.
 
 Each subcommand returns its output and whether every requested computation
 and self-check succeeded; :func:`main` prints the output once, on stdout,
@@ -26,12 +23,11 @@ on module attributes see the calls.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from ._base import configure_from_env
 from .optimal import SearchProblem, StrategyReport, optimize, solve_problem
@@ -150,7 +146,7 @@ def _solve_diagnostics(report: StrategyReport) -> dict:
             "log2_residual": report.log2_residual}
 
 
-def _problem_from(args: argparse.Namespace) -> SearchProblem:
+def _problem_from(args: SimpleNamespace) -> SearchProblem:
     if args.log2_rho is not None:
         if args.Lambda is not None:
             raise ValueError("give --Lambda or --log2-rho, not both")
@@ -162,7 +158,7 @@ def _problem_from(args: argparse.Namespace) -> SearchProblem:
     return SearchProblem(lambda_=args.lambda_, Lambda=args.Lambda, epsilon=args.eps)
 
 
-def _cmd_optimal(args: argparse.Namespace) -> tuple[dict | list[dict], bool]:
+def _cmd_optimal(args: SimpleNamespace) -> tuple[dict | list[dict], bool]:
     if args.sweep:
         return _sweep(args, verify=False)
     problem = _problem_from(args)
@@ -174,7 +170,7 @@ def _cmd_optimal(args: argparse.Namespace) -> tuple[dict | list[dict], bool]:
     return _record("optimal", _problem_inputs(problem), results, diagnostics), True
 
 
-def _cmd_reach(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_reach(args: SimpleNamespace) -> tuple[dict, bool]:
     from . import reach
 
     result = reach.maximal_reach(reach.ReachQuery(ratio=args.ratio, lambda_=args.lambda_))
@@ -234,7 +230,7 @@ def _verify_one(problem: SearchProblem, grid_points: int) -> tuple[dict, dict, b
     return results, {**_solve_diagnostics(report), "theta": report.theta}, passed
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict | list[dict], bool]:
+def _cmd_verify(args: SimpleNamespace) -> tuple[dict | list[dict], bool]:
     if args.sweep:
         return _sweep(args, verify=True)
     problem = _problem_from(args)
@@ -247,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | list[dict], bool]:
 _VERIFY_ROW = ("n", "a0", "cr", "worst_case_ratio", "grid_sweep_ratio")
 
 
-def _sweep(args: argparse.Namespace, verify: bool) -> tuple[list[dict], bool]:
+def _sweep(args: SimpleNamespace, verify: bool) -> tuple[list[dict], bool]:
     """One row per rho of the grid; each row prints the rho solved, Lambda/lambda."""
     if args.rho_min is None or args.rho_max is None:
         raise ValueError("sweep mode needs --rho-min and --rho-max")
@@ -275,7 +271,7 @@ def _sweep(args: argparse.Namespace, verify: bool) -> tuple[list[dict], bool]:
     return rows, all_ok
 
 
-def _cmd_mray(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_mray(args: SimpleNamespace) -> tuple[dict, bool]:
     from . import mrays
 
     inputs = {"m": args.m, "a": args.a, "b": args.b, "lambda": args.lambda_, "horizon": args.horizon}
@@ -294,69 +290,101 @@ def _cmd_mray(args: argparse.Namespace) -> tuple[dict, bool]:
     return _record("mray", inputs, results, {}), True
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linesearch",
-        description="Optimal strategies and exact competitive ratios for bounded line search.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--lambda", dest="lambda_", type=float, default=1.0,
-                       help="lower bound on the target distance (default 1)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-
-    def add_problem(p: argparse.ArgumentParser, points: int) -> None:
-        p.add_argument("--Lambda", type=float, default=None,
-                       help="upper bound on the target distance")
-        p.add_argument("--log2-rho", dest="log2_rho", type=float, default=None,
-                       help="give rho = Lambda/lambda as its base-2 logarithm")
-        p.add_argument("--eps", type=float, default=1e-9,
-                       help="competitive-ratio tolerance (default 1e-9)")
-        p.add_argument("--sweep", action="store_true", help="log-spaced batch over rho")
-        p.add_argument("--rho-min", type=float, default=None)
-        p.add_argument("--rho-max", type=float, default=None)
-        p.add_argument("--points", type=int, default=points)
-
-    p_opt = sub.add_parser("optimal", help="compute the optimal strategy and its ratio")
-    add_common(p_opt)
-    add_problem(p_opt, points=50)
-    p_opt.set_defaults(func=_cmd_optimal)
-
-    p_reach = sub.add_parser("reach", help="largest Lambda searchable within a ratio budget")
-    add_common(p_reach)
-    p_reach.add_argument("--ratio", type=float, required=True,
-                         help="competitive ratio budget R, 3 <= R < 9")
-    p_reach.set_defaults(func=_cmd_reach)
-
-    p_ver = sub.add_parser("verify", help="cross-check the optimizer against the simulator")
-    add_common(p_ver)
-    add_problem(p_ver, points=20)
-    p_ver.add_argument("--grid-points", dest="grid_points", type=int, default=100_000)
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_mray = sub.add_parser("mray", help="feasibility and worst ratio of an m-ray family member")
-    add_common(p_mray)
-    p_mray.add_argument("--m", type=int, required=True, help="number of rays, m >= 2")
-    p_mray.add_argument("--a", type=float, required=True, help="slope of the family member")
-    p_mray.add_argument("--b", type=float, required=True, help="offset of the family member")
-    p_mray.add_argument("--horizon", type=int, default=200,
-                        help="breakpoint horizon for the ratio supremum (default 200)")
-    p_mray.set_defaults(func=_cmd_mray)
-    return parser
+# Each command's handler, help and options.  An option maps its name to (dest, kind, default,
+# help): kind is float, int, a tuple of the values it takes or bool (a flag), default ... if required.
+_COMMON = {
+    "-h": ("help", bool, False, "show this help and exit"),
+    "--help": ("help", bool, False, "show this help and exit"),
+    "--lambda": ("lambda_", float, 1.0, "lower bound on the target distance"),
+    "--format": ("format", ("json", "csv"), None, "output format (a record prints json, a sweep csv)"),
+}
+_PROBLEM = {**_COMMON,
+    "--Lambda": ("Lambda", float, None, "upper bound on the target distance"),
+    "--log2-rho": ("log2_rho", float, None, "give rho = Lambda/lambda as its base-2 logarithm"),
+    "--eps": ("eps", float, 1e-9, "competitive-ratio tolerance"),
+    "--sweep": ("sweep", bool, False, "log-spaced batch over rho"),
+    "--rho-min": ("rho_min", float, None, "smallest rho of the sweep"),
+    "--rho-max": ("rho_max", float, None, "largest rho of the sweep"),
+}
+_COMMANDS = {
+    "optimal": (_cmd_optimal, "compute the optimal strategy and its ratio",
+                {**_PROBLEM, "--points": ("points", int, 50, "number of rho in the sweep")}),
+    "reach": (_cmd_reach, "largest Lambda searchable within a ratio budget",
+              {**_COMMON, "--ratio": ("ratio", float, ..., "competitive ratio budget R, 3 <= R < 9")}),
+    "verify": (_cmd_verify, "cross-check the optimizer against the simulator", {
+        **_PROBLEM, "--points": ("points", int, 20, "number of rho in the sweep"),
+        "--grid-points": ("grid_points", int, 100_000, "points of the grid sweep")}),
+    "mray": (_cmd_mray, "feasibility and worst ratio of an m-ray family member", {
+        **_COMMON, "--m": ("m", int, ..., "number of rays, m >= 2"),
+        "--a": ("a", float, ..., "slope of the family member"),
+        "--b": ("b", float, ..., "offset of the family member"),
+        "--horizon": ("horizon", int, 200, "breakpoint horizon for the ratio supremum")}),
+}
 
 
-@functools.cache
-def _main_parser() -> argparse.ArgumentParser:
-    # Built once per process: building costs about half an in-process verify.
-    return build_parser()
+def _spelling(name: str, kind: object) -> str:
+    value = "{" + ",".join(kind) + "}" if type(kind) is tuple else kind.__name__.upper()
+    return name if kind is bool else f"{name} {value}"
+
+
+def _help(commands: list[str]) -> None:
+    for command in commands:
+        rows = {_spelling(n, k) + " (required)" * (d is ...):
+                t + f" (default {d})" * (d not in (None, False, ...))
+                for n, (_, k, d, t) in _COMMANDS[command][2].items()}
+        print(f"usage: linesearch {command} [options]\n\n{_COMMANDS[command][1]}\n\noptions:",
+              *(f"  {n:<24}  {t}" for n, t in rows.items()), "", sep="\n")
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, reason: str) -> None:
+    usage = f"usage: linesearch {command or '{' + ','.join(_COMMANDS) + '}'} [options]"
+    print(usage, f"linesearch: error: {reason}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]) -> tuple:
+    """(handler, args) for argv: names in full or as a unique prefix, values after a space or "="."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        if command in ("-h", "--h", "--he", "--hel", "--help"):
+            _help(list(_COMMANDS))
+        _fail(None, f"invalid command {command!r}" if argv else "a command is required")
+    func, _, options = _COMMANDS[command]
+    values = {dest: default for dest, _, default, _ in options.values()}
+    unknown = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        found = [name] if name in options else [n for n in options if n.startswith(name)]
+        if len(found) > 1 and name[:2] == "--" != name:
+            _fail(command, f"ambiguous option: {name} could match {', '.join(found)}")
+        dest, kind, _, _ = options[found[0]] if len(found) == 1 else (None, bool, None, None)
+        if len(found) != 1 or kind is bool and eq:
+            unknown.append(token)
+        elif dest == "help":
+            _help([command])
+        elif kind is bool:
+            values[dest] = True
+        else:
+            text = text if eq else next(tokens, None)  # the next token, even one starting with "-"
+            try:
+                values[dest] = kind[kind.index(text)] if type(kind) is tuple else kind(text)
+            except (TypeError, ValueError):
+                _fail(command, f"argument {_spelling(found[0], kind)}: "
+                      + ("expected one argument" if text is None else f"invalid value {text!r}"))
+    missing = [name for name, (dest, _, _, _) in options.items() if values[dest] is ...]
+    if missing or unknown:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}" if missing
+              else f"unrecognized arguments: {' '.join(unknown)}")
+    return func, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     configure_from_env()
-    args = _main_parser().parse_args(argv)
+    func, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        output, ok = args.func(args)
+        output, ok = func(args)
     except (ValueError, OverflowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

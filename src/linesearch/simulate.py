@@ -217,6 +217,8 @@ class GeometricGrid(Sequence):
     """
 
     def __init__(self, lo: float, hi: float, points: int) -> None:
+        if points > 2**53:  # past it k * step no longer resolves the index k
+            raise ValueError(f"a grid has at most 2**53 points, got {points}")
         self.lo, self.hi, self.points = lo, hi, points
         self._log_lo = math.log(lo)
         ratio = hi / lo

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
+from linesearch import cli
 from linesearch.cli import dumps_record, main, parse_record
 from linesearch.optimal import SearchProblem, Strategy, optimal_n, optimize
 from linesearch.polynomials import x_of_theta
@@ -692,7 +693,9 @@ def test_mray_non_finite_parameters_are_one_error_line(capsys, ab, message):
 
 @pytest.mark.parametrize("m", [144, 200, 300_000])
 def test_mray_many_rays_print_a_record_or_one_error_line(capsys, m):
-    # M = m^m / (m-1)^(m-1) is about e m: no power of m is formed.
+    # M = m^m / (m-1)^(m-1) is about e m.  m = 300 000 stays within the time
+    # limit only because the default horizon 200 < m is refused before any
+    # pricing; pricing at that m builds powers of m (ROADMAP item 16).
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "mray", "--m", str(m), "--a", "0", "--b", "1")
     assert time.perf_counter() - start < 0.5
@@ -705,6 +708,164 @@ def test_mray_many_rays_print_a_record_or_one_error_line(capsys, m):
     else:
         assert code == 1 and out == ""
         assert err == f"error: horizon must be at least m={m}, got 200\n"
+
+
+# --- argument parsing ----------------------------------------------------------
+
+# Each command's required options, and every dest with its default.
+REQUIRED = {"optimal": [], "reach": ["--ratio", "7"], "verify": [],
+            "mray": ["--m", "3", "--a", "0", "--b", "1"]}
+PROBLEM_DEFAULTS = {"help": False, "lambda_": 1.0, "format": None, "Lambda": None, "log2_rho": None,
+                    "eps": 1e-9, "sweep": False, "rho_min": None, "rho_max": None}
+DEFAULTS = {
+    "optimal": {**PROBLEM_DEFAULTS, "points": 50},
+    "reach": {"help": False, "lambda_": 1.0, "format": None, "ratio": 7.0},
+    "verify": {**PROBLEM_DEFAULTS, "points": 20, "grid_points": 100_000},
+    "mray": {"help": False, "lambda_": 1.0, "format": None, "m": 3, "a": 0.0, "b": 1.0, "horizon": 200},
+}
+# Every option that takes a value: (command, name, dest, text, value).
+VALUE_OPTIONS = [
+    *((c, "--lambda", "lambda_", "2.5", 2.5) for c in REQUIRED),
+    *((c, "--format", "format", "csv", "csv") for c in REQUIRED),
+    *((c, name, dest, "3.5", 3.5) for c in ("optimal", "verify") for name, dest in (
+        ("--Lambda", "Lambda"), ("--log2-rho", "log2_rho"), ("--eps", "eps"),
+        ("--rho-min", "rho_min"), ("--rho-max", "rho_max"))),
+    ("optimal", "--points", "points", "7", 7),
+    ("verify", "--points", "points", "7", 7),
+    ("verify", "--grid-points", "grid_points", "1000", 1000),
+    ("reach", "--ratio", "ratio", "5", 5.0),
+    ("mray", "--m", "m", "4", 4),
+    ("mray", "--a", "a", "-0.5", -0.5),
+    ("mray", "--b", "b", "2", 2.0),
+    ("mray", "--horizon", "horizon", "30", 30),
+]
+
+
+def parse_values(*argv):
+    _, args = cli._parse(list(argv))
+    return vars(args)
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_each_command_parses_to_its_defaults(command):
+    func, args = cli._parse([command, *REQUIRED[command]])
+    assert func.__name__ == f"_cmd_{command}"
+    got = vars(args)
+    assert got == DEFAULTS[command] and all(type(got[k]) is type(v) for k, v in DEFAULTS[command].items())
+
+
+@pytest.mark.parametrize("command, name, dest, text, value", VALUE_OPTIONS,
+                         ids=[f"{c} {n}" for c, n, *_ in VALUE_OPTIONS])
+def test_every_option_takes_its_value_in_both_forms(command, name, dest, text, value):
+    for argv in ([*REQUIRED[command], name, text], [*REQUIRED[command], f"{name}={text}"]):
+        got = parse_values(command, *argv)
+        assert got == {**DEFAULTS[command], dest: value} and type(got[dest]) is type(value), argv
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (("optimal", "--Lam", "10"), "Lambda", 10.0),
+    (("optimal", "--lam=2"), "lambda_", 2.0),
+    (("optimal", "--lo", "5"), "log2_rho", 5.0),
+    (("verify", "--grid", "10"), "grid_points", 10),
+    (("verify", "--rho-mi", "2"), "rho_min", 2.0),
+    (("verify", "--sw"), "sweep", True),
+    (("reach", "--r", "7"), "ratio", 7.0),
+    (("mray", *REQUIRED["mray"], "--ho", "9"), "horizon", 9),
+])
+def test_a_unique_prefix_names_its_option(argv, dest, value):
+    assert parse_values(*argv)[dest] == value
+
+
+def test_a_repeated_option_keeps_its_last_value():
+    got = parse_values("optimal", "--Lambda", "10", "--format", "json", "--Lambda=100", "--format", "csv")
+    assert (got["Lambda"], got["format"]) == (100.0, "csv")
+
+
+def test_a_value_may_start_with_a_dash():
+    assert parse_values("mray", "--m", "3", "--a", "-0.5", "--b", "1")["a"] == -0.5
+    assert parse_values("mray", "--m", "-3", "--a", "0", "--b", "1")["m"] == -3
+    assert math.isinf(parse_values("optimal", "--Lambda", "-inf")["Lambda"])
+
+
+def test_sweep_takes_no_value(capsys):
+    assert parse_values("optimal", "--sweep", "--rho-min", "2")["sweep"] is True
+    code, out, err = run_cli(capsys, "optimal", "--sweep", "--rho-min", "2", "--rho-max", "10",
+                             "--points", "2")
+    assert code == 0 and len(out.splitlines()) == 3
+    for argv in (["optimal", "--sweep=1"], ["optimal", "--sweep", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_a_dash_value_reaches_the_problems_own_check(capsys):
+    # argparse stopped "--Lambda -inf" as a usage error (exit 2); the value
+    # now reaches SearchProblem, which refuses it with one error line.
+    code, out, err = run_cli(capsys, "optimal", "--Lambda", "-inf")
+    assert code == 1 and out == ""
+    assert err == "error: Lambda must satisfy lambda <= Lambda < inf, got -inf\n"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ([], "a command is required"),
+    (["solve"], "invalid command 'solve'"),
+    (["--Lambda", "10"], "invalid command '--Lambda'"),
+    (["optimal", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["optimal", "--Lambda", "10", "extra"], "unrecognized arguments: extra"),
+    (["reach", "--ratio", "7", "--Lambda", "10"], "unrecognized arguments: --Lambda 10"),
+    (["optimal", "--l", "2"], "ambiguous option: --l could match --lambda, --log2-rho"),
+    (["verify", "--rho", "2"], "ambiguous option: --rho could match --rho-min, --rho-max"),
+    (["mray", "--h", "5"], "ambiguous option: --h could match --help, --horizon"),
+    (["optimal", "--Lambda"], "argument --Lambda FLOAT: expected one argument"),
+    (["optimal", "--Lambda", "ten"], "argument --Lambda FLOAT: invalid value 'ten'"),
+    (["optimal", "--Lambda="], "argument --Lambda FLOAT: invalid value ''"),
+    (["verify", "--grid-points", "1.5"], "argument --grid-points INT: invalid value '1.5'"),
+    (["mray", "--m", "3.0", "--a", "0", "--b", "1"], "argument --m INT: invalid value '3.0'"),
+    (["optimal", "--format", "xml"], "argument --format {json,csv}: invalid value 'xml'"),
+    (["reach"], "the following arguments are required: --ratio"),
+    (["mray", "--a", "0"], "the following arguments are required: --m, --b"),
+])
+def test_a_usage_error_prints_the_usage_and_exits_2(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: linesearch ") and error == f"linesearch: error: {reason}"
+
+
+# Every option of each command, as the help must name it.
+HELP_OPTIONS = {
+    "optimal": ["--lambda", "--format", "--Lambda", "--log2-rho", "--eps", "--sweep", "--rho-min",
+                "--rho-max", "--points"],
+    "reach": ["--lambda", "--format", "--ratio"],
+    "verify": ["--lambda", "--format", "--Lambda", "--log2-rho", "--eps", "--sweep", "--rho-min",
+               "--rho-max", "--points", "--grid-points"],
+    "mray": ["--lambda", "--format", "--m", "--a", "--b", "--horizon"],
+}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], *([c, h] for c in HELP_OPTIONS
+                                                                   for h in ("-h", "--help"))],
+                         ids=" ".join)
+def test_help_exits_0_and_names_every_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--Lambda", "ten"])  # help is obeyed where it is read
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    commands = [argv[0]] if argv[0] in HELP_OPTIONS else list(HELP_OPTIONS)
+    for command in commands:
+        assert f"usage: linesearch {command} " in out
+        names = {line.split()[0] for line in out.splitlines() if line.startswith("  -")}
+        assert {"-h", "--help", *HELP_OPTIONS[command]} <= names
+    assert ("(default 50)" in out) == ("optimal" in commands)
+    assert ("(default 100000)" in out) == ("verify" in commands)
+
+
+def test_a_grid_past_two_to_the_53_points_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "verify", "--Lambda", "10", "--grid-points", str(10**19))
+    assert code == 1 and out == ""
+    assert err == f"error: a grid has at most 2**53 points, got {10**19}\n"
 
 
 # --- process-level behaviour -------------------------------------------------------

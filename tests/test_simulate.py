@@ -963,6 +963,16 @@ def test_grid_cost_does_not_grow_with_points():
     assert sup - 1e-9 <= grid <= sup + 1e-12
 
 
+def test_grid_points_are_capped_at_two_to_the_53():
+    # Past 2^53, k * step no longer resolves the index, and from 2^63 on
+    # len() itself overflows; the cap is refused by name.
+    s = Strategy((2.0, 5.0), 8.0, 1.0)
+    assert grid_sweep_ratio(s, points=2**53) == 7.999999999999998
+    for points in (2**53 + 1, 10**19):
+        with pytest.raises(ValueError, match=r"at most 2\*\*53 points"):
+            grid_sweep_ratio(s, points=points)
+
+
 def test_grid_beyond_double_ratio():
     rep = optimize(SearchProblem(1e-300, 1e300))
     sup = worst_case_ratio(rep.strategy).sup_ratio

@@ -44,21 +44,27 @@ def test_optimal_skips_unused_modules():
     for argv in (["optimal", "--Lambda", "1e6"], ["optimal", "--log2-rho", "1000"]):
         loaded = loaded_after(argv)
         assert "linesearch.optimal" in loaded
-        unused = {"dataclasses", "logging", "inspect", "linesearch.mrays", "linesearch.reach",
-                  "linesearch.simulate"}
+        unused = {"argparse", "dataclasses", "logging", "inspect", "linesearch.mrays",
+                  "linesearch.reach", "linesearch.simulate"}
         assert not unused & loaded, (argv, unused & loaded)
 
 
 def test_verify_loads_simulate_only():
     loaded = loaded_after(["verify", "--Lambda", "1e6"])
     assert "linesearch.simulate" in loaded
-    assert not {"linesearch.reach", "linesearch.mrays", "dataclasses", "logging"} & loaded
+    assert not {"argparse", "linesearch.reach", "linesearch.mrays", "dataclasses", "logging"} & loaded
 
 
 def test_mray_skips_simulate():
     loaded = loaded_after(["mray", "--m", "3", "--a", "0", "--b", "1"])
     assert "linesearch.mrays" in loaded
-    assert not {"linesearch.simulate", "linesearch.reach"} & loaded
+    assert not {"argparse", "linesearch.simulate", "linesearch.reach"} & loaded
+
+
+def test_reach_skips_simulate_and_mrays():
+    loaded = loaded_after(["reach", "--ratio", "7"])
+    assert "linesearch.reach" in loaded
+    assert not {"argparse", "linesearch.simulate", "linesearch.mrays"} & loaded
 
 
 def test_every_public_name_resolves():
@@ -200,18 +206,3 @@ def test_diagnostics_lines():
     info = run_python(*args, log="INFO").stderr.splitlines()
     assert info and all(line.startswith("INFO linesearch.optimal: optimize ") for line in info)
 
-
-def test_main_builds_its_parser_once(monkeypatch, capsys):
-    from linesearch import cli
-
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    cli._main_parser.cache_clear()
-    outputs = []
-    for _ in range(3):
-        assert cli.main(["optimal", "--Lambda", "10"]) == 0
-        outputs.append(capsys.readouterr().out)
-    cli._main_parser.cache_clear()
-    assert len(built) == 1
-    assert outputs[0] == outputs[1] == outputs[2] != ""
