@@ -114,17 +114,30 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _emit(output: dict | list[dict], fmt: str) -> None:
-    """Print a record, or a sweep's rows, as one JSON document or as CSV rows.
+def _format(output: dict | list[dict], fmt: str) -> str:
+    """A record, or a sweep's rows, as one JSON document or as CSV rows.
 
     The CSV header is the key paths of the first row; a sweep's rows share them.
     """
     if fmt == "json":
-        print(dumps_record(output))
-        return
+        return dumps_record(output)
     rows = [_flatten(r) for r in (output if isinstance(output, list) else [output])]
     lines = [rows[0], *(r.values() for r in rows)]
-    print("\n".join(",".join(map(_csv_cell, cells)) for cells in lines))
+    return "\n".join(",".join(map(_csv_cell, cells)) for cells in lines)
+
+
+def _print(text: str) -> bool:
+    """Print text and flush it; False where the reader has gone (``| head -1``).
+
+    Then the rest of the output, and the interpreter's last flush, go nowhere.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 def _record(command: str, inputs: dict, results: dict, diagnostics: dict) -> dict:
@@ -328,13 +341,14 @@ def _spelling(name: str, kind: object) -> str:
 
 
 def _help(commands: list[str]) -> None:
+    lines = []
     for command in commands:
         rows = {_spelling(n, k) + " (required)" * (d is ...):
                 t + f" (default {d})" * (d not in (None, False, ...))
                 for n, (_, k, d, t) in _COMMANDS[command][2].items()}
-        print(f"usage: linesearch {command} [options]\n\n{_COMMANDS[command][1]}\n\noptions:",
-              *(f"  {n:<24}  {t}" for n, t in rows.items()), "", sep="\n")
-    raise SystemExit(0)
+        lines += [f"usage: linesearch {command} [options]\n\n{_COMMANDS[command][1]}\n\noptions:",
+                  *(f"  {n:<24}  {t}" for n, t in rows.items()), ""]
+    raise SystemExit(0 if _print("\n".join(lines)) else 1)
 
 
 def _fail(command: str | None, reason: str) -> None:
@@ -388,15 +402,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        _emit(output, args.format or ("csv" if isinstance(output, list) else "json"))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone (``| head -1``): end quietly, with the rest of
-        # the output, and the interpreter's last flush of it, sent nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return 0 if ok else 1
+    fmt = args.format or ("csv" if isinstance(output, list) else "json")
+    return 0 if _print(_format(output, fmt)) and ok else 1
 
 
 if __name__ == "__main__":

@@ -891,17 +891,14 @@ def test_module_entry_point_and_logging():
     assert "optimize" in proc.stderr  # diagnostics went to stderr
 
 
-@pytest.mark.parametrize("argv", [["--log2-rho", "1000"], ["--Lambda", "10"]])
-def test_a_closed_stdout_ends_quietly(argv):
-    # As in `linesearch optimal ... | head -1`, with the reader gone before
-    # the first write: the large record fails in print, the small one in the
-    # flush.  Either way the exit is 1 with nothing on stderr.
+def _into_a_closed_pipe(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stderr) of ``linesearch *argv`` whose stdout reader has gone."""
     repo_root = Path(__file__).resolve().parent.parent
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "linesearch", "optimal", *argv],
+            [sys.executable, "-m", "linesearch", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
@@ -910,7 +907,21 @@ def test_a_closed_stdout_ends_quietly(argv):
         )
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, "")
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--log2-rho", "1000"], ["--Lambda", "10"]])
+def test_a_closed_stdout_ends_quietly(argv):
+    # As in `linesearch optimal ... | head -1`, with the reader gone before
+    # the first write: the large record fails in print, the small one in the
+    # flush.  Either way the exit is 1 with nothing on stderr.
+    assert _into_a_closed_pipe(["optimal", *argv]) == (1, "")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]], ids=" ".join)
+def test_help_to_a_closed_stdout_ends_as_a_record_does(argv):
+    code, err = _into_a_closed_pipe(argv)
+    assert (code, err) == (_into_a_closed_pipe(["optimal", "--Lambda", "10"])[0], "")
 
 
 # Each verify reads the baseline tables of its lambda; the warm-up below

@@ -357,16 +357,21 @@ def test_dlog2_p_dtheta_matches_oracle_slope(n):
         assert abs(log2_p_theta_excess_and_slope(n, theta)[1] - ref) <= 1e-12 * abs(ref), (n, theta)
 
 
-@pytest.mark.parametrize("n", [1, 5, 60, 999])
-def test_p_theta_terms_match_oracle_term_by_term(n):
-    # Every term, including those past (i+2) theta = pi/2, to a few ulps.
-    theta = _bracket_thetas(n, 1, 7 * n)[0]
-    terms = p_theta_terms(n, theta, scale=0.75)
+def _assert_terms_match_oracle(n: int, theta: float, scale: float = 1.0) -> list[float]:
+    terms = p_theta_terms(n, theta, scale=scale)
     assert len(terms) == n
     with mp.workdps(50):
         refs = p_sequence_mp(n, 4 * mp.cos(mpf(theta)) ** 2)
         for i, (got, ref) in enumerate(zip(terms, refs)):
-            assert abs(got - mpf(0.75) * ref) <= 1e-14 * mpf(0.75) * ref, (n, i)
+            want = mpf(scale) * ref
+            assert abs(got - want) <= 1e-14 * want, (n, theta, scale, i)
+    return terms
+
+
+@pytest.mark.parametrize("n", [1, 5, 60, 999])
+def test_p_theta_terms_match_oracle_term_by_term(n):
+    # Every term, including those past (i+2) theta = pi/2, to a few ulps.
+    _assert_terms_match_oracle(n, _bracket_thetas(n, 1, 7 * n)[0], scale=0.75)
 
 
 def test_p_theta_terms_keep_extreme_scales():
@@ -393,14 +398,8 @@ def test_p_theta_terms_match_oracle_across_runs_and_bracket_edges(n):
     scale = _normal_scale(n)
     edges = [math.pi / (n + 4), math.nextafter(math.pi / (n + 3), 0.0)]
     for theta in edges + _bracket_thetas(n, 2, 11 * n):
-        terms = p_theta_terms(n, theta, scale=scale)
-        assert len(terms) == n
+        terms = _assert_terms_match_oracle(n, theta, scale)
         assert all(sys.float_info.min <= t < math.inf for t in terms), (n, theta)
-        with mp.workdps(50):
-            refs = p_sequence_mp(n, 4 * mp.cos(mpf(theta)) ** 2)
-            for i, (got, ref) in enumerate(zip(terms, refs)):
-                want = mpf(scale) * ref
-                assert abs(got - want) <= 1e-14 * want, (n, theta, i)
 
 
 def _spy_on_runs(monkeypatch) -> list[tuple[int, int]]:
@@ -446,6 +445,59 @@ def test_p_theta_terms_power_of_two_scales_are_exact(n, monkeypatch):
         assert compared > 0, (n, k)
     with pytest.raises(OverflowError):
         p_theta_terms(n, theta, scale=2.0 ** (top + 1))
+
+
+HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)  # the largest theta that n = 1 admits
+
+
+@pytest.mark.parametrize("theta", [
+    0.7853981633974484, 1.0, 1.3, 1.5, 1.57, HALF_PI_BELOW - 1e-6, HALF_PI_BELOW - 2e-8,
+    HALF_PI_BELOW - 1e-8, HALF_PI_BELOW - 1e-12, HALF_PI_BELOW,
+])
+def test_p_theta_terms_at_n_1_up_to_pi_over_2(theta):
+    # Past sin^2 theta = 1/2, ln cos theta comes from log(cos theta): its
+    # log1p(-sin^2 theta) form cancels there and fails where sin^2 rounds to 1.
+    (term,) = p_theta_terms(1, theta)
+    want = p_at_theta_mp(0, theta)
+    assert abs(term - want) <= 1e-14 * want, theta
+
+
+def test_p_theta_terms_at_n_2_past_pi_over_4():
+    rng = random.Random(11)
+    thetas = [0.7853981633974484, math.nextafter(math.pi / 3, 0.0)]
+    for theta in thetas + [rng.uniform(math.pi / 4, math.pi / 3) for _ in range(20)]:
+        for i, term in enumerate(p_theta_terms(2, theta)):
+            want = p_at_theta_mp(i, theta)
+            assert abs(term - want) <= 1e-14 * want, (theta, i)
+
+
+@pytest.mark.parametrize("forward, backward", [
+    (0, 1), (0, 2), (1, 0), (5, 0), (100, 0), (63, 63), (64, 64), (65, 65), (63, 1), (65, 1),
+    (1, 1), (128, 129),
+])
+def test_p_theta_terms_runs_on_each_side_of_pi_over_2(forward, backward, monkeypatch):
+    # forward terms have phase (k+1) theta <= pi/2 and come bottom-up, the
+    # backward ones top-down; one pass reads both, so counts of 63, 64 and
+    # 65 on either side, and either side empty, must all match the oracle.
+    n = forward + backward
+    if forward:  # theta = pi/(2 forward + 3) puts k_mid at forward + 1
+        theta = math.pi / (2 * forward + 3)
+    else:  # phase 2 theta past pi/2 already
+        theta = math.nextafter(math.pi / (n + 1), 0.0)
+    runs = _spy_on_runs(monkeypatch)
+    _assert_terms_match_oracle(n, theta, scale=0.75)
+    assert len(runs) == -(-forward // 64) + -(-backward // 64)  # one _seed_radius call a run
+
+
+def test_p_theta_terms_fold_some_runs_and_ldexp_others(monkeypatch):
+    # At scale 2^-1000 the low runs lie below _FOLD_MIN, so ldexp applies
+    # their power of two after the pass, while the high runs fold it.
+    n = 999
+    theta = _bracket_thetas(n, 1, 17 * n)[0]
+    runs = _spy_on_runs(monkeypatch)
+    _assert_terms_match_oracle(n, theta, scale=0.75 * 2.0**-1000)
+    rests = [rest for _, rest in runs]
+    assert len(rests) == 16 and 0 in rests and any(rests)
 
 
 @pytest.mark.parametrize("n", [1, 3, 30, 500])
