@@ -5,7 +5,7 @@ at distances a_0 lambda, ..., a_{n-1} lambda and then at Lambda, where the
 number of growing turns n is picked in O(1) from rho = Lambda/lambda, a_0
 solves p_n(x) = rho on [alpha_{n+1}, alpha_{n+2}), the later ratios follow
 the recurrence a_i = a_0 (a_{i-1} - a_{i-2}), so a_i = p_i(a_0), and the
-achieved competitive ratio is exactly 2 a_0 + 1.  Beyond the closed forms
+achieved competitive ratio is exactly 2 a_0 + 1.  Beyond exact mode
 (n <= 3) the solve returns theta with a_0 = 4 cos^2 theta, and the a_i are
 expanded from theta rather than by the recurrence.  :func:`solve_problem` is
 the O(1) solve alone; :func:`optimize` adds the O(n) turn expansion.
@@ -221,7 +221,7 @@ def solve_problem(problem: SearchProblem) -> StrategyReport:
 
     The report is :func:`optimize`'s without the turns: ``strategy`` is None.
 
-    Dispatch: closed forms for n <= 3; the alpha_{n+2} limit approximation
+    Dispatch: exact mode for n <= 3; the alpha_{n+2} limit approximation
     once n >= 7 eps^{-1/3} - 4 (ratio error below eps by construction);
     bracketed numeric solving to the ulp floor of theta otherwise, which
     keeps the ratio error far inside the reported eps since CR = 2 a0 + 1.
@@ -255,7 +255,7 @@ def solve_problem(problem: SearchProblem) -> StrategyReport:
 def optimize(problem: SearchProblem) -> StrategyReport:
     """Compute the unique optimal strategy and its exact competitive ratio.
 
-    :func:`solve_problem` picks n and a0 in O(1); outside the closed forms
+    :func:`solve_problem` picks n and a0 in O(1); outside exact mode
     (n <= 3) the turns are then expanded from the solved theta by
     :func:`expand_sequence`, the one O(n) step, to about 11 ulps each.
     """

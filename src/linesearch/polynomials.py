@@ -190,6 +190,17 @@ def _sin_multiple(k: int, theta: float) -> float:
     return math.sin((math.pi - k * hi) - k * lo + _PI_LO)
 
 
+def _ln_cos(s: float, theta: float) -> float:
+    """ln cos theta, given s = sin theta, for 0 <= theta < pi/2.
+
+    Up to s^2 = 1/2 it is log1p(-s^2)/2, as cos theta rounds near 1; past
+    that log1p(-s^2) would cancel, and fail where s^2 rounds to 1, while
+    cos theta keeps its relative precision.
+    """
+    ss = s * s
+    return 0.5 * math.log1p(-ss) if ss <= 0.5 else math.log(math.cos(theta))
+
+
 def _check_theta(n: int, theta: float) -> None:
     _check_index(n)
     if not 0.0 < theta < math.pi / (n + 2):
@@ -203,8 +214,7 @@ def log2_p_theta_excess(n: PolyIndex, theta: float) -> float:
     """
     _check_theta(n, theta)
     s = math.sin(theta)
-    log2_cos = 0.5 * math.log1p(-s * s) / _LN2  # not log2(cos theta): cos rounds near 1
-    return (n + 1) * log2_cos + math.log2(_sin_multiple(n + 2, theta) / s)
+    return (n + 1) * (_ln_cos(s, theta) / _LN2) + math.log2(_sin_multiple(n + 2, theta) / s)
 
 
 def log2_p_theta_excess_and_slope(n: PolyIndex, theta: float) -> tuple[float, float]:
@@ -220,8 +230,7 @@ def log2_p_theta_excess_and_slope(n: PolyIndex, theta: float) -> tuple[float, fl
     k = n + 2
     sin_k = _sin_multiple(k, theta)
     tan = math.tan(theta)
-    log2_cos = 0.5 * math.log1p(-s * s) / _LN2
-    value = (n + 1) * log2_cos + math.log2(sin_k / s)
+    value = (n + 1) * (_ln_cos(s, theta) / _LN2) + math.log2(sin_k / s)
     slope = (k * (math.cos(k * theta) / sin_k) - (n + 1) * tan - 1.0 / tan) / _LN2
     return value, slope
 
@@ -269,8 +278,7 @@ def p_theta_terms(n: PolyIndex, theta: float, scale: float = 1.0) -> list[float]
     if not 0.0 < theta < math.pi / (n + 1):
         raise ValueError(f"theta must lie in (0, pi/{n + 1}), got {theta!r}")
     s = math.sin(theta)
-    ss = s * s  # past 1/2, log1p(-ss) would cancel (and fail where ss rounds to 1)
-    ln_cos = 0.5 * math.log1p(-ss) if ss <= 0.5 else math.log(math.cos(theta))
+    ln_cos = _ln_cos(s, theta)
     m, e = math.frexp(scale)  # keeps tiny or huge scales off the subnormal range
     m /= s
     exp, sin, cos = math.exp, math.sin, math.cos

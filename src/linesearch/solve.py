@@ -2,9 +2,9 @@
 
 Three routes, matching how hard the equation is:
 
-* ``solve_exact``   -- n <= 3, closed forms by radicals (square and cube
-  roots only; the quartic goes through its resolvent's one real root),
-  finished by Newton in x on the recurrence.
+* ``solve_exact``   -- n <= 3, started by :func:`solve_beyond_alpha` (in
+  theta below 4, in t above it) and finished by Newton in x on the
+  recurrence.
 * ``solve_numeric`` -- safeguarded Newton in theta, where a0 = 4 cos^2 theta,
   on [pi/(n+4), pi/(n+3)] (the a0 bracket [alpha_{n+1}, alpha_{n+2}]).
   log2 p_n has an O(1) closed form in theta there and decreases.  Newton
@@ -190,58 +190,24 @@ def _solve_x(n: int, rho: float, start: float) -> tuple[float, float]:
     return hi, hi - lo
 
 
-def _cbrt(v: float) -> float:
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
-
-
-def _cardano_root(b: float, c: float, d: float) -> float:
-    """The real root of the monic cubic z^3 + b z^2 + c z + d with one real root."""
-    # Depress: z = t - b/3  ->  t^3 + p t + q, then Cardano with real cube roots.
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    half_q = q / 2.0
-    rad = math.sqrt(half_q * half_q + p**3 / 27.0)
-    return _cbrt(-half_q + rad) + _cbrt(-half_q - rad) - b / 3.0
-
-
-def _largest_root_quartic_n3(rho: float) -> float:
-    """Largest real root of x^4 - 3x^3 + x^2 - rho = 0 by radicals."""
-    # Depress with x = y + 3/4 to y^4 + p y^2 + q y + r.
-    p, q, r = -19.0 / 8.0, -15.0 / 8.0, -rho - 99.0 / 256.0
-    # The resolvent cubic z^3 + 2p z^2 + (p^2 - 4r) z - q^2 depresses to a
-    # linear coefficient 4 rho - 1/3 > 0, so it increases and has one real
-    # root s^2, positive as the cubic is -q^2 at 0.  s splits the quartic into
-    # (y^2 + s y + u)(y^2 - s y + v) with u v = r < 0 and v - u = q/s < 0.
-    # So v < 0 < u: the largest root is the second factor's positive one.
-    s = math.sqrt(_cardano_root(2.0 * p, p * p - 4.0 * r, -q * q))
-    v = 0.5 * (p + s * s + q / s)
-    return 0.5 * (s + math.sqrt(s * s - 4.0 * v)) + 0.75
-
-
 def solve_exact(n: int, rho: float) -> SolveResult:
-    """Largest real root of p_n(x) = rho for n <= 3, from its closed form.
+    """Largest real root of p_n(x) = rho for n <= 3, finished in x.
 
     Accepts any rho in [1, 2^24), not only the rho range where this n is
     optimal (below 19), so that boundary ties between consecutive n can be
-    checked directly.  The radical is only the start: :func:`_solve_x`
-    finishes the root, in at most five evaluations of the recurrence on
-    that range.  The n = 3 radicals drift from the root as rho grows, and
-    from about 2^35 they find no real root, so larger rho is refused.
+    checked directly.  :func:`solve_beyond_alpha` gives the start, in theta
+    below 4 and in t above it.  Its t solve already ends in :func:`_solve_x`;
+    a theta root goes through it here.  Either way the finish takes at most
+    three evaluations of the recurrence on that range.
     """
     if not 0 <= n <= 3:
         raise ValueError(f"solve_exact handles n in 0..3 only, got {n}")
     if not 1.0 <= rho < 2.0**24:
         raise ValueError(f"solve_exact needs rho in [1, 2^24), got {rho}")
-    if n == 0:
-        start = rho
-    elif n == 1:
-        start = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho))
-    elif n == 2:
-        # a0^3 - 2 a0^2 = rho has discriminant 256/27 - 27 (rho + 16/27)^2 < 0.
-        start = _cardano_root(-2.0, 0.0, -rho)
-    else:
-        start = _largest_root_quartic_n3(rho)
-    a0, width = _solve_x(n, rho, start)
+    start = solve_beyond_alpha(n, rho)
+    a0, width = start.a0, start.bracket_width
+    if not math.isnan(start.theta):  # solved in theta: finish in x
+        a0, width = _solve_x(n, rho, a0)
     return SolveResult(a0=a0, mode=MODE_EXACT, bracket_width=width, theta=_theta_or_nan(a0))
 
 
@@ -319,9 +285,10 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
 
     Unlike :func:`solve_numeric` this does not require (n, rho) to satisfy
     the optimality bracket; it is the workhorse for comparing competing
-    iteration counts on equal footing.  Roots below 4 are solved in theta
-    on (0, pi/(n+2)); roots above 4 in t, x = 4 cosh^2 t, on (0, t_max],
-    where t_max solves (2 cosh t)^{n+1} = rho, a lower bound of p_n.  The
+    iteration counts on equal footing, and :func:`solve_exact`'s start.
+    Roots below 4 are solved in theta on (0, pi/(n+2)); roots above 4 in
+    t, x = 4 cosh^2 t, on (0, t_max], where t_max solves
+    (2 cosh t)^{n+1} = rho, a lower bound of p_n.  The
     theta solve starts from a log-linear guess: about four evaluations of
     value and slope, and one where the root is within ulps of pi/(n+2).  A
     double t resolves x only to a relative 2 t ulp(t) (6.9e-14 at n = 1,

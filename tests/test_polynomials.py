@@ -102,8 +102,8 @@ def test_p_at_alpha_values():
 
 
 def test_p_at_alpha2_matches_quoted_boundary():
-    # p_3(alpha_5) = alpha_5^(5/2) = 32 cos^5(pi/7), the largest rho still
-    # solvable by radicals; approximately 18.99761.
+    # p_3(alpha_5) = alpha_5^(5/2) = 32 cos^5(pi/7), the largest rho that
+    # exact mode (n <= 3) serves; approximately 18.99761.
     expected = 32.0 * math.cos(math.pi / 7.0) ** 5
     assert 2.0 ** log2_p_at_alpha_next2(3) == pytest.approx(expected, rel=1e-13)
     assert 2.0 ** log2_p_at_alpha_next2(3) == pytest.approx(18.99761, abs=5e-6)
@@ -469,6 +469,21 @@ def test_p_theta_terms_at_n_2_past_pi_over_4():
         for i, term in enumerate(p_theta_terms(2, theta)):
             want = p_at_theta_mp(i, theta)
             assert abs(term - want) <= 1e-14 * want, (theta, i)
+
+
+@pytest.mark.parametrize("n, top", [(0, math.pi / 2), (1, math.pi / 3)])
+def test_log2_p_theta_excess_past_pi_over_4(n, top):
+    # The theta form's ln cos theta is the expansion's: log(cos theta) past
+    # sin^2 theta = 1/2, up to the last double below pi/(n+2).
+    rng = random.Random(12 + n)
+    last = math.nextafter(top, 0.0)
+    thetas = [0.7853981633974484, last, last - 1e-6, last - 2e-8, last - 1e-12]
+    for theta in thetas + [rng.uniform(math.pi / 4, top) for _ in range(30)]:
+        with mp.workdps(50):
+            want = mp.log(p_at_theta_mp(n, theta), 2) - (n + 1)
+        got = log2_p_theta_excess(n, theta)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, theta)
+        assert log2_p_theta_excess_and_slope(n, theta)[0] == got, (n, theta)
 
 
 @pytest.mark.parametrize("forward, backward", [

@@ -59,20 +59,6 @@ def bracket_edges(n: int) -> tuple[float, float]:
     return 2.0 ** log2_p_at_alpha_next(n), 2.0 ** log2_p_at_alpha_next2(n)
 
 
-# --- cubic helper ---------------------------------------------------------
-
-
-def test_cubic_single_real_root():
-    # z^3 + z + 3 has one real root near -1.2134
-    z = solve_module._cardano_root(0.0, 1.0, 3.0)
-    assert z**3 + z + 3.0 == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cubic_triple_root():
-    # (z-1)^3 depresses to t^3: both cube roots are of 0.
-    assert solve_module._cardano_root(-3.0, 3.0, -1.0) == 1.0
-
-
 # --- exact solving --------------------------------------------------------
 
 
@@ -134,8 +120,8 @@ def test_exact_holds_on_its_stated_range():
     # the final bracket (a0's lower neighbour, a0) for every n.  The bracket
     # is where the recurrence crosses rho, and its rounding of p_n moves the
     # crossing by less than a double: at n = 2, rho = sqrt 2 the root is
-    # 1.04 ulps below a0.  Past the range rho is refused: from about 2^35
-    # the n = 3 radicals find no real root.
+    # 1.04 ulps below a0.  Past the range, which this scan checks, rho is
+    # refused.
     rhos = [2.0 ** (k / 8) for k in range(24 * 8)] + [math.nextafter(2.0**24, 0.0)]
     for n in range(4):
         for rho in rhos:
@@ -153,10 +139,16 @@ def finished_in_x():
     """(n, rho, solve) for every root finished by Newton in x on the recurrence.
 
     The exact roots for n = 1, 2, 3 on a 1/64 step scan of log2 rho in
-    [0, 24), and seeded roots above 4 of solve_beyond_alpha, up to double
-    range, where p_n' would overflow near x = 4 unscaled.
+    [0, 24), and within 3 ulps of rho = p_n(4), where their start moves
+    from theta to t; and seeded roots above 4 of solve_beyond_alpha, up to
+    double range, where p_n' would overflow near x = 4 unscaled.
     """
     cases = [(n, 2.0 ** (k / 64), solve_exact) for n in (1, 2, 3) for k in range(24 * 64)]
+    for n, p4 in ((1, 12.0), (2, 32.0), (3, 80.0)):
+        rhos = [p4]
+        for _ in range(3):
+            rhos = [math.nextafter(rhos[0], 0.0), *rhos, math.nextafter(rhos[-1], math.inf)]
+        cases += [(n, rho, solve_exact) for rho in rhos]
     rng = random.Random(27)
     for _ in range(300):
         n = rng.randint(1, 1000)
@@ -178,8 +170,8 @@ def test_roots_finished_in_x_keep_the_end_where_p_n_reaches_rho():
 
 
 def test_roots_finished_in_x_take_at_most_five_evaluations(monkeypatch):
-    # The radical, or the t solve above 4, starts Newton within reach of the
-    # root: a bad bracket would show as a bisection, dozens of evaluations.
+    # The theta solve, or the t solve above 4, starts Newton within reach of
+    # the root: a bad bracket would show as a bisection, dozens of evaluations.
     kernel, calls = solve_module.eval_p_and_derivative, []
 
     def spy(n, x, *scale):
