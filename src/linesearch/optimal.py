@@ -111,12 +111,19 @@ class Strategy(Record):
         set_field(self, "lambda_", lambda_)
 
     def scaled(self, c: float) -> "Strategy":
-        """The same strategy with all distances multiplied by c > 0."""
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
+        """The same strategy with all distances multiplied by a finite c > 0.
+
+        A scaled terminal past double range raises :class:`OverflowError`; the
+        terminal bounds every turn, so the turns are then finite too.
+        """
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {c}")
+        terminal = self.terminal * c
+        if not math.isfinite(terminal):
+            raise OverflowError(f"terminal {self.terminal} scaled by {c} exceeds double range")
         return Strategy(
             turns=tuple(t * c for t in self.turns),
-            terminal=self.terminal * c,
+            terminal=terminal,
             lambda_=self.lambda_ * c,
         )
 

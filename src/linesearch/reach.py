@@ -15,6 +15,8 @@ import math
 
 from ._base import Record, set_field
 from .optimal import Strategy, check_lambda, expand_sequence
+from .polynomials import theta_of_x
+
 # Unused: kept so bench/tracing.py's ("reach", "eval_p") site resolves.  That
 # site records nothing (p_n comes from the turn recurrence); drop both together.
 from .polynomials import eval_p  # noqa: F401
@@ -66,7 +68,7 @@ def maximal_reach(query: ReachQuery) -> ReachResult:
     exact tie goes to the larger n, as the half-open bracket does.
     """
     a0 = 0.5 * (query.ratio - 1.0)
-    estimate = math.floor(math.pi / math.acos(math.sqrt(a0) / 2.0)) - 3
+    estimate = math.floor(math.pi / theta_of_x(a0)) - 3
     # In bracket n, p_n(a0) >= p_n(alpha_{n+1}) = (2 cos(pi/(n+3)))^(n+1) > 2^n,
     # so from n = 2046 on lambda p_n > 2^-1022 2^2046 overflows for every
     # normal lambda; the estimate is at most one low.

@@ -6,14 +6,15 @@ Three routes, matching how hard the equation is:
   theta below 4, in t above it) and finished by Newton in x on the
   recurrence.
 * ``solve_numeric`` -- safeguarded Newton in theta, where a0 = 4 cos^2 theta,
-  on [pi/(n+4), pi/(n+3)] (the a0 bracket [alpha_{n+1}, alpha_{n+2}]).
-  log2 p_n has an O(1) closed form in theta there and decreases.  Newton
-  starts where the edge values interpolate linearly in
-  log(pi - (n+2) theta), as log2 p_n runs across the bracket, so a solve
-  costs the two edges and three to five O(1) Newton evaluations whatever
-  n is.  Theta, not a0, is the solved quantity: a double theta resolves
-  the root about n^2 times finer than a double a0, which is what the
-  turns expanded from it need.
+  clamped to [pi/(n+4), pi/(n+3)] (the a0 bracket [alpha_{n+1},
+  alpha_{n+2}]).  log2 p_n has an O(1) closed form in theta there and
+  decreases.  Its values at the edges are the closed forms
+  :func:`optimal_n` decides n with, and Newton starts where they
+  interpolate linearly in log(pi - (n+2) theta), as log2 p_n runs across
+  the bracket, so a solve costs three to five O(1) Newton evaluations
+  whatever n is.  Theta, not a0, is the solved quantity: a double theta
+  resolves the root about n^2 times finer than a double a0, which is what
+  the turns expanded from it need.
 * ``solve_limit``   -- theta = pi/(n+4), a0 = alpha_{n+2}, valid once
   n >= 7 eps^{-1/3} - 4; the induced competitive-ratio error is at most
   7^3 (n+4)^-3.
@@ -46,6 +47,7 @@ from .polynomials import (
     eval_p,
     eval_p_and_derivative,
     log2_p_at_alpha_next,
+    log2_p_at_alpha_next2,
     log2_p_cosh_excess,
     log2_p_theta_excess,
     log2_p_theta_excess_and_slope,
@@ -219,9 +221,13 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
     as given, or as math.log2(rho)); any other n raises
     :class:`BracketError`.  The solve runs in theta (a0 = 4 cos^2 theta) to
     adjacent doubles, which the strategy's terminal interval needs at large
-    n: from its log-linear start Newton gets there in three to five
-    evaluations of value and slope (four on average over log2 rho in
-    [5, 2000]).
+    n.  It starts from the edge values p_n(alpha_{n+1}) and p_n(alpha_{n+2})
+    in closed form, and Newton, run on (0, pi/(n+2)) as in
+    :func:`solve_beyond_alpha`, gets there in three to five evaluations of
+    value and slope (four on average over log2 rho in [5, 2000]).  The final
+    bracket is clamped to [pi/(n+4), pi/(n+3)]: a root past an edge, from a
+    rho on it, within optimal_n's fuzz or past it by rounding, gives that
+    edge with ``bracket_width`` 0.
     """
     held = optimal_n(rho, log2_rho)  # also refuses a missing, small or non-finite rho
     if log2_rho is None:
@@ -232,29 +238,20 @@ def solve_numeric(n: int, rho: float | None = None, log2_rho: float | None = Non
         target = log2_rho - (n + 1)
     if held != n:
         raise BracketError(f"rho (log2 {l2rho:.6g}) is in the bracket of n = {held}, not n = {n}")
-    # theta_lo gives a0 = alpha_{n+2}, theta_hi gives a0 = alpha_{n+1}; f
-    # increases in theta and is <= 0 at theta_lo, >= 0 at theta_hi unless rho
-    # sits on an edge (the lower one within optimal_n's fuzz, or either one by
-    # rounding), where the edge itself is the answer.
+    # theta_lo gives a0 = alpha_{n+2}, theta_hi gives a0 = alpha_{n+1}.  log2
+    # p_n runs like log2 u, u = pi - (n+2) theta, across the bracket, so
+    # Newton starts where f's edge values interpolate linearly in log u.
     th_lo, th_hi = math.pi / (n + 4), math.pi / (n + 3)
-    f_lo = target - log2_p_theta_excess(n, th_lo)
-    f_hi = target - log2_p_theta_excess(n, th_hi)
-    if f_hi <= 0.0:
-        theta = lo = hi = th_hi
-    elif f_lo >= 0.0:
-        theta = lo = hi = th_lo
-    else:
-        # log2 p_n runs like log2 u, u = pi - (n+2) theta, across the bracket,
-        # so Newton starts where f interpolates linearly in log u.
-        u_lo, u_hi = 2.0 * math.pi / (n + 4), math.pi / (n + 3)
-        u = u_lo * (u_hi / u_lo) ** (f_lo / (f_lo - f_hi))
-        start = (math.pi - u) / (n + 2)
-        lo, hi = _newton_root(partial(_theta_objective, n, target), th_lo, th_hi, start)
-        theta = lo
+    f_lo = target - (log2_p_at_alpha_next2(n) - (n + 1))
+    f_hi = target - (log2_p_at_alpha_next(n) - (n + 1))
+    u_lo, u_hi = 2.0 * math.pi / (n + 4), math.pi / (n + 3)
+    u = u_lo * (u_hi / u_lo) ** (f_lo / (f_lo - f_hi))
+    start = (math.pi - u) / (n + 2)
+    lo, hi = _newton_root(partial(_theta_objective, n, target), 0.0, math.pi / (n + 2), start)
+    theta, hi = min(max(lo, th_lo), th_hi), min(max(hi, th_lo), th_hi)
     a0 = x_of_theta(theta)
-    width = x_of_theta(lo) - x_of_theta(hi)
     logger.debug("solve_numeric n=%d log2rho=%.6f theta=%.17g a0=%.17g", n, l2rho, theta, a0)
-    return SolveResult(a0=a0, mode=MODE_NUMERIC, bracket_width=width, theta=theta)
+    return SolveResult(a0=a0, mode=MODE_NUMERIC, bracket_width=a0 - x_of_theta(hi), theta=theta)
 
 
 def solve_limit(n: int) -> SolveResult:

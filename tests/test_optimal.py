@@ -192,6 +192,17 @@ def test_validate_says_whether_the_turns_strictly_increase():
         Strategy(turns=(3.0, 3.0), terminal=2.0, lambda_=1.0).validate()
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 1e308])
+def test_scaled_refuses_a_factor_that_leaves_the_distances_non_finite(c):
+    s = Strategy(turns=(2.0, 5.0), terminal=8.0, lambda_=1.0)
+    err = OverflowError if c == 1e308 else ValueError
+    with pytest.raises(err, match="exceeds double range" if c == 1e308 else f"got {c}$"):
+        s.scaled(c)
+    assert s.scaled(2.0**-16) == Strategy(
+        turns=(2.0**-15, 5.0 * 2.0**-16), terminal=2.0**-13, lambda_=2.0**-16
+    )
+
+
 def test_problem_log2_constructor():
     p = SearchProblem.from_log2_rho(1000.0)
     assert p.Lambda == 2.0**1000 and p.rho == 2.0**1000

@@ -293,6 +293,35 @@ def test_numeric_boundary_grace():
     lo, _ = bracket_edges(7)
     res = solve_numeric(7, lo)
     assert res.a0 == pytest.approx(alpha(8), abs=1e-11)
+    # Around both edges, as rho and as log2 rho, theta stays in the bracket
+    # of the n optimal_n picks: a root past an edge is clamped onto it, with
+    # width 0, and theta below the top edge keeps f <= 0, the root's side.
+    # Inside, the width is that of one theta ulp, often 0 in a0 at large n.
+    for n in (4, 5, 17, 100, 999, 1500):
+        for edge in (log2_p_at_alpha_next(n), log2_p_at_alpha_next2(n)):
+            given = []
+            for base, key in [(edge, "log2_rho")] + ([(2.0**edge, "rho")] if edge < 1024.0 else []):
+                for k in range(-6, 6):
+                    value = base
+                    for _ in range(abs(k)):
+                        value = math.nextafter(value, math.copysign(math.inf, k))
+                    given.append((key, value))
+            for key, value in given:
+                m = optimal_n(**{key: value})
+                res = solve_numeric(m, **{key: value})
+                th_lo, th_hi, theta = math.pi / (m + 4), math.pi / (m + 3), res.theta
+                assert th_lo <= theta <= th_hi, (n, key, value)
+                if theta in (th_lo, th_hi):
+                    assert res.bracket_width == 0.0, (n, key, value)
+                else:
+                    gap = x_of_theta(theta) - x_of_theta(math.nextafter(theta, 1.0))
+                    assert 0.0 <= res.bracket_width <= gap, (n, key, value)
+                if theta < th_hi:
+                    if key == "rho":
+                        target = solve_module._log2_excess(m, value)
+                    else:
+                        target = value - (m + 1)
+                    assert solve_module._theta_objective(m, target, theta)[0] <= 0.0, (n, key, value)
 
 
 def test_numeric_log2_input():
@@ -335,13 +364,21 @@ def test_numeric_and_limit_do_no_recurrence_work(monkeypatch):
 def test_numeric_solve_takes_at_most_five_newton_evaluations(monkeypatch):
     # Newton starts where the edge values interpolate linearly in
     # log(pi - (n+2) theta); from there the ulp floor is a few steps away.
+    # The edge values are optimal_n's closed forms, so the theta form itself
+    # is never evaluated apart from Newton's steps.
     kernel, calls = solve_module.log2_p_theta_excess_and_slope, []
+    value, value_calls = solve_module.log2_p_theta_excess, []
 
     def spy(n, theta):
         calls.append(n)
         return kernel(n, theta)
 
+    def value_spy(n, theta):
+        value_calls.append(n)
+        return value(n, theta)
+
     monkeypatch.setattr(solve_module, "log2_p_theta_excess_and_slope", spy)
+    monkeypatch.setattr(solve_module, "log2_p_theta_excess", value_spy)
     rng = random.Random(24)
     counts = []
     for _ in range(1000):
@@ -351,6 +388,7 @@ def test_numeric_solve_takes_at_most_five_newton_evaluations(monkeypatch):
         counts.append(len(calls))
     mean = sum(counts) / len(counts)
     assert max(counts) <= 5 and mean <= 4.5, (max(counts), mean)
+    assert value_calls == []
 
 
 def test_beyond_alpha_theta_solve_takes_at_most_a_dozen_evaluations(monkeypatch):
