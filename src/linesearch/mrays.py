@@ -158,6 +158,8 @@ def _check_rays(m: int) -> None:
 
 def _check_horizon(m: int, horizon: int) -> None:
     _check_rays(m)
+    if not isinstance(horizon, int):
+        raise ValueError(f"the horizon must be an integer, got horizon={horizon!r}")
     if horizon < m:
         raise ValueError(f"horizon must be at least m={m}, got {horizon}")
 
@@ -177,9 +179,9 @@ def _family_ratios(params: RayFamilyParams, horizon: int, js: Iterable[int]) -> 
     round across their exact values.  Raises ValueError where the last turn
     f(horizon + m - 2) or twice the cost sum up to it,
     2 (M f(horizon - 1) - (m-1)(b - m a) lambda), leaves double range.
+    The callers check the horizon first, before building ``js`` from it.
     """
     m, a, b, lam = params.m, params.a, params.b, params.lambda_
-    _check_horizon(m, horizon)
     big_m = optimal_cost_coefficient(m)
     try:
         finite = math.isfinite(params.f(horizon + m - 2)) and math.isfinite(
@@ -208,6 +210,7 @@ def _family_ratios(params: RayFamilyParams, horizon: int, js: Iterable[int]) -> 
 
 def mray_breakpoint_ratios(params: RayFamilyParams, horizon: int) -> list[float]:
     """Breakpoint ratio suprema of a family member, up to f(horizon)."""
+    _check_horizon(params.m, horizon)
     return _family_ratios(params, horizon, range(horizon))
 
 
@@ -220,6 +223,7 @@ def mray_worst_ratio(params: RayFamilyParams, horizon: int = 200) -> float:
     entries j + 1 are monotone in j, so the largest is entry 0, 1 or
     horizon.
     """
+    _check_horizon(params.m, horizon)
     return max(_family_ratios(params, horizon, (0, horizon - 1)))
 
 

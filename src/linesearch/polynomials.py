@@ -15,9 +15,10 @@ With x = 4 cos^2(theta) the recurrence has the closed form (Chebyshev U)
 
     p_n(x) = (2 cos theta)^{n+1} sin((n+2) theta) / sin theta,
 
-and with x = 4 cosh^2(t) above 4 the same form in cosh and sinh.  The
-``*_theta`` and ``*_cosh`` functions evaluate it in O(1), in log2 and
-relative to 2^{n+1}, so the value keeps full relative precision where
+and with x = 4 cosh^2(t) above 4 the same form in cosh and sinh.  Each form
+has one O(1) kernel, :func:`log2_p_theta_excess_and_slope` and
+:func:`log2_p_cosh_excess_and_slope`, which gives log2 p_n relative to
+2^{n+1}, and its slope, so the value keeps full relative precision where
 log2 p_n itself (of size n) would round to ulp(n).  The solving bracket is
 theta in [pi/(n+4), pi/(n+3)], where log2 p_n decreases in theta.  They are
 the one O(1) route to p_n; :func:`eval_p` is the O(n) one for any x.
@@ -64,7 +65,8 @@ class PolyEval(Record):
         return math.ldexp(self.mantissa, self.exp2)  # underflow is silent
 
 
-def _check_index(n: int) -> None:
+def check_index(n: int) -> None:
+    """Refuse an n that is not a non-negative int (a bool included) with ValueError."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"polynomial index must be a non-negative integer, got {n!r}")
 
@@ -87,7 +89,7 @@ def eval_p(n: PolyIndex, x: float) -> PolyEval:
     where p_300 is -3.96e78, so not even the sign holds there.  n = 10^6
     takes 0.3 s (CPython 3.11 on an Intel Xeon core).
     """
-    _check_index(n)
+    check_index(n)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     frexp, ldexp = math.frexp, math.ldexp
@@ -114,7 +116,7 @@ def eval_p_and_derivative(n: PolyIndex, x: float, scale: float = 1.0) -> tuple[f
     the unscaled bits times scale, and the unscaled value is bit-identical
     to :func:`eval_p`'s.  Past that range the terms overflow or underflow.
     """
-    _check_index(n)
+    check_index(n)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     if n == 0:
@@ -132,7 +134,7 @@ def alpha(n: PolyIndex) -> float:
 
     Strictly increasing in n and bounded above by 4.
     """
-    _check_index(n)
+    check_index(n)
     if n == 0:  # cos(pi/2) would leave 1e-32 noise
         return 0.0
     c = math.cos(math.pi / (n + 2))
@@ -141,13 +143,13 @@ def alpha(n: PolyIndex) -> float:
 
 def log2_p_at_alpha_next(n: PolyIndex) -> float:
     """log2 of p_n(alpha_{n+1}) via the closed form alpha_{n+1}^{(n+1)/2}."""
-    _check_index(n)
+    check_index(n)
     return 0.5 * (n + 1) * math.log2(alpha(n + 1))
 
 
 def log2_p_at_alpha_next2(n: PolyIndex) -> float:
     """log2 of p_n(alpha_{n+2}) = alpha_{n+2}^{(n+2)/2}: bracket n + 1's lower edge."""
-    _check_index(n)
+    check_index(n)
     return log2_p_at_alpha_next(n + 1)
 
 
@@ -202,26 +204,16 @@ def _ln_cos(s: float, theta: float) -> float:
 
 
 def _check_theta(n: int, theta: float) -> None:
-    _check_index(n)
+    check_index(n)
     if not 0.0 < theta < math.pi / (n + 2):
         raise ValueError(f"theta must lie in (0, pi/{n + 2}), got {theta!r}")
 
 
-def log2_p_theta_excess(n: PolyIndex, theta: float) -> float:
-    """log2(p_n(4 cos^2 theta) / 2^{n+1}) for 0 < theta < pi/(n+2).
-
-    Of size O(log n), with an absolute error of a few ulps of that size.
-    """
-    _check_theta(n, theta)
-    s = math.sin(theta)
-    return (n + 1) * (_ln_cos(s, theta) / _LN2) + math.log2(_sin_multiple(n + 2, theta) / s)
-
-
 def log2_p_theta_excess_and_slope(n: PolyIndex, theta: float) -> tuple[float, float]:
-    """:func:`log2_p_theta_excess` at theta and its d/dtheta, in one pass.
+    """log2(p_n(4 cos^2 theta) / 2^{n+1}) for 0 < theta < pi/(n+2), and its d/dtheta.
 
-    The value is the same expression as :func:`log2_p_theta_excess`, so the
-    same bits; the slope, negative on (0, pi/(n+2)), is
+    The value is of size O(log n), with an absolute error of a few ulps of
+    that size; the slope, negative on (0, pi/(n+2)), is
 
     ( -(n+1) tan theta + (n+2) cot((n+2) theta) - cot theta ) / ln 2.
     """
@@ -272,7 +264,7 @@ def p_theta_terms(n: PolyIndex, theta: float, scale: float = 1.0) -> list[float]
     normal range.  So a power-of-two scale changes no bit of a normal term,
     and a term past double range raises OverflowError.
     """
-    _check_index(n)
+    check_index(n)
     if n == 0:
         return []
     if not 0.0 < theta < math.pi / (n + 1):
@@ -361,23 +353,17 @@ def _seed_radius(v: float, exp2: int, span: int) -> tuple[float, int]:
     return r, exp2
 
 
-def log2_p_cosh_excess(n: PolyIndex, t: float) -> float:
-    """log2(p_n(4 cosh^2 t) / 2^{n+1}) for t > 0, where p_n(x) above 4 is
+def log2_p_cosh_excess_and_slope(n: PolyIndex, t: float) -> tuple[float, float]:
+    """log2(p_n(4 cosh^2 t) / 2^{n+1}) for t > 0, and its d/dt, positive there.
 
-    (2 cosh t)^{n+1} sinh((n+2) t) / sinh t.
+    Above 4 the closed form is p_n(x) = (2 cosh t)^{n+1} sinh((n+2) t) / sinh t.
     """
-    _check_index(n)
+    check_index(n)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    return ((n + 1) * _ln_cosh(t) + _ln_sinh((n + 2) * t) - _ln_sinh(t)) / _LN2
-
-
-def dlog2_p_dt(n: PolyIndex, t: float) -> float:
-    """d/dt of log2 p_n(4 cosh^2 t); positive for t > 0."""
-    _check_index(n)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
-    return ((n + 1) * math.tanh(t) + (n + 2) / math.tanh((n + 2) * t) - 1.0 / math.tanh(t)) / _LN2
+    value = ((n + 1) * _ln_cosh(t) + _ln_sinh((n + 2) * t) - _ln_sinh(t)) / _LN2
+    slope = ((n + 1) * math.tanh(t) + (n + 2) / math.tanh((n + 2) * t) - 1.0 / math.tanh(t)) / _LN2
+    return value, slope
 
 
 def _ln_cosh(t: float) -> float:

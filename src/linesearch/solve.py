@@ -43,13 +43,12 @@ from functools import partial
 from ._base import Emitter, Record, set_field
 from .polynomials import (
     alpha,
-    dlog2_p_dt,
+    check_index,
     eval_p,
     eval_p_and_derivative,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
-    log2_p_cosh_excess,
-    log2_p_theta_excess,
+    log2_p_cosh_excess_and_slope,
     log2_p_theta_excess_and_slope,
     theta_of_x,
     x_of_theta,
@@ -127,7 +126,7 @@ def log2_residual(n: int, a0: float, rho: float, log2_rho: float) -> float:
     """
     target = _log2_excess(n, rho) if rho < math.inf else log2_rho - (n + 1)
     try:
-        excess = log2_p_theta_excess(n, theta_of_x(a0))
+        excess = log2_p_theta_excess_and_slope(n, theta_of_x(a0))[0]
     except ValueError:  # a0 >= 4, or rounded onto or below alpha_n
         p = eval_p(n, a0)
         excess = (p.exp2 - n - 1) + math.log2(p.mantissa)
@@ -138,6 +137,12 @@ def _theta_objective(n: int, target: float, theta: float) -> tuple[float, float]
     """(target - log2(p_n / 2^{n+1}), slope) at theta: increasing in theta."""
     excess, slope = log2_p_theta_excess_and_slope(n, theta)
     return target - excess, -slope
+
+
+def _t_objective(n: int, target: float, t: float) -> tuple[float, float]:
+    """(log2(p_n / 2^{n+1}) - target, slope) at t: increasing in t."""
+    excess, slope = log2_p_cosh_excess_and_slope(n, t)
+    return excess - target, slope
 
 
 _MAX_STEPS = 200
@@ -260,6 +265,7 @@ def solve_limit(n: int) -> SolveResult:
     The resulting strategy's competitive ratio is within 7^3 (n+4)^-3 of
     the optimum (see :func:`cr_error_bound_limit`).
     """
+    check_index(n)
     theta = math.pi / (n + 4)
     a0 = x_of_theta(theta)
     return SolveResult(
@@ -269,6 +275,7 @@ def solve_limit(n: int) -> SolveResult:
 
 def cr_error_bound_limit(n: int) -> float:
     """Competitive-ratio error bound 7^3 (n+4)^-3 of the limit approximation."""
+    check_index(n)
     return 343.0 / float(n + 4) ** 3
 
 
@@ -280,20 +287,21 @@ def limit_mode_threshold(epsilon: float) -> float:
 def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     """Unique root of p_n(x) = rho with x > alpha_n, for any n >= 0.
 
-    Unlike :func:`solve_numeric` this does not require (n, rho) to satisfy
-    the optimality bracket; it is the workhorse for comparing competing
-    iteration counts on equal footing, and :func:`solve_exact`'s start.
-    Roots below 4 are solved in theta on (0, pi/(n+2)); roots above 4 in
-    t, x = 4 cosh^2 t, on (0, t_max], where t_max solves
-    (2 cosh t)^{n+1} = rho, a lower bound of p_n.  The
-    theta solve starts from a log-linear guess: about four evaluations of
-    value and slope, and one where the root is within ulps of pi/(n+2).  A
-    double t resolves x only to a relative 2 t ulp(t) (6.9e-14 at n = 1,
-    rho = 1e300), so a root above 4 is finished from t's by
-    :func:`_solve_x`, in two or three O(n) evaluations of the recurrence.
-    A root within ulps of alpha_n can round onto or below it; a0 is then
-    moved up to the first double above it.
+    Unlike :func:`solve_numeric` this does not require (n, rho) to satisfy the
+    optimality bracket; it is the workhorse for comparing competing iteration
+    counts on equal footing, and :func:`solve_exact`'s start.  Roots below 4
+    are solved in theta on (0, pi/(n+2)) by Newton on
+    :func:`log2_p_theta_excess_and_slope`; roots above 4 in t, x = 4 cosh^2 t,
+    on (0, t_max] by Newton on :func:`log2_p_cosh_excess_and_slope`, where
+    t_max solves (2 cosh t)^{n+1} = rho, a lower bound of p_n.  The theta solve
+    starts from a log-linear guess: about four evaluations of value and slope,
+    and one where the root is within ulps of pi/(n+2).  A double t resolves x
+    only to a relative 2 t ulp(t) (6.9e-14 at n = 1, rho = 1e300), so a root
+    above 4 is finished from t's by :func:`_solve_x`, in two or three O(n)
+    evaluations of the recurrence.  A root within ulps of alpha_n can round
+    onto or below it; a0 is then moved up to the first double above it.
     """
+    check_index(n)
     if not 1.0 <= rho < math.inf:
         raise ValueError(f"rho must be finite and at least 1, got {rho}")
     if n == 0:
@@ -315,8 +323,7 @@ def solve_beyond_alpha(n: int, rho: float) -> SolveResult:
     else:
         t_max = math.acosh(2.0 ** (target / (n + 1)))
         t, _ = _newton_root(
-            lambda t: (log2_p_cosh_excess(n, t) - target, dlog2_p_dt(n, t)),
-            0.0, math.nextafter(t_max, math.inf), 0.5 * t_max,
+            partial(_t_objective, n, target), 0.0, math.nextafter(t_max, math.inf), 0.5 * t_max
         )
         a0, width = _solve_x(n, rho, 4.0 + (2.0 * math.sinh(t)) ** 2)
         theta = math.nan

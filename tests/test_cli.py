@@ -621,6 +621,9 @@ def test_optimal_sweep_log2_residual_is_exact_on_every_row(capsys):
      "sweep mode reads rho from --rho-min and --rho-max, not --Lambda or --log2-rho"),
     (("--sweep", "--rho-min", "2", "--rho-max", "10", "--log2-rho", "3"),
      "sweep mode reads rho from --rho-min and --rho-max, not --Lambda or --log2-rho"),
+    (("--sweep", "--rho-min", "5", "--rho-max", "2"), "need 1 <= rho-min <= rho-max"),
+    (("--sweep", "--rho-min", "2", "--rho-max", "10", "--points", "0"),
+     "need at least one sweep point"),
 ])
 def test_conflicting_problem_options_are_one_error_line(capsys, command, argv, message):
     code, out, err = run_cli(capsys, command, *argv)

@@ -61,6 +61,8 @@ def test_infeasible_params_carry_interval():
     assert exc.value.interval == pytest.approx((1.0, 4.0))
     with pytest.raises(ValueError):
         RayFamilyParams(m=1, a=0.0, b=1.0)
+    with pytest.raises(ValueError, match="slope a must be non-negative, got -1.0"):
+        feasible_b_interval(3, -1.0)
 
 
 RAY_CHECKS = {
@@ -169,8 +171,16 @@ def test_infeasibility_detected_below_lower_bound():
 
 
 def test_worst_ratio_requires_m_horizon():
+    params = RayFamilyParams(3, 0.0, 1.0)
     with pytest.raises(ValueError):
-        mray_worst_ratio(RayFamilyParams(3, 0.0, 1.0), 2)
+        mray_worst_ratio(params, 2)
+    # A float horizon is refused by name, whole or not: the entries are
+    # priced in integers.
+    for horizon in (5.5, 3.0):
+        for call in (mray_worst_ratio, mray_breakpoint_ratios,
+                     lambda params, h: breakpoint_ratios(params.f, 3, 1.0, h)):
+            with pytest.raises(ValueError, match=f"horizon must be an integer, got horizon={horizon}"):
+                call(params, horizon)
 
 
 def test_params_reject_subnormal_lambda():
@@ -185,6 +195,9 @@ def test_horizon_beyond_double_range(capsys):
     for horizon in (1012, 1015, 5000):
         with pytest.raises(ValueError, match=f"^horizon {horizon} is too large"):
             mray_worst_ratio(params, horizon)
+    # A callable's own overflow, 2.0 ** 1024 here, is the same refusal.
+    with pytest.raises(ValueError, match="^horizon 1100 is too large"):
+        breakpoint_ratios(lambda i: 2.0**i, 2, 1.0, 1100)
     assert cli.main(["mray", "--m", "2", "--a", "2", "--b", "4", "--horizon", "5000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -12,13 +12,11 @@ from linesearch import polynomials
 from linesearch.polynomials import (
     PolyEval,
     alpha,
-    dlog2_p_dt,
     eval_p,
     eval_p_and_derivative,
     log2_p_at_alpha_next,
     log2_p_at_alpha_next2,
-    log2_p_cosh_excess,
-    log2_p_theta_excess,
+    log2_p_cosh_excess_and_slope,
     log2_p_theta_excess_and_slope,
     p_theta_terms,
     theta_of_x,
@@ -322,27 +320,15 @@ def _bracket_thetas(n: int, count: int, seed: int) -> list[float]:
     return [rng.uniform(math.pi / (n + 4), math.pi / (n + 3)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("n", [4, 10, 100, 1000, 10_000])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 10, 50, 100, 999, 1000, 2046, 10_000])
 def test_log2_p_theta_matches_recurrence_oracle(n):
     for theta in _bracket_thetas(n, 5, n):
         with mp.workdps(50):
             ref = mp.log(p_at_theta_mp(n, theta), 2)
-        assert abs((n + 1) + log2_p_theta_excess(n, theta) - ref) <= 1e-14 * abs(ref), (n, theta)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 999, 2046])
-def test_theta_kernel_value_is_log2_p_theta_excess(n):
-    # The Newton kernel's value is the edge evaluator's, bit for bit, over
-    # the whole of (0, pi/(n+2)) and not only the solving bracket.
-    rng = random.Random(100 + n)
-    top = math.pi / (n + 2)
-    thetas = [top * rng.random() for _ in range(200)]
-    thetas += [top * 2.0 ** -rng.uniform(0, 40) for _ in range(50)]  # down to 2^-40 of top
-    for theta in (t for t in thetas if 0.0 < t < top):
         value = log2_p_theta_excess_and_slope(n, theta)[0]
-        assert value == log2_p_theta_excess(n, theta), (n, theta)
-    with pytest.raises(ValueError):
-        log2_p_theta_excess_and_slope(n, top)
+        assert abs((n + 1) + value - ref) <= 1e-14 * abs(ref), (n, theta)
+    with pytest.raises(ValueError):  # p_n vanishes at pi/(n+2)
+        log2_p_theta_excess_and_slope(n, math.pi / (n + 2))
 
 
 @pytest.mark.parametrize("n", [0, 4, 37, 1000])
@@ -481,9 +467,8 @@ def test_log2_p_theta_excess_past_pi_over_4(n, top):
     for theta in thetas + [rng.uniform(math.pi / 4, top) for _ in range(30)]:
         with mp.workdps(50):
             want = mp.log(p_at_theta_mp(n, theta), 2) - (n + 1)
-        got = log2_p_theta_excess(n, theta)
+        got = log2_p_theta_excess_and_slope(n, theta)[0]
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, theta)
-        assert log2_p_theta_excess_and_slope(n, theta)[0] == got, (n, theta)
 
 
 @pytest.mark.parametrize("forward, backward", [
@@ -526,8 +511,9 @@ def test_cosh_form_matches_recurrence_oracle(n):
             h = mpf(10) ** -20
             slope = (mp.log(p_recurrence_mp(n, 4 * mp.cosh(mpf(t) + h) ** 2), 2)
                      - mp.log(p_recurrence_mp(n, 4 * mp.cosh(mpf(t) - h) ** 2), 2)) / (2 * h)
-        assert abs(log2_p_cosh_excess(n, t) - ref) <= 1e-14 * max(1.0, abs(ref)), (n, t)
-        assert abs(dlog2_p_dt(n, t) - slope) <= 1e-9 * abs(slope), (n, t)
+        value, dvalue = log2_p_cosh_excess_and_slope(n, t)
+        assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (n, t)
+        assert abs(dvalue - slope) <= 1e-9 * abs(slope), (n, t)
 
 
 def test_theta_x_maps():
@@ -538,4 +524,4 @@ def test_theta_x_maps():
     with pytest.raises(ValueError):
         theta_of_x(4.5)
     with pytest.raises(ValueError):
-        log2_p_theta_excess(10, math.pi / 12)  # p_10 vanishes there
+        log2_p_theta_excess_and_slope(10, math.pi / 12)  # p_10 vanishes there

@@ -367,18 +367,12 @@ def test_numeric_solve_takes_at_most_five_newton_evaluations(monkeypatch):
     # The edge values are optimal_n's closed forms, so the theta form itself
     # is never evaluated apart from Newton's steps.
     kernel, calls = solve_module.log2_p_theta_excess_and_slope, []
-    value, value_calls = solve_module.log2_p_theta_excess, []
 
     def spy(n, theta):
         calls.append(n)
         return kernel(n, theta)
 
-    def value_spy(n, theta):
-        value_calls.append(n)
-        return value(n, theta)
-
     monkeypatch.setattr(solve_module, "log2_p_theta_excess_and_slope", spy)
-    monkeypatch.setattr(solve_module, "log2_p_theta_excess", value_spy)
     rng = random.Random(24)
     counts = []
     for _ in range(1000):
@@ -388,7 +382,6 @@ def test_numeric_solve_takes_at_most_five_newton_evaluations(monkeypatch):
         counts.append(len(calls))
     mean = sum(counts) / len(counts)
     assert max(counts) <= 5 and mean <= 4.5, (max(counts), mean)
-    assert value_calls == []
 
 
 def test_beyond_alpha_theta_solve_takes_at_most_a_dozen_evaluations(monkeypatch):
@@ -455,6 +448,14 @@ def test_limit_within_cubic_decay_bound(n):
     cr_limit = 2.0 * solve_limit(n).a0 + 1.0
     cr_exact = 2.0 * solve_numeric(n, rho).a0 + 1.0
     assert abs(cr_limit - cr_exact) <= cr_error_bound_limit(n)
+
+
+@pytest.mark.parametrize("n", [-1, -2, -4, True])
+def test_limit_and_beyond_alpha_refuse_a_bad_index(n):
+    # As every other entry does, before any arithmetic on n.
+    for call in (solve_limit, cr_error_bound_limit, lambda n: solve_beyond_alpha(n, 10.0)):
+        with pytest.raises(ValueError, match="polynomial index must be a non-negative integer"):
+            call(n)
 
 
 def test_bracket_width_cubic_decay_bound():
