@@ -34,8 +34,9 @@ a grid point close enough above its turn to be found.  On
 ``power_of_two``, which leaves nearly all runs, it takes about 0.6-0.9 ms.
 A baseline built by ``baselines`` and priced costs about 0.3 ms.
 ``baseline_ratios`` prices all four in about 0.004 ms from per-lambda
-tables of the baselines' turns, and single_shot from a closed form;
-building a lambda's tables costs about what pricing the strategies does.
+tables of the baselines' turns, and single_shot from a closed form; the
+first call at a lambda builds its tables over all of double range (1 024
+turns each at lambda = 1) in about 0.9 ms.
 Where twice the sum of the reaches would overflow, both pricers price the
 late sums in units of an exact power of two.
 """
@@ -46,6 +47,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import lt, mul, truediv
 
@@ -336,6 +338,8 @@ def grid_sweep_ratio(
     stands where d_{k-1} <= t_{j-1} < d_k, and
     :meth:`GeometricGrid.first_above` bisects the grid for the rest.
     """
+    if isinstance(points, bool) or not isinstance(points, int):
+        raise ValueError(f"the grid needs an integer count, got points={points!r}")
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     lam, Lam = _checked_bounds(strategy, lam, Lam)
@@ -364,9 +368,9 @@ def grid_sweep_ratio(
 BASELINES = ("power_of_two", "f_infinity", "los_sqrt", "single_shot")
 
 # How many (baseline, lambda) tables baseline_ratios keeps, the least
-# recently used going first; each holds at most 2 098 turns.
+# recently used going first; each holds 1 024 turns at lambda = 1 and at
+# most 2 098.
 _TABLE_CACHE_SIZE = 24
-_TABLES: dict[tuple[str, float], tuple[list[float], list[float], list[float]]] = {}
 
 
 def _check_baseline_bounds(lam: float, Lam: float) -> None:
@@ -423,32 +427,19 @@ def baselines(name: str, lam: float, Lam: float) -> Strategy:
     return Strategy(turns=tuple(turns[: bisect_left(turns, Lam)]), terminal=Lam, lambda_=lam)
 
 
-def _table(name: str, lam: float, size: int) -> tuple[list[float], list[float], list[float]]:
-    """At least ``size`` of a baseline's turns t_j at lam, with their sums and peaks.
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _table(name: str, lam: float) -> tuple[list[float], list[float], list[float]]:
+    """A baseline's turns t_j at lam over double range, with their sums and peaks.
 
     S_j = t_0 + ... + t_j, accumulated left to right as ``_reach_sums`` does,
     and peaks[j] = max over i <= j of S_{i+1} / t_i.  None of them depends on
-    Lambda.  A table is never changed once stored, only replaced: one too
-    short is rebuilt at twice its length, or at ``size`` if that is more, so
-    a first call pays only for the turns it needs and a run of growing calls
-    rebuilds O(log n) times.  No table runs past the last power 2^i lam that
-    is a double.
+    Lambda, and entry j does not depend on the table's length, so one table
+    runs up to the last power 2^i lam that is a double and serves every
+    Lambda at lam.
     """
-    key = (name, lam)
-    table = _TABLES.pop(key, None)
-    have = len(table[0]) if table else 0
-    if have < size:
-        size = max(size, min(2 * have, _power_count(lam, sys.float_info.max)))
-        turns = list(islice(_turns(name, lam), size))
-        sums = list(accumulate(turns))
-        table = turns, sums, list(accumulate(map(truediv, sums[1:], turns), max))
-    _TABLES[key] = table  # the most recently used last
-    if len(_TABLES) > _TABLE_CACHE_SIZE:
-        # Evict from a snapshot of the keys, taken in one C call: another
-        # thread may change the dict meanwhile, and iterating it would raise.
-        for old in list(_TABLES)[:-_TABLE_CACHE_SIZE]:
-            _TABLES.pop(old, None)
-    return table
+    turns = list(islice(_turns(name, lam), _power_count(lam, sys.float_info.max)))
+    sums = list(accumulate(turns))
+    return turns, sums, list(accumulate(map(truediv, sums[1:], turns), max))
 
 
 def baseline_ratios(lam: float, Lam: float) -> dict[str, float]:
@@ -468,12 +459,11 @@ def baseline_ratios(lam: float, Lam: float) -> dict[str, float]:
     overflows.
     """
     _check_baseline_bounds(lam, Lam)
-    size = _power_count(lam, Lam)
     ratios = {}
     for name in BASELINES:
         k = 0
         if name != "single_shot":
-            turns, sums, peaks = _table(name, lam, size)
+            turns, sums, peaks = _table(name, lam)
             k = bisect_left(turns, Lam)
         if not k:
             ratios[name] = 2.0 * (Lam / lam) + 1.0

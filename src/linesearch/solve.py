@@ -151,14 +151,13 @@ _MAX_STEPS = 200
 def _newton_root(f, lo: float, hi: float, x: float) -> tuple[float, float]:
     """Bracket the root of the increasing f on (lo, hi) to adjacent doubles.
 
-    f(x) returns (value, slope) and is never evaluated at lo or hi.  Each
-    step is Newton's from the last point, or a bisection when Newton would
-    leave the bracket.  Once a Newton step no longer moves x, the neighbour
-    double on the root's side is probed, which closes the bracket.  Returns
-    the final bracket: f <= 0 at its low end and f >= 0 at its high end.
+    f(x) returns (value, slope) and is never evaluated at lo or hi.  The
+    start x must lie inside the bracket, lo < x < hi.  Each step is Newton's
+    from the last point, or a bisection when Newton would leave the bracket.
+    Once a Newton step no longer moves x, the neighbour double on the root's
+    side is probed, which closes the bracket.  Returns the final bracket:
+    f <= 0 at its low end and f >= 0 at its high end.
     """
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):
         v, d = f(x)
         if v == 0.0:

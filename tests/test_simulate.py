@@ -283,9 +283,11 @@ def test_validate_refuses_a_broken_chain(label, s, lam, Lam, where):
     assert_refused(s, lam, Lam, where)
 
 
-def test_grid_needs_two_points():
-    with pytest.raises(ValueError):
-        grid_sweep_ratio(pot(), points=1)
+@pytest.mark.parametrize("points", [1, 2.5, 999.5, 1000.0, True])
+def test_grid_needs_an_integer_count_of_at_least_two_points(points):
+    # A fractional count would build a grid whose last point is not Lambda.
+    with pytest.raises(ValueError, match="points"):
+        grid_sweep_ratio(pot(), points=points)
 
 
 # --- the C-level passes against the turn-by-turn references --------------------
@@ -1044,8 +1046,8 @@ def assert_bitwise_equal(got, want, case):
     assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], case
 
 
-def test_baseline_ratios_are_the_generic_pricing(monkeypatch):
-    monkeypatch.setattr(simulate, "_TABLES", {})
+def test_baseline_ratios_are_the_generic_pricing():
+    simulate._table.cache_clear()
     rng = random.Random(17)
     top = 1.7976931348623157e308
     # lam log-uniform over the normal range, an int among them; the last
@@ -1061,13 +1063,13 @@ def test_baseline_ratios_are_the_generic_pricing(monkeypatch):
         # first turn 4 lam (k = 0), between its first two (k = 1), on a turn.
         Lams = [lam, lam * 2.0, lam * 3.0, lam * 6.0, on_turn, top, top / 1.5]
         Lams += [min(lam * math.exp(rng.uniform(0.0, math.log(top / lam))), top) for _ in range(6)]
-        # Growing, shrinking and growing again: tables grow between calls.
+        # Growing, shrinking and growing again: one table serves them all.
         for Lam in (*sorted(Lams), *sorted(Lams, reverse=True), *Lams):
             assert_bitwise_equal(baseline_ratios(lam, Lam), generic_baseline_ratios(lam, Lam),
                                  (lam, Lam))
             checked += 1
     assert checked == len(lams) * 39
-    assert len(simulate._TABLES) == simulate._TABLE_CACHE_SIZE
+    assert simulate._table.cache_info().currsize == simulate._TABLE_CACHE_SIZE
     # No turn below Lambda (k = 0): Lambda = lam, or below f_infinity's first
     # turn 4 lam, and lambdas so large that 4 lam, 2 lam or 2 Lambda overflow.
     half_up = math.nextafter(top / 2.0, math.inf)
@@ -1089,28 +1091,24 @@ def test_baseline_ratios_are_the_generic_pricing(monkeypatch):
                                  (lam, Lam))
 
 
-def test_a_first_call_builds_only_the_turns_it_needs(monkeypatch):
-    monkeypatch.setattr(simulate, "_TABLES", {})
+def test_one_table_per_baseline_serves_every_Lambda_at_a_lambda():
+    simulate._table.cache_clear()
     baseline_ratios(1.0, 1e20)
-    for name in ("power_of_two", "f_infinity", "los_sqrt"):
-        needed = len(baselines(name, 1.0, 1e20).turns)  # the turns below Lambda
-        turns, sums, peaks = simulate._TABLES[(name, 1.0)]
-        assert needed <= len(turns) <= 2 * needed, name
-        assert len(sums) == len(turns) == len(peaks) + 1
-    # A smaller Lambda reads the same table; a larger one grows it.
-    before = simulate._TABLES[("f_infinity", 1.0)]
-    baseline_ratios(1.0, 1e10)
-    assert simulate._TABLES[("f_infinity", 1.0)] is before
     baseline_ratios(1.0, 1e300)
-    assert len(simulate._TABLES[("f_infinity", 1.0)][0]) >= len(baselines("f_infinity", 1.0, 1e300).turns)
+    # One miss per baseline with turns; the larger Lambda reads the same tables.
+    assert simulate._table.cache_info().misses == 3
+    for name in ("power_of_two", "f_infinity", "los_sqrt"):
+        turns, sums, peaks = simulate._table(name, 1.0)
+        assert len(turns) == simulate._power_count(1.0, sys.float_info.max), name
+        assert len(sums) == len(turns) == len(peaks) + 1
 
 
-def test_threads_pricing_baselines_at_many_lambdas_agree_with_one_thread(monkeypatch):
+def test_threads_pricing_baselines_at_many_lambdas_agree_with_one_thread():
     # More distinct lambdas than the table cache holds, so the threads evict
     # tables while others store and read theirs, switching as often as the
     # interpreter can.  The README's promise that every function is safe to
     # call concurrently rests on this test for baseline_ratios.
-    monkeypatch.setattr(simulate, "_TABLES", {})
+    simulate._table.cache_clear()
     lams = [2.0**k for k in range(-60, 61)]
     rng = random.Random(23)
     draws = [[rng.choice(lams) for _ in range(3000)] for _ in range(4)]
@@ -1137,10 +1135,7 @@ def test_threads_pricing_baselines_at_many_lambdas_agree_with_one_thread(monkeyp
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert got == [[want[lam] for lam in d] for d in draws]
-    # Every store is followed by its own eviction, so the cache ends no
-    # larger than its size.  It can end smaller: a key in one thread's
-    # snapshot can be moved to the end by another, and still be evicted.
-    assert len(simulate._TABLES) <= simulate._TABLE_CACHE_SIZE
+    assert simulate._table.cache_info().currsize <= simulate._TABLE_CACHE_SIZE
 
 
 # --- property-based -------------------------------------------------------------
